@@ -20,17 +20,12 @@
 //!
 //! Reported per path: ns/query and candidates examined per query (baseline:
 //! distinct nodes hashed; ScanCount: counters touched; MergeSkip: frontier values
-//! processed — skipped postings are never examined). A final section times the
-//! small-tree k-means fast path on a clustering workload, asserting bit-identical
-//! cluster sets while measuring the saving.
+//! processed — skipped postings are never examined).
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use serde::Serialize;
-use xsm_core::{ClusteringConfig, KMeansClusterer};
-use xsm_matcher::element::{match_elements, ElementMatchConfig, NameElementMatcher};
-use xsm_matcher::MatchingProblem;
 use xsm_repo::{
     CandidateQuery, CandidateScratch, GeneratorConfig, LengthWindow, MergePolicy, NameIndex,
     RepositoryGenerator,
@@ -117,16 +112,6 @@ struct SizeRow {
     checksums_match: bool,
 }
 
-/// The small-tree k-means fast-path measurement.
-#[derive(Serialize)]
-struct KMeansRow {
-    candidate_elements: usize,
-    enabled_ns_per_run: f64,
-    disabled_ns_per_run: f64,
-    speedup: f64,
-    identical: bool,
-}
-
 #[derive(Serialize)]
 struct CandidatesRecord {
     bench: String,
@@ -137,7 +122,6 @@ struct CandidatesRecord {
     floor: f64,
     reps: usize,
     rows: Vec<SizeRow>,
-    kmeans_fast_path: KMeansRow,
 }
 
 /// Order-sensitive checksum over a candidate list: pins both membership and order.
@@ -268,60 +252,6 @@ fn bench_size(config: &BenchConfig, nodes: usize) -> SizeRow {
     }
 }
 
-/// Time the clustering stage with the small-tree fast path enabled vs disabled on
-/// the paper's personal schema over a small-tree-heavy forest, asserting identical
-/// cluster sets.
-fn bench_kmeans_fast_path(config: &BenchConfig) -> KMeansRow {
-    let problem = MatchingProblem::paper_experiment();
-    // A paper-scale forest: many trees, most of whose per-tree candidate scopes
-    // are small enough for the fast path (tree-local clustering makes the scope
-    // the tree's candidates, not the forest's).
-    let repo = RepositoryGenerator::new(
-        GeneratorConfig::paper_default()
-            .with_seed(config.seed)
-            .with_target_elements(5_000),
-    )
-    .generate();
-    let candidates = match_elements(
-        &problem.personal,
-        &repo,
-        &NameElementMatcher,
-        &ElementMatchConfig::default().with_min_similarity(0.5),
-    );
-    let enabled_clusterer = KMeansClusterer::new(ClusteringConfig::default());
-    let disabled_clusterer =
-        KMeansClusterer::new(ClusteringConfig::default().with_small_tree_fast_path(0));
-    let reps = (config.reps * 4).max(4);
-
-    let (enabled_set, _) = enabled_clusterer.cluster(&repo, &candidates);
-    let (disabled_set, _) = disabled_clusterer.cluster(&repo, &candidates);
-    let identical = enabled_set.clusters == disabled_set.clusters
-        && enabled_set.unassigned == disabled_set.unassigned;
-
-    // Interleave the two configurations so clock drift and cache warmth charge
-    // both sides equally.
-    let mut enabled_s = 0.0f64;
-    let mut disabled_s = 0.0f64;
-    for _ in 0..reps {
-        let start = Instant::now();
-        black_box(enabled_clusterer.cluster(&repo, &candidates));
-        enabled_s += start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        black_box(disabled_clusterer.cluster(&repo, &candidates));
-        disabled_s += start.elapsed().as_secs_f64();
-    }
-    let enabled_ns = enabled_s * 1e9 / reps as f64;
-    let disabled_ns = disabled_s * 1e9 / reps as f64;
-
-    KMeansRow {
-        candidate_elements: candidates.total_candidates(),
-        enabled_ns_per_run: enabled_ns,
-        disabled_ns_per_run: disabled_ns,
-        speedup: disabled_ns / enabled_ns,
-        identical,
-    }
-}
-
 fn main() {
     let config = match BenchConfig::default().apply_args(std::env::args().skip(1)) {
         Ok(c) => c,
@@ -378,23 +308,6 @@ fn main() {
         "infinite-window candidate sets diverged from the baseline at sizes {diverged:?}"
     );
 
-    let kmeans = bench_kmeans_fast_path(&config);
-    println!(
-        "kmeans small-tree fast path: {:.2}ms -> {:.2}ms per run ({:.2}x), clusters {}",
-        kmeans.disabled_ns_per_run / 1e6,
-        kmeans.enabled_ns_per_run / 1e6,
-        kmeans.speedup,
-        if kmeans.identical {
-            "identical"
-        } else {
-            "DIVERGED"
-        }
-    );
-    assert!(
-        kmeans.identical,
-        "small-tree fast path changed the clustering"
-    );
-
     let record = CandidatesRecord {
         bench: "candidates".to_string(),
         cores: xsm_bench::cores(),
@@ -404,7 +317,6 @@ fn main() {
         floor: config.floor,
         reps: config.reps,
         rows,
-        kmeans_fast_path: kmeans,
     };
     let json = serde_json::to_string(&record).expect("candidates record serializes");
     std::fs::write(&config.out, &json).expect("write candidates benchmark JSON");

@@ -33,14 +33,6 @@ pub struct ClusteringConfig {
     pub stability_fraction: f64,
     /// …and the relative change in the number of clusters is at most this value.
     pub cluster_change_fraction: f64,
-    /// Small-tree fast path: tree-local scopes with at most this many distinct
-    /// repository nodes check after their **first** iteration whether the
-    /// reclustered centroids already equal the seeds; if so, every further
-    /// iteration is provably a fixed point (the next assignment reproduces the
-    /// previous one, so the convergence criteria fire immediately) and the loop is
-    /// skipped straight to the final rebuild — bit-identical output, one
-    /// assignment pass instead of two. `0` disables the check.
-    pub small_tree_fast_path: usize,
 }
 
 impl Default for ClusteringConfig {
@@ -52,7 +44,6 @@ impl Default for ClusteringConfig {
             max_iterations: 12,
             stability_fraction: 0.05,
             cluster_change_fraction: 0.05,
-            small_tree_fast_path: 32,
         }
     }
 }
@@ -79,12 +70,6 @@ impl ClusteringConfig {
     /// Builder-style iteration-cap override.
     pub fn with_max_iterations(mut self, n: usize) -> Self {
         self.max_iterations = n.max(1);
-        self
-    }
-
-    /// Builder-style small-tree fast-path threshold override (`0` disables).
-    pub fn with_small_tree_fast_path(mut self, threshold: usize) -> Self {
-        self.small_tree_fast_path = threshold;
         self
     }
 }
@@ -160,13 +145,11 @@ mod tests {
             .with_join_distance(5)
             .with_recluster(ReclusterStrategy::Join)
             .with_remove_min_size(4)
-            .with_max_iterations(0)
-            .with_small_tree_fast_path(0);
+            .with_max_iterations(0);
         assert_eq!(c.join_distance, 5);
         assert_eq!(c.recluster, ReclusterStrategy::Join);
         assert_eq!(c.remove_min_size, 4);
         assert_eq!(c.max_iterations, 1); // floored
-        assert_eq!(c.small_tree_fast_path, 0); // disabled
     }
 
     #[test]

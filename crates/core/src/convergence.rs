@@ -23,6 +23,14 @@ impl ConvergenceTracker {
         Self::default()
     }
 
+    /// Forget every observation, keeping the histories' capacity (the k-means
+    /// kernel reuses one tracker across the trees of a forest).
+    pub fn reset(&mut self) {
+        self.previous_cluster_count = None;
+        self.moved_history.clear();
+        self.cluster_history.clear();
+    }
+
     /// Record one iteration and report whether the algorithm has converged.
     ///
     /// * `moved` — number of elements that switched clusters this iteration,
@@ -108,6 +116,18 @@ mod tests {
         let mut t = ConvergenceTracker::new();
         assert!(!t.observe(0, 0, 0, &config()));
         assert!(t.observe(0, 0, 0, &config()));
+    }
+
+    #[test]
+    fn reset_tracker_behaves_like_a_fresh_one() {
+        let mut t = ConvergenceTracker::new();
+        t.observe(40, 100, 12, &config());
+        t.reset();
+        assert_eq!(t.iterations(), 0);
+        // No previous cluster count survives: the first look never converges.
+        assert!(!t.observe(0, 100, 12, &config()));
+        assert!(t.observe(0, 100, 12, &config()));
+        assert_eq!(t.moved_history, vec![0, 0]);
     }
 
     #[test]

@@ -8,13 +8,30 @@
 //! that extension.
 
 use xsm_repo::SchemaRepository;
-use xsm_schema::GlobalNodeId;
+use xsm_schema::{GlobalNodeId, NodeId, TreeId, TreeLabeling};
 
 /// A distance between two repository nodes for clustering purposes. Lower is closer;
 /// `None` means "infinitely far" (different trees).
 pub trait ClusterDistance: Send + Sync {
     /// Distance between `a` and `b`, or `None` when undefined (different trees).
     fn distance(&self, repo: &SchemaRepository, a: GlobalNodeId, b: GlobalNodeId) -> Option<f64>;
+
+    /// [`ClusterDistance::distance`] between two nodes of one tree whose labelling
+    /// the caller has already resolved. The k-means kernel clusters tree by tree and
+    /// looks each tree's labelling up once, not once per pair. The default goes
+    /// through `distance`; a measure that only needs the labelling overrides it, and
+    /// must return exactly what `distance` would.
+    fn distance_in_tree(
+        &self,
+        repo: &SchemaRepository,
+        tree: TreeId,
+        labeling: &TreeLabeling,
+        a: NodeId,
+        b: NodeId,
+    ) -> Option<f64> {
+        let _ = labeling;
+        self.distance(repo, GlobalNodeId::new(tree, a), GlobalNodeId::new(tree, b))
+    }
 
     /// Short name for reports.
     fn name(&self) -> &'static str;
@@ -27,6 +44,16 @@ pub struct PathLengthDistance;
 impl ClusterDistance for PathLengthDistance {
     fn distance(&self, repo: &SchemaRepository, a: GlobalNodeId, b: GlobalNodeId) -> Option<f64> {
         repo.distance(a, b).map(|d| d as f64)
+    }
+    fn distance_in_tree(
+        &self,
+        _repo: &SchemaRepository,
+        _tree: TreeId,
+        labeling: &TreeLabeling,
+        a: NodeId,
+        b: NodeId,
+    ) -> Option<f64> {
+        labeling.distance(a, b).map(|d| d as f64)
     }
     fn name(&self) -> &'static str {
         "path-length"
@@ -63,7 +90,6 @@ impl ClusterDistance for HybridDistance {
 mod tests {
     use super::*;
     use xsm_schema::tree::{paper_personal_schema, paper_repository_fragment};
-    use xsm_schema::{NodeId, TreeId};
 
     fn repo() -> SchemaRepository {
         SchemaRepository::from_trees(vec![paper_repository_fragment(), paper_personal_schema()])
@@ -79,6 +105,30 @@ mod tests {
         assert_eq!(d.distance(&r, title, shelf), Some(3.0));
         assert_eq!(d.distance(&r, title, title), Some(0.0));
         assert_eq!(d.name(), "path-length");
+    }
+
+    #[test]
+    fn in_tree_distance_agrees_with_the_global_form() {
+        let r = repo();
+        let labeling = r.labeling(TreeId(0)).unwrap();
+        let hybrid = HybridDistance::default();
+        let measures: [&dyn ClusterDistance; 2] = [&PathLengthDistance, &hybrid];
+        for measure in measures {
+            for a in 0..labeling.len() as u32 {
+                for b in 0..labeling.len() as u32 {
+                    let (ga, gb) = (
+                        GlobalNodeId::new(TreeId(0), NodeId(a)),
+                        GlobalNodeId::new(TreeId(0), NodeId(b)),
+                    );
+                    assert_eq!(
+                        measure.distance_in_tree(&r, TreeId(0), labeling, NodeId(a), NodeId(b)),
+                        measure.distance(&r, ga, gb),
+                        "{} diverged on ({a}, {b})",
+                        measure.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

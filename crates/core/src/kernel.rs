@@ -1,0 +1,549 @@
+//! The flat, tree-local kernel of the adapted k-means: Algorithm 1 over index ranges.
+//!
+//! [`crate::KMeansClusterer::cluster`] sorts a query's mapping elements by tree once
+//! into one contiguous arena and hands each tree's range to
+//! [`TreeKernel::cluster_tree`]. Inside a tree nothing is keyed by id and nothing is
+//! cloned:
+//!
+//! * the tree's elements are copied into `grouped`, ordered by repository node, and
+//!   every distinct node becomes a **slot** (`u32`, ascending with the node id) owning
+//!   the range `node_start[slot]..node_start[slot + 1]` of it;
+//! * an assignment is one `u32` per slot (an index into the sorted centroid list),
+//!   clusters are ranges over a slot array built by counting sort ([`FlatClusters`]),
+//!   the join step is a union-find over `u32` cluster indexes, and a medoid is a sum
+//!   over a slice of slots;
+//! * the tree's labelling is looked up once, and every distance goes through
+//!   [`ClusterDistance::distance_in_tree`] with it;
+//! * all of these buffers live in one [`Scratch`] that the next tree reuses, so a
+//!   forest of hundreds of tiny trees allocates per *query*, not per tree, node or
+//!   iteration. The only per-tree allocations left are the outputs: the seed list the
+//!   [`CentroidInit`] returns and the [`Cluster`] / [`ClusteredNode`] values, which are
+//!   materialised exactly once, after the tree has converged.
+//!
+//! Two shortcuts skip passes whose outcome is already known; both leave the clusters
+//! *and* the statistics exactly as the straightforward loop would:
+//!
+//! * an iteration whose reclustered centroids equal the centroids it assigned to is a
+//!   fixed point: every later iteration repeats it (no element moves, the cluster
+//!   count holds), so the remaining iterations are only *recorded* until the
+//!   convergence test fires, and
+//! * the final rebuild after such an iteration would recompute the very clusters the
+//!   iteration formed before its remove step — they are kept, not rebuilt.
+//!
+//! The straightforward, clone-based formulation of the same algorithm lives in
+//! `tests/oracle` and is compared against this kernel, clusters and statistics, by
+//! `tests/kmeans_equivalence.rs`.
+
+use xsm_matcher::{CandidateSet, MappingElement};
+use xsm_repo::SchemaRepository;
+use xsm_schema::{GlobalNodeId, NodeId, TreeId};
+
+use crate::centroid::medoid_of;
+use crate::cluster::{Cluster, ClusterSet, ClusteredNode};
+use crate::config::{ClusteringConfig, ReclusterStrategy};
+use crate::convergence::ConvergenceTracker;
+use crate::distance::ClusterDistance;
+use crate::init::CentroidInit;
+use crate::kmeans::KMeansStats;
+
+/// The assignment of a slot no centroid can reach, and the label of a slot outside
+/// every cluster. Slots, centroid indexes and cluster indexes all count mapping
+/// elements of one query, far below `u32::MAX`.
+const NONE: u32 = u32::MAX;
+
+/// One mapping element of the arena, with the index of the per-node list of the
+/// candidate set it came from.
+pub(crate) struct Entry {
+    pub(crate) list: u32,
+    pub(crate) element: MappingElement,
+}
+
+/// The clusters of one tree as ranges over node slots: cluster `q` owns
+/// `members[start[q]..start[q + 1]]` (ascending slots), was grouped under `label[q]`
+/// (clusters ascend by label) and has the medoid slot `centroid[q]`.
+#[derive(Default)]
+struct FlatClusters {
+    start: Vec<u32>,
+    members: Vec<u32>,
+    label: Vec<u32>,
+    centroid: Vec<u32>,
+}
+
+impl FlatClusters {
+    fn len(&self) -> usize {
+        self.label.len()
+    }
+
+    fn members(&self, q: usize) -> &[u32] {
+        &self.members[self.start[q] as usize..self.start[q + 1] as usize]
+    }
+
+    /// Regroup by counting sort: one cluster per label below `label_count` that some
+    /// slot carries, `NONE` slots left out. `centroid` is left empty for the caller
+    /// to fill, one per cluster; `cursor` is scratch.
+    fn group(&mut self, labels: &[u32], label_count: usize, cursor: &mut Vec<u32>) {
+        cursor.clear();
+        cursor.resize(label_count, 0);
+        for &label in labels {
+            if label != NONE {
+                cursor[label as usize] += 1;
+            }
+        }
+        self.start.clear();
+        self.label.clear();
+        self.centroid.clear();
+        let mut offset = 0u32;
+        for (label, slots) in cursor.iter_mut().enumerate() {
+            if *slots > 0 {
+                self.start.push(offset);
+                self.label.push(label as u32);
+                offset += std::mem::replace(slots, offset);
+            }
+        }
+        self.start.push(offset);
+        self.members.clear();
+        self.members.resize(offset as usize, 0);
+        for (slot, &label) in labels.iter().enumerate() {
+            if label != NONE {
+                let at = &mut cursor[label as usize];
+                self.members[*at as usize] = slot as u32;
+                *at += 1;
+            }
+        }
+    }
+}
+
+/// Root of `i` in the union-find forest, halving the path on the way up.
+fn find(parent: &mut [u32], mut i: u32) -> u32 {
+    while parent[i as usize] != i {
+        parent[i as usize] = parent[parent[i as usize] as usize];
+        i = parent[i as usize];
+    }
+    i
+}
+
+/// Element-wise `acc[i] += add[i]`, growing `acc` to `add`'s length: merges the
+/// per-iteration histories of trees that converged after different iteration counts.
+fn accumulate(acc: &mut Vec<usize>, add: &[usize]) {
+    if acc.len() < add.len() {
+        acc.resize(add.len(), 0);
+    }
+    for (a, &b) in acc.iter_mut().zip(add) {
+        *a += b;
+    }
+}
+
+/// Every buffer one tree's clustering needs, kept across trees.
+#[derive(Default)]
+struct Scratch {
+    /// The tree's slice of the query's candidate set, list for list in the set's own
+    /// order — what the [`CentroidInit`] seeds from.
+    tree_set: CandidateSet,
+    /// The tree's elements ordered by repository node (stably, so each node keeps
+    /// its elements in candidate-set order).
+    grouped: Vec<MappingElement>,
+    /// Slot → node, ascending.
+    node_ids: Vec<NodeId>,
+    /// Slot → start of its elements in `grouped`; one trailing entry.
+    node_start: Vec<u32>,
+    /// The centroids the next pass assigns to, ascending and distinct.
+    centroids: Vec<NodeId>,
+    /// The centroids the previous pass assigned to.
+    prev_centroids: Vec<NodeId>,
+    next_centroids: Vec<NodeId>,
+    /// Slot → index into `centroids` (or `NONE`), as the latest pass chose.
+    assigned: Vec<u32>,
+    /// Slot → index into `prev_centroids` (or `NONE`), as the pass before chose.
+    prev_assigned: Vec<u32>,
+    /// What the latest pass built, and what its join step made of that (valid only
+    /// when the pass reported a join).
+    built: FlatClusters,
+    joined: FlatClusters,
+    parent: Vec<u32>,
+    labels: Vec<u32>,
+    cursor: Vec<u32>,
+    tracker: ConvergenceTracker,
+}
+
+impl Scratch {
+    /// Load one tree: its candidate set, its elements grouped per node, its slots.
+    fn load(&mut self, entries: &[Entry]) {
+        self.tree_set.clear();
+        self.grouped.clear();
+        for entry in entries {
+            self.tree_set.push_at(entry.list as usize, entry.element);
+            self.grouped.push(entry.element);
+        }
+        self.grouped.sort_by_key(|m| m.repo.node);
+        self.node_ids.clear();
+        self.node_start.clear();
+        for (i, m) in self.grouped.iter().enumerate() {
+            if self.node_ids.last() != Some(&m.repo.node) {
+                self.node_ids.push(m.repo.node);
+                self.node_start.push(i as u32);
+            }
+        }
+        self.node_start.push(self.grouped.len() as u32);
+    }
+
+    /// Lines 3–8: assign every slot to its nearest centroid. Returns how many slots
+    /// now follow a different centroid node than after the previous pass.
+    fn assign(&mut self, dist: &impl Fn(NodeId, NodeId) -> Option<f64>) -> usize {
+        self.assigned.clear();
+        let mut moved = 0;
+        for (slot, &node) in self.node_ids.iter().enumerate() {
+            // Centroids ascend, so a tie within the tolerance stays with the
+            // smaller centroid: only a strictly nearer one takes over.
+            let mut best: Option<(f64, u32)> = None;
+            for (index, &centroid) in self.centroids.iter().enumerate() {
+                if let Some(d) = dist(node, centroid) {
+                    if best.is_none_or(|(nearest, _)| d < nearest - 1e-12) {
+                        best = Some((d, index as u32));
+                    }
+                }
+            }
+            let chosen = best.map_or(NONE, |(_, index)| index);
+            let stayed = match (self.prev_assigned[slot], chosen) {
+                (NONE, NONE) => true,
+                (NONE, _) | (_, NONE) => false,
+                (before, now) => {
+                    self.prev_centroids[before as usize] == self.centroids[now as usize]
+                }
+            };
+            moved += usize::from(!stayed);
+            self.assigned.push(chosen);
+        }
+        moved
+    }
+
+    /// Line 9: one cluster per centroid that attracted a slot, each with its medoid.
+    fn build(&mut self, dist: &impl Fn(NodeId, NodeId) -> Option<f64>) {
+        self.built
+            .group(&self.assigned, self.centroids.len(), &mut self.cursor);
+        for q in 0..self.built.len() {
+            let medoid = self.medoid(self.built.members(q), dist);
+            self.built.centroid.push(medoid);
+        }
+    }
+
+    /// Line 10, join: unite built clusters whose medoids lie within `join_distance`
+    /// of each other, transitively, into `joined` — ordered by the smallest built
+    /// cluster of each union, members ascending, medoid recomputed where clusters
+    /// actually merged. Returns `false`, leaving `joined` stale, when nothing merged.
+    fn join(&mut self, join_distance: u32, dist: &impl Fn(NodeId, NodeId) -> Option<f64>) -> bool {
+        let n = self.built.len();
+        if n <= 1 {
+            return false;
+        }
+        self.parent.clear();
+        self.parent.extend(0..n as u32);
+        let mut merged = false;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let a = self.node_ids[self.built.centroid[i] as usize];
+                let b = self.node_ids[self.built.centroid[j] as usize];
+                if dist(a, b).is_some_and(|d| d <= join_distance as f64) {
+                    let ri = find(&mut self.parent, i as u32);
+                    let rj = find(&mut self.parent, j as u32);
+                    if ri != rj {
+                        self.parent[ri.max(rj) as usize] = ri.min(rj);
+                        merged = true;
+                    }
+                }
+            }
+        }
+        if !merged {
+            return false;
+        }
+        self.labels.clear();
+        self.labels.resize(self.node_ids.len(), NONE);
+        for q in 0..n {
+            let root = find(&mut self.parent, q as u32);
+            for &slot in self.built.members(q) {
+                self.labels[slot as usize] = root;
+            }
+        }
+        self.joined.group(&self.labels, n, &mut self.cursor);
+        for q in 0..self.joined.len() {
+            let root = self.joined.label[q] as usize;
+            let members = self.joined.members(q);
+            // A union of one cluster kept its members, hence its medoid.
+            let medoid = if members.len() == self.built.members(root).len() {
+                self.built.centroid[root]
+            } else {
+                self.medoid(members, dist)
+            };
+            self.joined.centroid.push(medoid);
+        }
+        true
+    }
+
+    fn medoid(&self, members: &[u32], dist: &impl Fn(NodeId, NodeId) -> Option<f64>) -> u32 {
+        medoid_of(members, |a, b| {
+            dist(self.node_ids[a as usize], self.node_ids[b as usize])
+        })
+        .expect("a cluster holds the slot that formed it")
+    }
+
+    /// One pass of lines 3–10 short of the remove step. Returns the moved count and
+    /// whether the pass's clusters are in `joined` (else in `built`).
+    fn pass(
+        &mut self,
+        config: &ClusteringConfig,
+        dist: &impl Fn(NodeId, NodeId) -> Option<f64>,
+    ) -> (usize, bool) {
+        let moved = self.assign(dist);
+        self.build(dist);
+        let joined =
+            config.recluster != ReclusterStrategy::None && self.join(config.join_distance, dist);
+        (moved, joined)
+    }
+
+    fn clustered_node(&self, tree: TreeId, slot: usize) -> ClusteredNode {
+        let elements = self.node_start[slot] as usize..self.node_start[slot + 1] as usize;
+        ClusteredNode {
+            node: GlobalNodeId::new(tree, self.node_ids[slot]),
+            elements: self.grouped[elements].to_vec(),
+        }
+    }
+}
+
+/// Algorithm 1 for one repository tree at a time, over buffers shared by all of them.
+pub(crate) struct TreeKernel<'a> {
+    repo: &'a SchemaRepository,
+    config: &'a ClusteringConfig,
+    distance: &'a dyn ClusterDistance,
+    init: &'a dyn CentroidInit,
+    scratch: Scratch,
+}
+
+impl<'a> TreeKernel<'a> {
+    pub(crate) fn new(
+        repo: &'a SchemaRepository,
+        config: &'a ClusteringConfig,
+        distance: &'a dyn ClusterDistance,
+        init: &'a dyn CentroidInit,
+        personal_nodes: &[NodeId],
+    ) -> Self {
+        TreeKernel {
+            repo,
+            config,
+            distance,
+            init,
+            scratch: Scratch {
+                tree_set: CandidateSet::new(personal_nodes.to_vec()),
+                ..Scratch::default()
+            },
+        }
+    }
+
+    /// Cluster the mapping elements of one tree (`entries`: non-empty, one tree, in
+    /// candidate-set order), appending its clusters and unassigned nodes to `out`
+    /// and folding its statistics into `stats`.
+    pub(crate) fn cluster_tree(
+        &mut self,
+        entries: &[Entry],
+        out: &mut ClusterSet,
+        stats: &mut KMeansStats,
+    ) {
+        let (repo, config, distance) = (self.repo, self.config, self.distance);
+        let s = &mut self.scratch;
+        let tree = entries[0].element.repo.tree;
+        s.load(entries);
+        let n = s.node_ids.len();
+        stats.total_nodes += n;
+
+        // Line 1: initialise centroids.
+        let mut seeds = self.init.seed(&s.tree_set);
+        seeds.sort();
+        seeds.dedup();
+        stats.initial_centroids += seeds.len();
+        if seeds.is_empty() {
+            // Nothing to anchor clusters on; report everything unassigned.
+            stats.unassigned_nodes += n;
+            out.unassigned
+                .extend((0..n).map(|slot| s.clustered_node(tree, slot)));
+            return;
+        }
+        // A seed in another tree can attract nothing here, but it keeps the seed
+        // set from counting as this tree's fixed point below.
+        s.centroids.clear();
+        s.centroids
+            .extend(seeds.iter().filter(|g| g.tree == tree).map(|g| g.node));
+        let foreign_seeds = s.centroids.len() != seeds.len();
+
+        let labeling = repo.labeling(tree);
+        let dist = |a: NodeId, b: NodeId| match labeling {
+            Some(labeling) => distance.distance_in_tree(repo, tree, labeling, a, b),
+            None => distance.distance(repo, GlobalNodeId::new(tree, a), GlobalNodeId::new(tree, b)),
+        };
+
+        let remove_below = match config.recluster {
+            ReclusterStrategy::JoinAndRemove => config.remove_min_size,
+            _ => 0,
+        };
+        s.tracker.reset();
+        s.prev_centroids.clear();
+        s.prev_assigned.clear();
+        s.prev_assigned.resize(n, NONE);
+        // Whether the latest pass assigned to the centroids the loop ended on, and
+        // where it left its clusters.
+        let (mut settled, mut joined) = (false, false);
+        while s.tracker.iterations() < config.max_iterations {
+            let moved;
+            (moved, joined) = s.pass(config, &dist);
+
+            // Line 10, remove: clusters below the minimum size seed nothing, so
+            // their members are free to join a neighbour in the next pass. The
+            // clusters themselves stay as built — the final rebuild never removes.
+            let clusters = if joined { &s.joined } else { &s.built };
+            s.next_centroids.clear();
+            for q in 0..clusters.len() {
+                if clusters.members(q).len() >= remove_below {
+                    s.next_centroids
+                        .push(s.node_ids[clusters.centroid[q] as usize]);
+                }
+            }
+            let cluster_count = s.next_centroids.len();
+            s.next_centroids.sort_unstable();
+            settled = s.next_centroids == s.centroids;
+            std::mem::swap(&mut s.prev_assigned, &mut s.assigned);
+            std::mem::swap(&mut s.prev_centroids, &mut s.centroids);
+            std::mem::swap(&mut s.centroids, &mut s.next_centroids);
+
+            // Line 11: convergence.
+            if s.tracker.observe(moved, n, cluster_count, config) || s.centroids.is_empty() {
+                break;
+            }
+            if settled {
+                // A fixed point: from here on every iteration reproduces this
+                // assignment (nothing moves) and these clusters. When seeding was
+                // already the fixed point the loop ends here; otherwise the
+                // repeats are recorded, not run, until the criteria fire.
+                let seeded_fixed_point = s.tracker.iterations() == 1 && !foreign_seeds;
+                while !seeded_fixed_point && s.tracker.iterations() < config.max_iterations {
+                    if s.tracker.observe(0, n, cluster_count, config) {
+                        break;
+                    }
+                }
+                break;
+            }
+        }
+
+        // Final pass: rebuild clusters from the final centroids so that members freed
+        // by a trailing remove step get one last chance to join a surviving cluster.
+        // After a settled pass that is the pass itself, clusters and assignment.
+        if settled {
+            std::mem::swap(&mut s.prev_assigned, &mut s.assigned);
+        } else {
+            (_, joined) = s.pass(config, &dist);
+        }
+        let clusters = if joined { &s.joined } else { &s.built };
+        out.clusters.extend((0..clusters.len()).map(|q| {
+            let centroid = GlobalNodeId::new(tree, s.node_ids[clusters.centroid[q] as usize]);
+            let members = clusters.members(q).iter();
+            Cluster::new(
+                tree,
+                centroid,
+                members
+                    .map(|&slot| s.clustered_node(tree, slot as usize))
+                    .collect(),
+            )
+        }));
+        let assigned_before = out.unassigned.len();
+        out.unassigned.extend(
+            (0..n)
+                .filter(|&slot| s.assigned[slot] == NONE)
+                .map(|slot| s.clustered_node(tree, slot)),
+        );
+        stats.unassigned_nodes += out.unassigned.len() - assigned_before;
+        stats.iterations = stats.iterations.max(s.tracker.iterations());
+        accumulate(&mut stats.moved_per_iteration, &s.tracker.moved_history);
+        accumulate(
+            &mut stats.clusters_per_iteration,
+            &s.tracker.cluster_history,
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::distance::PathLengthDistance;
+    use xsm_schema::tree::paper_repository_fragment;
+
+    #[test]
+    fn group_orders_clusters_by_label_and_members_by_slot() {
+        let mut clusters = FlatClusters::default();
+        let mut cursor = Vec::new();
+        clusters.group(&[2, NONE, 0, 2, 0], 4, &mut cursor);
+        assert_eq!(clusters.len(), 2, "labels 1 and 3 attracted nothing");
+        assert_eq!(clusters.label, vec![0, 2]);
+        assert_eq!(clusters.members(0), &[2, 4]);
+        assert_eq!(clusters.members(1), &[0, 3]);
+        clusters.group(&[NONE, NONE], 1, &mut cursor);
+        assert_eq!(clusters.len(), 0);
+    }
+
+    /// One pass over the named nodes of the paper's repository fragment, every
+    /// node seeding its own centroid.
+    fn pass_over(names: &[&str], join_distance: u32) -> (Scratch, bool, Vec<NodeId>) {
+        let repo = SchemaRepository::from_trees(vec![paper_repository_fragment()]);
+        let tree = repo.tree(TreeId(0)).unwrap();
+        let mut nodes: Vec<NodeId> = names
+            .iter()
+            .map(|name| tree.find_by_name(name).unwrap())
+            .collect();
+        nodes.sort();
+        let mut s = Scratch {
+            node_ids: nodes.clone(),
+            centroids: nodes.clone(),
+            prev_assigned: vec![NONE; nodes.len()],
+            ..Scratch::default()
+        };
+        let config = ClusteringConfig::default()
+            .with_recluster(ReclusterStrategy::Join)
+            .with_join_distance(join_distance);
+        let labeling = repo.labeling(TreeId(0)).unwrap();
+        let dist = |a, b| PathLengthDistance.distance_in_tree(&repo, TreeId(0), labeling, a, b);
+        let (moved, joined) = s.pass(&config, &dist);
+        assert_eq!(moved, nodes.len(), "every node was unassigned before");
+        (s, joined, nodes)
+    }
+
+    #[test]
+    fn join_merges_nearby_clusters_only() {
+        // title and authorName are 2 apart; address is 4 from title.
+        let (s, joined, nodes) = pass_over(&["title", "authorName", "address"], 2);
+        assert!(joined);
+        assert_eq!(s.built.len(), 3);
+        let mut sizes: Vec<usize> = (0..s.joined.len())
+            .map(|q| s.joined.members(q).len())
+            .collect();
+        sizes.sort();
+        assert_eq!(sizes, vec![1, 2]);
+        // The merged medoid is a member of its cluster.
+        for q in 0..s.joined.len() {
+            assert!(s.joined.members(q).contains(&s.joined.centroid[q]));
+            assert!((s.joined.centroid[q] as usize) < nodes.len());
+        }
+    }
+
+    #[test]
+    fn join_with_a_large_threshold_merges_the_whole_tree() {
+        let (s, joined, nodes) =
+            pass_over(&["title", "authorName", "shelf", "address", "book"], 10);
+        assert!(joined);
+        assert_eq!(s.joined.len(), 1);
+        assert_eq!(s.joined.members(0).len(), nodes.len());
+    }
+
+    #[test]
+    fn join_leaves_distant_or_lone_clusters_as_built() {
+        let (_, joined, _) = pass_over(&["title", "address"], 2);
+        assert!(!joined, "4 apart under a threshold of 2");
+        let (s, joined, _) = pass_over(&["title"], 10);
+        assert!(!joined);
+        assert_eq!(s.built.len(), 1);
+    }
+}

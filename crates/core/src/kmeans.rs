@@ -17,7 +17,18 @@
 //! Elements are distinct repository nodes carrying their mapping elements; distance is
 //! the tree path length (or any [`ClusterDistance`]); centroids are medoids; the
 //! reclustering step joins nearby clusters and removes tiny ones. Complexity is
-//! `O(c · i · |ME|)` as the paper states.
+//! `O(c · i · |ME|)` as the paper states, with `c` and `i` counted per tree.
+//!
+//! ## Layout
+//!
+//! [`KMeansClusterer::cluster`] copies the query's mapping elements into one
+//! contiguous arena, sorts it by tree once, and walks it range by range; the per-tree
+//! algorithm (the private `kernel` module) works on `u32` node slots over buffers it
+//! reuses from tree to tree, and builds [`Cluster`](crate::Cluster) values only for
+//! the final result. The whole stage is `O(|ME| log |ME|)` plus the distance
+//! computations, with a handful of allocations per query beyond its output — a
+//! served query touches hundreds of trees holding a few candidate nodes each, and
+//! must not pay a fixed bill for every one of them.
 //!
 //! ## Tree-local control
 //!
@@ -43,15 +54,12 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 use xsm_matcher::CandidateSet;
 use xsm_repo::SchemaRepository;
-use xsm_schema::GlobalNodeId;
 
-use crate::centroid::medoid;
-use crate::cluster::{collect_clustered_nodes, Cluster, ClusterSet, ClusteredNode};
-use crate::config::{ClusteringConfig, ReclusterStrategy};
-use crate::convergence::ConvergenceTracker;
+use crate::cluster::ClusterSet;
+use crate::config::ClusteringConfig;
 use crate::distance::{ClusterDistance, PathLengthDistance};
 use crate::init::{CentroidInit, MeMinSeeding};
-use crate::recluster::{join_clusters, remove_small_clusters};
+use crate::kernel::{Entry, TreeKernel};
 
 /// Statistics of one clustering run (reported by the experiments: clustering time,
 /// iteration count, moved-element history, cluster-count history).
@@ -74,17 +82,6 @@ pub struct KMeansStats {
     /// Wall-clock time of the clustering step (the `12.0 sec` style figure of Sec. 5).
     #[serde(skip)]
     pub elapsed: Duration,
-}
-
-/// Element-wise `acc[i] += add[i]`, growing `acc` to `add`'s length: merges the
-/// per-iteration histories of trees that converged after different iteration counts.
-fn accumulate(acc: &mut Vec<usize>, add: &[usize]) {
-    if acc.len() < add.len() {
-        acc.resize(add.len(), 0);
-    }
-    for (a, &b) in acc.iter_mut().zip(add) {
-        *a += b;
-    }
 }
 
 /// The adapted k-means clusterer.
@@ -128,7 +125,8 @@ impl KMeansClusterer {
     /// per-tree results are concatenated in ascending tree order. Statistics are
     /// aggregated across trees: counters sum, `iterations` is the longest per-tree
     /// run, and the per-iteration histories are element-wise sums (a tree that has
-    /// already converged contributes nothing to later iterations).
+    /// already converged contributes nothing to later iterations). A tree whose
+    /// seeding already is the medoid fixed point stops after its first iteration.
     pub fn cluster(
         &self,
         repo: &SchemaRepository,
@@ -137,226 +135,30 @@ impl KMeansClusterer {
         let start = Instant::now();
         let mut set = ClusterSet::default();
         let mut stats = KMeansStats::default();
-        // One pass groups candidates per tree (the clusterer runs per query in the
-        // serving hot path; restricting tree-by-tree would rescan the whole set T
-        // times).
-        for (_, scope) in candidates.split_by_tree() {
-            let (tree_set, tree_stats) = self.cluster_scope(repo, &scope);
-            set.clusters.extend(tree_set.clusters);
-            set.unassigned.extend(tree_set.unassigned);
-            stats.total_nodes += tree_stats.total_nodes;
-            stats.initial_centroids += tree_stats.initial_centroids;
-            stats.unassigned_nodes += tree_stats.unassigned_nodes;
-            stats.iterations = stats.iterations.max(tree_stats.iterations);
-            accumulate(
-                &mut stats.moved_per_iteration,
-                &tree_stats.moved_per_iteration,
-            );
-            accumulate(
-                &mut stats.clusters_per_iteration,
-                &tree_stats.clusters_per_iteration,
-            );
+        // The arena: every mapping element once, stably sorted by tree, so each
+        // tree's range keeps the candidate set's list-by-list order.
+        let mut arena: Vec<Entry> = Vec::with_capacity(candidates.total_candidates());
+        for list in 0..candidates.node_count() {
+            let elements = candidates.candidates_at(list).iter();
+            arena.extend(elements.map(|&element| Entry {
+                list: list as u32,
+                element,
+            }));
+        }
+        arena.sort_by_key(|entry| entry.element.repo.tree);
+        let mut kernel = TreeKernel::new(
+            repo,
+            &self.config,
+            self.distance.as_ref(),
+            self.init.as_ref(),
+            candidates.personal_nodes(),
+        );
+        for tree in arena.chunk_by(|a, b| a.element.repo.tree == b.element.repo.tree) {
+            kernel.cluster_tree(tree, &mut set, &mut stats);
         }
         stats.final_clusters = set.clusters.len();
         stats.elapsed = start.elapsed();
         (set, stats)
-    }
-
-    /// The paper's Algorithm 1 over one scope (in practice: the candidates of one
-    /// repository tree — [`KMeansClusterer::cluster`] is the per-tree driver).
-    fn cluster_scope(
-        &self,
-        repo: &SchemaRepository,
-        candidates: &CandidateSet,
-    ) -> (ClusterSet, KMeansStats) {
-        let start = Instant::now();
-        let nodes = collect_clustered_nodes(candidates);
-        let mut stats = KMeansStats {
-            total_nodes: nodes.len(),
-            ..Default::default()
-        };
-        if nodes.is_empty() {
-            stats.elapsed = start.elapsed();
-            return (ClusterSet::default(), stats);
-        }
-
-        // Line 1: initialise centroids.
-        let mut centroids: Vec<GlobalNodeId> = self.init.seed(candidates);
-        centroids.sort();
-        centroids.dedup();
-        stats.initial_centroids = centroids.len();
-        if centroids.is_empty() {
-            // Nothing to anchor clusters on; report everything unassigned.
-            stats.unassigned_nodes = nodes.len();
-            stats.elapsed = start.elapsed();
-            return (
-                ClusterSet {
-                    clusters: Vec::new(),
-                    unassigned: nodes,
-                },
-                stats,
-            );
-        }
-
-        let mut tracker = ConvergenceTracker::new();
-        // previous assignment: node index → centroid node (for move counting).
-        let mut previous_assignment: Vec<Option<GlobalNodeId>> = vec![None; nodes.len()];
-        // Seed snapshot for the small-tree fast path's fixed-point check.
-        let seeds = centroids.clone();
-        let fast_path =
-            self.config.small_tree_fast_path > 0 && nodes.len() <= self.config.small_tree_fast_path;
-
-        for iteration in 0..self.config.max_iterations {
-            // Lines 3–8: assign every node to its nearest centroid (same tree only).
-            let (assignment, moved) = self.assign(repo, &nodes, &centroids, &previous_assignment);
-
-            // Lines 9: group into clusters and compute new medoid centroids.
-            let mut clusters = self.build_clusters(repo, &nodes, &assignment, &centroids);
-
-            // Line 10: reclustering.
-            clusters = match self.config.recluster {
-                ReclusterStrategy::None => clusters,
-                ReclusterStrategy::Join => join_clusters(
-                    repo,
-                    self.distance.as_ref(),
-                    clusters,
-                    self.config.join_distance,
-                ),
-                ReclusterStrategy::JoinAndRemove => {
-                    let joined = join_clusters(
-                        repo,
-                        self.distance.as_ref(),
-                        clusters,
-                        self.config.join_distance,
-                    );
-                    let (kept, _freed) = remove_small_clusters(joined, self.config.remove_min_size);
-                    kept
-                }
-            };
-
-            centroids = clusters.iter().map(|c| c.centroid).collect();
-            centroids.sort();
-            centroids.dedup();
-            previous_assignment = assignment;
-            stats.iterations += 1;
-
-            // Line 11: convergence.
-            if tracker.observe(moved, nodes.len(), clusters.len(), &self.config) {
-                break;
-            }
-            if centroids.is_empty() {
-                break;
-            }
-            // Small-tree fast path: the first iteration left the centroid set
-            // exactly where seeding put it, so the loop is at a fixed point —
-            // iteration 2 would reproduce this assignment (moved = 0), keep the
-            // cluster count, and trip both convergence criteria. Skipping straight
-            // to the final rebuild is therefore bit-identical to running on; only
-            // the iteration statistics shrink. Gated to small scopes because only
-            // tiny trees reach a fixed point this early often enough to matter.
-            if fast_path && iteration == 0 && centroids == seeds {
-                break;
-            }
-        }
-        stats.moved_per_iteration = tracker.moved_history.clone();
-        stats.clusters_per_iteration = tracker.cluster_history.clone();
-
-        // Final pass: rebuild clusters from the final centroids so that members freed
-        // by a trailing `remove` step get one last chance to join a surviving cluster.
-        let (assignment, _) = self.assign(repo, &nodes, &centroids, &previous_assignment);
-        let clusters = {
-            let built = self.build_clusters(repo, &nodes, &assignment, &centroids);
-            // Preserve the reclustered granularity: a final join keeps the result
-            // consistent with the last reclustering step.
-            match self.config.recluster {
-                ReclusterStrategy::None => built,
-                _ => join_clusters(
-                    repo,
-                    self.distance.as_ref(),
-                    built,
-                    self.config.join_distance,
-                ),
-            }
-        };
-        let unassigned: Vec<ClusteredNode> = nodes
-            .iter()
-            .zip(&assignment)
-            .filter(|(_, a)| a.is_none())
-            .map(|(n, _)| n.clone())
-            .collect();
-        stats.unassigned_nodes = unassigned.len();
-        stats.final_clusters = clusters.len();
-        stats.elapsed = start.elapsed();
-        (
-            ClusterSet {
-                clusters,
-                unassigned,
-            },
-            stats,
-        )
-    }
-
-    /// Assign every node to the nearest centroid in its tree. Returns the assignment
-    /// (by centroid node id) and the number of nodes whose assignment changed relative
-    /// to `previous`.
-    fn assign(
-        &self,
-        repo: &SchemaRepository,
-        nodes: &[ClusteredNode],
-        centroids: &[GlobalNodeId],
-        previous: &[Option<GlobalNodeId>],
-    ) -> (Vec<Option<GlobalNodeId>>, usize) {
-        let mut assignment = Vec::with_capacity(nodes.len());
-        let mut moved = 0usize;
-        for (i, node) in nodes.iter().enumerate() {
-            let mut best: Option<(f64, GlobalNodeId)> = None;
-            for &c in centroids {
-                if c.tree != node.node.tree {
-                    continue;
-                }
-                if let Some(d) = self.distance.distance(repo, node.node, c) {
-                    let better = match best {
-                        None => true,
-                        Some((bd, bc)) => d < bd - 1e-12 || (d < bd + 1e-12 && c < bc),
-                    };
-                    if better {
-                        best = Some((d, c));
-                    }
-                }
-            }
-            let chosen = best.map(|(_, c)| c);
-            if previous.get(i).copied().flatten() != chosen {
-                moved += 1;
-            }
-            assignment.push(chosen);
-        }
-        (assignment, moved)
-    }
-
-    /// Group assigned nodes into clusters keyed by centroid and recompute medoids.
-    fn build_clusters(
-        &self,
-        repo: &SchemaRepository,
-        nodes: &[ClusteredNode],
-        assignment: &[Option<GlobalNodeId>],
-        centroids: &[GlobalNodeId],
-    ) -> Vec<Cluster> {
-        use std::collections::BTreeMap;
-        let mut groups: BTreeMap<GlobalNodeId, Vec<ClusteredNode>> = BTreeMap::new();
-        for (node, assigned) in nodes.iter().zip(assignment) {
-            if let Some(c) = assigned {
-                groups.entry(*c).or_default().push(node.clone());
-            }
-        }
-        let _ = centroids;
-        groups
-            .into_iter()
-            .filter_map(|(seed, members)| {
-                let tree = seed.tree;
-                let centroid = medoid(repo, self.distance.as_ref(), &members)?;
-                Some(Cluster::new(tree, centroid, members))
-            })
-            .collect()
     }
 }
 
@@ -367,6 +169,7 @@ mod tests {
     use xsm_matcher::element::{match_elements, ElementMatchConfig, NameElementMatcher};
     use xsm_matcher::MatchingProblem;
     use xsm_repo::{GeneratorConfig, RepositoryGenerator};
+    use xsm_schema::GlobalNodeId;
 
     /// A small but realistic clustering scenario: synthetic repository + the paper's
     /// name/address/email personal schema.
@@ -526,60 +329,12 @@ mod tests {
         assert!(set.len() <= stats.initial_centroids);
     }
 
-    /// Structural equality of two clusterings: same clusters (tree, centroid,
-    /// members with identical similarity bits) and same unassigned sets.
-    fn assert_cluster_sets_identical(a: &ClusterSet, b: &ClusterSet) {
-        assert_eq!(a.len(), b.len(), "cluster counts diverged");
-        for (ca, cb) in a.clusters.iter().zip(&b.clusters) {
-            assert_eq!(ca, cb, "a cluster diverged");
-        }
-        assert_eq!(a.unassigned, b.unassigned, "unassigned sets diverged");
-    }
-
     #[test]
-    fn small_tree_fast_path_is_bit_identical() {
-        // The fast path's fixed-point argument must hold over every configuration
-        // knob that shapes the loop: recluster strategy, join distance, floor.
-        // Compare enabled (default threshold, plus an aggressive one) against
-        // disabled on a spread of generated forests of mostly-small trees.
-        for seed in [3u64, 21, 77, 140] {
-            let problem = MatchingProblem::paper_experiment();
-            let repo = RepositoryGenerator::new(GeneratorConfig::small(seed)).generate();
-            for floor in [0.5, 0.7] {
-                let candidates = match_elements(
-                    &problem.personal,
-                    &repo,
-                    &NameElementMatcher,
-                    &ElementMatchConfig::default().with_min_similarity(floor),
-                );
-                for recluster in [
-                    ReclusterStrategy::None,
-                    ReclusterStrategy::Join,
-                    ReclusterStrategy::JoinAndRemove,
-                ] {
-                    let base_config = ClusteringConfig::default().with_recluster(recluster);
-                    let disabled = KMeansClusterer::new(base_config.with_small_tree_fast_path(0))
-                        .cluster(&repo, &candidates);
-                    for threshold in [ClusteringConfig::default().small_tree_fast_path, usize::MAX]
-                    {
-                        let enabled =
-                            KMeansClusterer::new(base_config.with_small_tree_fast_path(threshold))
-                                .cluster(&repo, &candidates);
-                        assert_cluster_sets_identical(&disabled.0, &enabled.0);
-                        assert!(enabled.1.iterations <= disabled.1.iterations);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn small_tree_fast_path_saves_an_iteration() {
-        // A scope whose seeding is already the medoid fixed point: two candidate
-        // nodes more than the join distance apart seed two singleton clusters
-        // whose medoids are the seeds themselves. With the fast path the loop
-        // stops after one iteration; without it the convergence criteria need a
-        // second look at the unchanged state.
+    fn seeding_at_the_fixed_point_stops_after_one_iteration() {
+        // Two candidate nodes more than the join distance apart seed two singleton
+        // clusters whose medoids are the seeds themselves: iteration 2 would
+        // reproduce the assignment and only then trip the convergence criteria, so
+        // the loop stops after the first.
         use xsm_schema::{SchemaNode, TreeBuilder};
         let tree = TreeBuilder::new("records")
             .root(SchemaNode::element("rec"))
@@ -605,16 +360,11 @@ mod tests {
             "scenario must seed exactly the two far-apart name nodes"
         );
         let config = ClusteringConfig::default().with_recluster(ReclusterStrategy::Join);
-        let fast = KMeansClusterer::new(config).cluster(&repo, &candidates);
-        let slow =
-            KMeansClusterer::new(config.with_small_tree_fast_path(0)).cluster(&repo, &candidates);
-        assert_cluster_sets_identical(&fast.0, &slow.0);
-        assert!(
-            fast.1.iterations < slow.1.iterations,
-            "fast path never triggered: {} vs {} iterations",
-            fast.1.iterations,
-            slow.1.iterations
-        );
+        let (set, stats) = KMeansClusterer::new(config).cluster(&repo, &candidates);
+        assert_eq!(set.sizes(), vec![1, 1]);
+        assert_eq!(stats.iterations, 1);
+        assert_eq!(stats.moved_per_iteration, vec![2]);
+        assert_eq!(stats.clusters_per_iteration, vec![2]);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * **medoid centroids** — the member that is the "center of weight" of its cluster
 //!   ([`centroid`]),
 //! * **reclustering** — join clusters whose centroids are near each other, remove tiny
-//!   clusters ([`recluster`]),
+//!   clusters ([`config::ReclusterStrategy`]),
 //! * **convergence** — stop when the fraction of elements switching clusters and the
 //!   change in cluster count drop below a threshold ([`convergence`]).
 //!
@@ -35,11 +35,11 @@ pub mod config;
 pub mod convergence;
 pub mod distance;
 pub mod init;
+mod kernel;
 pub mod kmeans;
 pub mod metrics;
 pub mod ordering;
 pub mod pipeline;
-pub mod recluster;
 pub mod report;
 
 pub use cluster::{Cluster, ClusterSet};

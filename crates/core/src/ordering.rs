@@ -33,21 +33,17 @@ pub struct RankedCluster {
 /// Score one cluster: the optimistic `Δ` upper bound described in the module docs.
 /// Non-useful clusters score 0.
 pub fn cluster_quality(cluster: &Cluster, candidates: &CandidateSet, objective: &Objective) -> f64 {
-    let scope = cluster.scope(candidates);
+    scope_quality(&cluster.scope(candidates), objective)
+}
+
+/// [`cluster_quality`] of a cluster whose scope is already at hand.
+fn scope_quality(scope: &CandidateSet, objective: &Objective) -> f64 {
     if !scope.is_useful() {
         return 0.0;
     }
     let node_count = scope.node_count().max(1) as f64;
-    let best_sim_sum: f64 = scope
-        .personal_nodes()
-        .iter()
-        .map(|&n| {
-            scope
-                .candidates_for(n)
-                .first()
-                .map(|m| m.similarity)
-                .unwrap_or(0.0)
-        })
+    let best_sim_sum: f64 = (0..scope.node_count())
+        .map(|i| scope.candidates_at(i).first().map_or(0.0, |m| m.similarity))
         .sum();
     objective.combine(best_sim_sum / node_count, 1.0)
 }
@@ -67,7 +63,7 @@ pub fn rank_clusters(
             let scope = cluster.scope(candidates);
             RankedCluster {
                 cluster_index: i,
-                quality: cluster_quality(cluster, candidates, objective),
+                quality: scope_quality(&scope, objective),
                 useful: scope.is_useful(),
             }
         })

@@ -22,7 +22,6 @@ use xsm_matcher::generator::{sort_mappings, MappingGenerator};
 use xsm_matcher::{CandidateSet, GeneratorCounters, MatchingProblem, SchemaMapping};
 use xsm_repo::SchemaRepository;
 
-use crate::cluster::ClusterSet;
 use crate::config::{ClusteringConfig, ClusteringVariant};
 use crate::kmeans::{KMeansClusterer, KMeansStats};
 use crate::report::ClusterStatsRow;
@@ -183,40 +182,45 @@ impl ClusteredMatcher {
         candidates: &CandidateSet,
         generator: &dyn MappingGenerator,
     ) -> ClusteredMatchReport {
-        // Stage c: clustering (or per-tree scoping for the baseline).
+        // Stage c: clustering (or per-tree scoping for the baseline). `cluster_sizes[i]`
+        // is the number of distinct repository nodes in `scopes[i]`: the clusterer
+        // knows it as the member count, so nothing downstream re-derives it.
         let clustering_start = Instant::now();
         let (scopes, kmeans, cluster_sizes) = match &self.clustering {
             Some(config) => {
-                let clusterer = KMeansClusterer::new(*config);
-                let (set, stats) = clusterer.cluster(repo, candidates);
-                let sizes = set.sizes();
-                let scopes = cluster_scopes(&set, candidates);
-                (scopes, Some(stats), sizes)
+                let (set, stats) = KMeansClusterer::new(*config).cluster(repo, candidates);
+                let scopes = set.clusters.iter().map(|c| c.scope(candidates)).collect();
+                (scopes, Some(stats), set.sizes())
             }
             None => {
-                let mut scopes = Vec::new();
-                let mut sizes = Vec::new();
-                for tree in candidates.trees() {
-                    let scope = candidates.restrict_to_tree(tree);
-                    sizes.push(scope.distinct_repo_nodes());
-                    scopes.push(scope);
-                }
+                let scopes: Vec<CandidateSet> = candidates
+                    .split_by_tree()
+                    .into_iter()
+                    .map(|(_, scope)| scope)
+                    .collect();
+                let sizes = scopes.iter().map(|s| s.distinct_repo_nodes()).collect();
                 (scopes, None, sizes)
             }
         };
         let clustering_time = clustering_start.elapsed();
+        // Every node sits in exactly one cluster or is unassigned (clustered), or in
+        // exactly one tree (baseline).
+        let distinct_mapping_nodes = match &kmeans {
+            Some(stats) => stats.total_nodes,
+            None => cluster_sizes.iter().sum(),
+        };
 
         // Stage 4: per-cluster mapping generation on the useful scopes only.
         let mut counters = GeneratorCounters::default();
         let mut mappings: Vec<SchemaMapping> = Vec::new();
         let mut useful = 0usize;
         let mut useful_nodes_total = 0usize;
-        for scope in &scopes {
+        for (scope, &nodes) in scopes.iter().zip(&cluster_sizes) {
             if !scope.is_useful() {
                 continue;
             }
             useful += 1;
-            useful_nodes_total += scope.distinct_repo_nodes();
+            useful_nodes_total += nodes;
             let outcome = generator.generate(problem, repo, scope);
             counters = counters.merge(&outcome.counters);
             mappings.extend(outcome.mappings);
@@ -236,7 +240,7 @@ impl ClusteredMatcher {
         ClusteredMatchReport {
             label: self.label.clone(),
             mapping_elements: candidates.total_candidates(),
-            distinct_mapping_nodes: candidates.distinct_repo_nodes(),
+            distinct_mapping_nodes,
             cluster_stats,
             generator_counters: counters,
             mappings,
@@ -246,11 +250,6 @@ impl ClusteredMatcher {
             element_matching_time: Duration::ZERO,
         }
     }
-}
-
-/// Build the per-cluster candidate scopes of a cluster set.
-fn cluster_scopes(set: &ClusterSet, candidates: &CandidateSet) -> Vec<CandidateSet> {
-    set.clusters.iter().map(|c| c.scope(candidates)).collect()
 }
 
 #[cfg(test)]
@@ -312,6 +311,45 @@ mod tests {
             clustered.generator_counters.retained_mappings as usize,
             clustered.mappings.len()
         );
+    }
+
+    #[test]
+    fn node_counts_come_out_as_recounting_would() {
+        // The report takes its distinct-node figures from the clusterer's member
+        // counts; they must equal a recount over the candidate scopes.
+        let (problem, repo, candidates) = scenario();
+        let generator = BranchAndBoundGenerator::new();
+        for variant in [ClusteringVariant::Medium, ClusteringVariant::TreeClusters] {
+            let report = ClusteredMatcher::for_variant(variant).run_on_candidates(
+                &problem,
+                &repo,
+                &candidates,
+                &generator,
+            );
+            assert_eq!(
+                report.distinct_mapping_nodes,
+                candidates.distinct_repo_nodes()
+            );
+            let scopes: Vec<CandidateSet> = match variant.config() {
+                Some(config) => {
+                    let (set, _) = KMeansClusterer::new(config).cluster(&repo, &candidates);
+                    set.clusters.iter().map(|c| c.scope(&candidates)).collect()
+                }
+                None => candidates
+                    .trees()
+                    .into_iter()
+                    .map(|t| candidates.restrict_to_tree(t))
+                    .collect(),
+            };
+            let useful: Vec<usize> = scopes
+                .iter()
+                .filter(|s| s.is_useful())
+                .map(|s| s.distinct_repo_nodes())
+                .collect();
+            assert_eq!(report.cluster_stats.useful_clusters, useful.len());
+            let recount = useful.iter().sum::<usize>() as f64 / useful.len().max(1) as f64;
+            assert_eq!(report.cluster_stats.avg_mapping_elements, recount);
+        }
     }
 
     #[test]

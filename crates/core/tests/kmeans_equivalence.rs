@@ -1,0 +1,381 @@
+//! The flat k-means kernel against the straightforward formulation in `oracle/`:
+//! identical clusters (member order, similarity bits, unassigned nodes), identical
+//! statistics (every counter, both histories), and cluster scopes byte-identical to
+//! restricting the clustered candidate set — over random forests shaped like the
+//! served workloads (hundreds of tiny trees, a few candidates each) and unlike them
+//! (one huge tree, single-node trees, trees no seed falls into).
+//!
+//! The complexity claims are pinned as *work bounds*, not timings: a counting
+//! distance shows that scopes cost no distance computation at all and that the
+//! kernel never computes more distances than the oracle.
+
+mod oracle;
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use oracle::{scope_by_restriction, OracleClusterer};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use xsm_core::cluster::ClusterSet;
+use xsm_core::config::ReclusterStrategy;
+use xsm_core::distance::{ClusterDistance, HybridDistance, PathLengthDistance};
+use xsm_core::init::{CentroidInit, MeMinSeeding, RandomSeeding};
+use xsm_core::{ClusteringConfig, KMeansClusterer, KMeansStats};
+use xsm_matcher::{CandidateSet, MappingElement};
+use xsm_repo::SchemaRepository;
+use xsm_schema::{GlobalNodeId, NodeId, SchemaNode, SchemaTree, TreeId};
+
+const STRATEGIES: [ReclusterStrategy; 3] = [
+    ReclusterStrategy::None,
+    ReclusterStrategy::Join,
+    ReclusterStrategy::JoinAndRemove,
+];
+const FLOORS: [f64; 2] = [0.5, 0.7];
+
+/// A tree of `nodes` nodes, each attached to a random one of the `reach` nodes before
+/// it (small reach → deep and chain-like, large reach → bushy).
+fn random_tree(rng: &mut StdRng, index: usize, nodes: usize, reach: usize) -> SchemaTree {
+    const NAMES: [&str; 8] = [
+        "name", "names", "title", "author", "addr", "address", "email", "mail",
+    ];
+    let mut tree = SchemaTree::new(format!("t{index}"));
+    let mut ids = vec![tree
+        .add_root(SchemaNode::element("root"))
+        .expect("first root")];
+    for _ in 1..nodes {
+        let parent = ids[ids.len() - 1 - rng.gen_range(0..reach.min(ids.len()))];
+        let name = NAMES[rng.gen_range(0..NAMES.len())];
+        ids.push(
+            tree.add_child(parent, SchemaNode::element(name))
+                .expect("parent exists"),
+        );
+    }
+    tree
+}
+
+/// A forest and a sorted candidate set over it. Similarities are drawn from a coarse
+/// grid (so ties are common) and kept when they reach `floor`. `huge` adds one tree
+/// of that many nodes in which the first personal node has at most three candidates,
+/// so `ME_min` seeding forms clusters of hundreds of members.
+fn random_forest(
+    seed: u64,
+    tiny_trees: usize,
+    huge: usize,
+    floor: f64,
+) -> (SchemaRepository, CandidateSet) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    // The huge tree needs a second personal node to be dense in.
+    let fewest = if huge > 0 { 2 } else { 1 };
+    let personal: Vec<NodeId> = (0..rng.gen_range(fewest..5u32)).map(NodeId).collect();
+    let mut trees = Vec::new();
+    for i in 0..tiny_trees {
+        // One in five trees is a single node; the rest hold up to 9, rarely 60.
+        let nodes = match rng.gen_range(0..20) {
+            0..=3 => 1,
+            4 => rng.gen_range(20..60),
+            _ => rng.gen_range(2..10),
+        };
+        let reach = rng.gen_range(1..6);
+        trees.push(random_tree(&mut rng, i, nodes, reach));
+    }
+    if huge > 0 {
+        trees.insert(tiny_trees / 2, random_tree(&mut rng, tiny_trees, huge, 12));
+    }
+    let repo = SchemaRepository::from_trees(trees);
+
+    let mut candidates = CandidateSet::new(personal.clone());
+    for (tree, schema) in repo.trees() {
+        let is_huge = huge > 0 && schema.len() == huge;
+        let rare: Vec<u32> = (0..rng.gen_range(1..4))
+            .map(|_| rng.gen_range(0..schema.len() as u32))
+            .collect();
+        for node in schema.node_ids() {
+            for &p in &personal {
+                let similarity = rng.gen_range(6..21) as f64 * 0.05;
+                let kept = if is_huge && p == NodeId(0) {
+                    rare.contains(&node.0)
+                } else {
+                    similarity >= floor
+                };
+                if kept {
+                    let repo_node = GlobalNodeId::new(tree, node);
+                    candidates.push(MappingElement::new(p, repo_node, similarity));
+                }
+            }
+        }
+    }
+    candidates.sort();
+    (repo, candidates)
+}
+
+/// A configuration drawn from the knobs that shape the loop.
+fn config(strategy: usize, join_distance: u32, knobs: u64) -> ClusteringConfig {
+    let mut config = ClusteringConfig::default()
+        .with_recluster(STRATEGIES[strategy])
+        .with_join_distance(join_distance)
+        .with_remove_min_size([1, 2, 2, 3, 5][(knobs % 5) as usize])
+        .with_max_iterations([1, 2, 3, 12, 12, 12][(knobs / 5 % 6) as usize]);
+    // A stability fraction nothing satisfies runs every tree to the iteration cap.
+    if knobs / 30 % 4 == 0 {
+        config.stability_fraction = -1.0;
+    }
+    config
+}
+
+type ElementBits = (NodeId, GlobalNodeId, u64);
+
+fn bits(elements: &[MappingElement]) -> Vec<ElementBits> {
+    elements
+        .iter()
+        .map(|m| (m.personal, m.repo, m.similarity.to_bits()))
+        .collect()
+}
+
+fn assert_sets_identical(kernel: &ClusterSet, oracle: &ClusterSet) {
+    assert_eq!(
+        kernel.clusters.len(),
+        oracle.clusters.len(),
+        "cluster count"
+    );
+    for (a, b) in kernel.clusters.iter().zip(&oracle.clusters) {
+        assert_eq!((a.tree, a.centroid), (b.tree, b.centroid));
+        assert_eq!(a.node_ids(), b.node_ids(), "member order");
+        for (ma, mb) in a.members.iter().zip(&b.members) {
+            assert_eq!(bits(&ma.elements), bits(&mb.elements));
+        }
+    }
+    assert_eq!(kernel.unassigned.len(), oracle.unassigned.len());
+    for (a, b) in kernel.unassigned.iter().zip(&oracle.unassigned) {
+        assert_eq!(a.node, b.node, "unassigned order");
+        assert_eq!(bits(&a.elements), bits(&b.elements));
+    }
+}
+
+fn assert_stats_identical(kernel: &KMeansStats, oracle: &KMeansStats) {
+    let fields = |s: &KMeansStats| {
+        (
+            (s.initial_centroids, s.iterations, s.final_clusters),
+            (s.unassigned_nodes, s.total_nodes),
+            s.moved_per_iteration.clone(),
+            s.clusters_per_iteration.clone(),
+        )
+    };
+    assert_eq!(fields(kernel), fields(oracle));
+}
+
+fn assert_scopes_identical(set: &ClusterSet, candidates: &CandidateSet) {
+    for cluster in &set.clusters {
+        let (fast, reference) = (
+            cluster.scope(candidates),
+            scope_by_restriction(cluster, candidates),
+        );
+        assert_eq!(fast.personal_nodes(), reference.personal_nodes());
+        for i in 0..reference.node_count() {
+            assert_eq!(
+                bits(fast.candidates_at(i)),
+                bits(reference.candidates_at(i))
+            );
+        }
+    }
+}
+
+/// Cluster with the kernel and with the oracle under the same distance and seeding
+/// and hold the kernel to the oracle on everything it returns.
+fn assert_equivalent<D, I>(
+    repo: &SchemaRepository,
+    candidates: &CandidateSet,
+    config: ClusteringConfig,
+    distance: D,
+    init: I,
+) where
+    D: ClusterDistance + Clone + 'static,
+    I: CentroidInit + Clone + 'static,
+{
+    let oracle = OracleClusterer {
+        config,
+        distance: &distance,
+        init: &init,
+    }
+    .cluster(repo, candidates);
+    let kernel = KMeansClusterer::new(config)
+        .with_distance(Box::new(distance.clone()))
+        .with_init(Box::new(init.clone()))
+        .cluster(repo, candidates);
+    assert_sets_identical(&kernel.0, &oracle.0);
+    assert_stats_identical(&kernel.1, &oracle.1);
+    assert_scopes_identical(&kernel.0, candidates);
+}
+
+proptest! {
+    #[test]
+    fn kernel_equals_oracle_on_forests_of_tiny_trees(
+        seed in 0u64..u64::MAX,
+        trees in 1usize..48,
+        shape in (0usize..3, 2u32..6, 0usize..2),
+        knobs in 0u64..120,
+    ) {
+        let (strategy, join_distance, floor) = shape;
+        let (repo, candidates) = random_forest(seed, trees, 0, FLOORS[floor]);
+        assert_equivalent(
+            &repo,
+            &candidates,
+            config(strategy, join_distance, knobs),
+            PathLengthDistance,
+            MeMinSeeding,
+        );
+    }
+
+    #[test]
+    fn kernel_equals_oracle_under_random_seeding_and_hybrid_distance(
+        seed in 0u64..u64::MAX,
+        trees in 1usize..24,
+        shape in (0usize..3, 2u32..6, 0usize..2),
+        seeds_per_tree in 1usize..6,
+    ) {
+        let (strategy, join_distance, floor) = shape;
+        let (repo, candidates) = random_forest(seed, trees, 0, FLOORS[floor]);
+        assert_equivalent(
+            &repo,
+            &candidates,
+            config(strategy, join_distance, seed % 120),
+            HybridDistance::default(),
+            RandomSeeding::new(seeds_per_tree, seed),
+        );
+    }
+}
+
+#[test]
+fn kernel_equals_oracle_on_a_huge_tree_with_sampled_medoids() {
+    // 2 600 nodes, most of them candidates, at most three seeds: clusters pass 512
+    // members, so the medoid sums run over every second or third member only.
+    for (seed, strategy) in [(11, 2), (12, 1), (13, 0)] {
+        let (repo, candidates) = random_forest(seed, 6, 2_600, 0.5);
+        let (set, _) =
+            KMeansClusterer::new(ClusteringConfig::default()).cluster(&repo, &candidates);
+        assert!(
+            set.sizes().into_iter().max().unwrap_or(0) >= 512,
+            "scenario must form a cluster large enough for medoid sampling: {:?} of {} nodes",
+            set.sizes(),
+            candidates.distinct_repo_nodes()
+        );
+        assert_equivalent(
+            &repo,
+            &candidates,
+            config(strategy, 3, 3),
+            PathLengthDistance,
+            MeMinSeeding,
+        );
+    }
+}
+
+/// `ME_min` seeding plus seeds a well-behaved strategy would never return: a node of
+/// another tree and a node that is no candidate at all.
+#[derive(Clone)]
+struct StraySeeding;
+
+impl CentroidInit for StraySeeding {
+    fn seed(&self, candidates: &CandidateSet) -> Vec<GlobalNodeId> {
+        let mut seeds = MeMinSeeding.seed(candidates);
+        if let Some(first) = candidates.iter().next() {
+            seeds.push(GlobalNodeId::new(TreeId(0), NodeId(0)));
+            seeds.push(GlobalNodeId::new(first.repo.tree, NodeId(0)));
+        }
+        seeds
+    }
+    fn name(&self) -> &'static str {
+        "stray"
+    }
+}
+
+#[test]
+fn kernel_equals_oracle_when_seeds_stray_outside_the_tree() {
+    for seed in 0..24u64 {
+        let (repo, candidates) = random_forest(seed, 30, 0, FLOORS[(seed % 2) as usize]);
+        assert_equivalent(
+            &repo,
+            &candidates,
+            config((seed % 3) as usize, 2 + (seed % 4) as u32, seed * 7),
+            PathLengthDistance,
+            StraySeeding,
+        );
+    }
+}
+
+#[test]
+fn empty_and_single_element_sets() {
+    let (repo, _) = random_forest(5, 3, 0, 0.5);
+    let empty = CandidateSet::new(vec![NodeId(0), NodeId(1)]);
+    let mut single = empty.clone();
+    single.push(MappingElement::new(
+        NodeId(1),
+        GlobalNodeId::new(TreeId(1), NodeId(0)),
+        0.9,
+    ));
+    for candidates in [empty, single] {
+        assert_equivalent(
+            &repo,
+            &candidates,
+            ClusteringConfig::default(),
+            PathLengthDistance,
+            MeMinSeeding,
+        );
+    }
+}
+
+/// Path-length distance that counts how often it is asked.
+#[derive(Clone, Default)]
+struct CountingDistance {
+    calls: std::sync::Arc<AtomicUsize>,
+}
+
+impl CountingDistance {
+    fn take(&self) -> usize {
+        self.calls.swap(0, Ordering::Relaxed)
+    }
+}
+
+impl ClusterDistance for CountingDistance {
+    fn distance(&self, repo: &SchemaRepository, a: GlobalNodeId, b: GlobalNodeId) -> Option<f64> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        PathLengthDistance.distance(repo, a, b)
+    }
+    fn name(&self) -> &'static str {
+        "counting(path-length)"
+    }
+}
+
+#[test]
+fn the_kernel_never_computes_more_distances_than_the_oracle() {
+    let counter = CountingDistance::default();
+    for strategy in STRATEGIES {
+        let (repo, candidates) = random_forest(2006, 500, 0, 0.5);
+        let config = ClusteringConfig::default().with_recluster(strategy);
+        let oracle = OracleClusterer {
+            config,
+            distance: &counter,
+            init: &MeMinSeeding,
+        };
+        let (reference, _) = oracle.cluster(&repo, &candidates);
+        let oracle_calls = counter.take();
+
+        let kernel = KMeansClusterer::new(config).with_distance(Box::new(counter.clone()));
+        let (set, _) = kernel.cluster(&repo, &candidates);
+        let kernel_calls = counter.take();
+        assert_sets_identical(&set, &reference);
+        assert!(oracle_calls > 0, "the forest must form clusters");
+        assert!(
+            kernel_calls <= oracle_calls,
+            "{strategy:?}: kernel asked for {kernel_calls} distances, oracle for {oracle_calls}"
+        );
+
+        // Scopes are assembled from what the clusters own: no distance at all.
+        let scoped: usize = set
+            .clusters
+            .iter()
+            .map(|c| c.scope(&candidates).total_candidates())
+            .sum();
+        assert_eq!(scoped, set.clusters.iter().map(|c| c.element_count()).sum());
+        assert_eq!(counter.take(), 0, "building scopes computed distances");
+    }
+}

@@ -202,6 +202,43 @@ impl CandidateSet {
         }
     }
 
+    /// The sub-scope of this set holding exactly `elements` — same personal nodes,
+    /// every list in the canonical order of [`CandidateSet::sort`] — in
+    /// `O(k log k)` for `k` elements, however large this set is. For elements drawn
+    /// from a sorted set it equals [`CandidateSet::restrict`] to them, which scans
+    /// the whole set; the clusterer builds each cluster's scope this way from the
+    /// elements the cluster already owns. Elements of personal nodes this set does
+    /// not index are dropped, as `restrict` could never have kept them.
+    pub fn subset<'a>(
+        &self,
+        elements: impl IntoIterator<Item = &'a MappingElement>,
+    ) -> CandidateSet {
+        let mut scope = CandidateSet::new(self.personal_nodes.clone());
+        for element in elements {
+            scope.push(*element);
+        }
+        scope.sort();
+        scope
+    }
+
+    /// Empty every per-node list, keeping the personal nodes and the lists'
+    /// capacity: a scratch set refilled once per repository tree allocates nothing
+    /// after its first few uses.
+    pub fn clear(&mut self) {
+        for list in &mut self.per_node {
+            list.clear();
+        }
+    }
+
+    /// Append a mapping element to the list at canonical index `i` (no lookup of
+    /// its personal node; out-of-range indices are ignored like unknown nodes in
+    /// [`CandidateSet::push`]).
+    pub fn push_at(&mut self, i: usize, element: MappingElement) {
+        if let Some(list) = self.per_node.get_mut(i) {
+            list.push(element);
+        }
+    }
+
     /// All distinct repository trees touched by the candidates.
     pub fn trees(&self) -> Vec<TreeId> {
         let mut trees: Vec<TreeId> = self
@@ -325,6 +362,33 @@ mod tests {
             }
         }
         assert!(CandidateSet::new(vec![]).split_by_tree().is_empty());
+    }
+
+    #[test]
+    fn subset_equals_restriction_to_the_same_elements() {
+        let set = sample_set();
+        let keep = |m: &MappingElement| m.repo.tree == TreeId(0) && m.repo.node != NodeId(5);
+        // Hand the elements over in an order unlike the set's own.
+        let mut picked: Vec<MappingElement> = set.iter().copied().filter(keep).collect();
+        picked.reverse();
+        picked.push(MappingElement::new(NodeId(9), gid(0, 1), 1.0)); // unindexed node
+        let (fast, reference) = (set.subset(&picked), set.restrict(keep));
+        assert_eq!(fast.personal_nodes(), reference.personal_nodes());
+        for &n in set.personal_nodes() {
+            assert_eq!(fast.candidates_for(n), reference.candidates_for(n));
+        }
+    }
+
+    #[test]
+    fn clear_and_push_at_refill_a_scratch_set() {
+        let mut set = sample_set();
+        set.clear();
+        assert_eq!(set.total_candidates(), 0);
+        assert_eq!(set.node_count(), 3);
+        set.push_at(2, MappingElement::new(NodeId(2), gid(0, 6), 0.6));
+        set.push_at(7, MappingElement::new(NodeId(2), gid(0, 6), 0.6)); // ignored
+        assert_eq!(set.candidates_for(NodeId(2)).len(), 1);
+        assert_eq!(set.total_candidates(), 1);
     }
 
     #[test]
