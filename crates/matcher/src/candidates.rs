@@ -239,6 +239,14 @@ impl CandidateSet {
         }
     }
 
+    /// Keep at most `cap` mapping elements per personal node — on a sorted set,
+    /// the `cap` most similar.
+    pub fn truncate_per_node(&mut self, cap: usize) {
+        for list in &mut self.per_node {
+            list.truncate(cap);
+        }
+    }
+
     /// All distinct repository trees touched by the candidates.
     pub fn trees(&self) -> Vec<TreeId> {
         let mut trees: Vec<TreeId> = self

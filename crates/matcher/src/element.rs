@@ -10,20 +10,16 @@
 //! [`CandidateSet`] of mapping elements — the input to both the clusterer and the
 //! mapping generators.
 
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
-use xsm_schema::{SchemaNode, SchemaTree};
-use xsm_similarity::{
-    compare_string_fuzzy, CombineStrategy, SimilarityCache, StringSimilarity, SynonymTable,
-};
+use xsm_schema::{GlobalNodeId, NodeId, SchemaNode, SchemaTree};
+use xsm_similarity::{compare_string_fuzzy, CombineStrategy, StringSimilarity, SynonymTable};
 
 use crate::candidates::{CandidateSet, MappingElement};
 use xsm_repo::{
-    CandidateScratch, FeatureStore, LengthWindow, MergePolicy, NameIndex, ResolvedQuery,
+    CandidateScratch, FeatureStore, LengthWindow, MergePolicy, NameId, NameIndex, ResolvedQuery,
     SchemaRepository,
 };
-use xsm_similarity::features::{fuzzy_features, SimScratch};
+use xsm_similarity::features::{fuzzy_features, NameFeatures, SimScratch};
 
 /// Compares a personal node with a repository node.
 pub trait ElementMatcher: Send + Sync {
@@ -113,44 +109,6 @@ impl ElementMatcher for SynonymElementMatcher {
     }
     fn name(&self) -> &'static str {
         "synonym"
-    }
-}
-
-/// Wraps a *name-based, symmetric* element matcher with a shared [`SimilarityCache`].
-///
-/// The cache is keyed by the **order-normalised** name pair, so the inner matcher
-/// must depend on the node names only AND be symmetric in them — i.e.
-/// `compare(a, b) == compare(b, a)` (true for [`NameElementMatcher`],
-/// [`KernelNameMatcher`] and [`SynonymElementMatcher`]; wrong for matchers that also
-/// look at datatypes, and wrong for directional scorers like prefix containment,
-/// which would get the swapped-argument score for half of all pairs). A long-lived
-/// service shares one `Arc`'d cache across every query so that repeated repository
-/// names are scored once, not once per query.
-pub struct CachedElementMatcher<M> {
-    inner: M,
-    cache: Arc<SimilarityCache>,
-}
-
-impl<M: ElementMatcher> CachedElementMatcher<M> {
-    /// Wrap `inner`, memoizing its scores in `cache`.
-    pub fn new(inner: M, cache: Arc<SimilarityCache>) -> Self {
-        CachedElementMatcher { inner, cache }
-    }
-
-    /// The shared cache (for hit-rate reporting).
-    pub fn cache(&self) -> &SimilarityCache {
-        &self.cache
-    }
-}
-
-impl<M: ElementMatcher> ElementMatcher for CachedElementMatcher<M> {
-    fn compare(&self, personal: &SchemaNode, repo: &SchemaNode) -> f64 {
-        self.cache.get_or_compute(&personal.name, &repo.name, || {
-            self.inner.compare(personal, repo)
-        })
-    }
-    fn name(&self) -> &'static str {
-        "cached"
     }
 }
 
@@ -249,18 +207,19 @@ pub fn match_elements(
     matcher: &dyn ElementMatcher,
     config: &ElementMatchConfig,
 ) -> CandidateSet {
-    let personal_nodes = personal.preorder();
-    let mut set = CandidateSet::new(personal_nodes.clone());
-    for &pnode in &personal_nodes {
+    let mut set = CandidateSet::new(personal.preorder());
+    for i in 0..set.node_count() {
+        let pnode = set.personal_nodes()[i];
         let pdata = personal.node(pnode).expect("preorder yields valid ids");
         for (rid, rdata) in repo.nodes() {
             let sim = matcher.compare(pdata, rdata);
             if sim >= config.min_similarity && sim > 0.0 {
-                set.push(MappingElement::new(pnode, rid, sim));
+                set.push_at(i, MappingElement::new(pnode, rid, sim));
             }
         }
     }
-    finish(set, personal_nodes, config)
+    set.sort();
+    cap(set, config)
 }
 
 /// Run element matching through a prebuilt [`NameIndex`]: for every personal node,
@@ -280,33 +239,31 @@ pub fn match_elements_with_index(
     config: &ElementMatchConfig,
     min_overlap: f64,
 ) -> CandidateSet {
-    let personal_nodes = personal.preorder();
-    let mut set = CandidateSet::new(personal_nodes.clone());
-    for &pnode in &personal_nodes {
+    let mut set = CandidateSet::new(personal.preorder());
+    for i in 0..set.node_count() {
+        let pnode = set.personal_nodes()[i];
         let pdata = personal.node(pnode).expect("preorder yields valid ids");
         for rid in index_candidates(index, &pdata.name, min_overlap) {
             let rdata = repo.node(rid).expect("index ids are valid");
             let sim = matcher.compare(pdata, rdata);
             if sim >= config.min_similarity && sim > 0.0 {
-                set.push(MappingElement::new(pnode, rid, sim));
+                set.push_at(i, MappingElement::new(pnode, rid, sim));
             }
         }
     }
-    finish(set, personal_nodes, config)
+    set.sort();
+    cap(set, config)
 }
 
 /// Candidate retrieval of the string reference path: approximate (q-gram) plus
 /// exact lookups, deduplicated, in canonical id order. The feature path retrieves
-/// through [`index_candidates_filtered`] instead — a *pre-scoring* subset shaped by
-/// the length window — but both paths apply the same `min_similarity` floor after
-/// scoring, and the window only drops pairs whose length difference already caps
-/// them below that floor, so the **scored** candidate sets (and therefore the
-/// byte-identical replay guarantee) are unchanged.
-fn index_candidates(
-    index: &NameIndex,
-    name: &str,
-    min_overlap: f64,
-) -> Vec<xsm_schema::GlobalNodeId> {
+/// *names* through [`NameIndex::lookup_names_resolved`] instead — a *pre-scoring*
+/// subset shaped by the length window — but both paths apply the same
+/// `min_similarity` floor after scoring, and the window only drops pairs whose
+/// length difference already caps them below that floor, so the **scored**
+/// candidate sets (and therefore the byte-identical replay guarantee) are
+/// unchanged.
+fn index_candidates(index: &NameIndex, name: &str, min_overlap: f64) -> Vec<GlobalNodeId> {
     let mut candidates = index.lookup_approximate(name, min_overlap);
     candidates.extend_from_slice(index.lookup_exact(name));
     candidates.sort();
@@ -314,59 +271,97 @@ fn index_candidates(
     candidates
 }
 
-/// Filter–verify candidate retrieval of the feature path: one resolved candidate
-/// query per personal node, with the length window derived from the
-/// similarity floor the scores are filtered by afterwards. Exact-name hits are
-/// always in-window (equal lowercased names have equal lengths), so the union
-/// stays complete.
-fn index_candidates_filtered(
-    index: &NameIndex,
-    name: &str,
-    resolved: &ResolvedQuery,
-    min_overlap: f64,
-    window: LengthWindow,
-    scratch: &mut CandidateScratch,
-) -> Vec<xsm_schema::GlobalNodeId> {
-    let (mut candidates, _) =
-        index.lookup_candidates_resolved(resolved, min_overlap, window, MergePolicy::Auto, scratch);
-    candidates.extend_from_slice(index.lookup_exact(name));
-    candidates.sort();
-    candidates.dedup();
-    candidates
+/// One personal node's side of name-level element matching: the repository
+/// names that cleared the floor with the score each earned, and the merge
+/// buffer for names that tied. Reused across the personal nodes of a call.
+#[derive(Default)]
+struct NameHits {
+    scored: Vec<(f64, NameId)>,
+    tied: Vec<GlobalNodeId>,
+}
+
+impl NameHits {
+    /// Score one repository name against the personal node's features — the
+    /// **only** kernel call the name's nodes get — and keep it if it clears
+    /// the floor.
+    fn score(
+        &mut self,
+        personal: &NameFeatures,
+        name: NameId,
+        features: &NameFeatures,
+        config: &ElementMatchConfig,
+        scratch: &mut SimScratch,
+    ) {
+        let sim = fuzzy_features(personal, features, scratch);
+        if sim >= config.min_similarity && sim > 0.0 {
+            self.scored.push((sim, name));
+        }
+    }
+
+    /// Fan the kept scores out to the names' live nodes as the mapping
+    /// elements of personal node `pnode` (canonical index `i`), already in the
+    /// order [`CandidateSet::sort`] gives: similarity descending, repository
+    /// node ascending. A name's node list is ascending, so only names that
+    /// tied on the score need their nodes merged.
+    fn fan_out(&mut self, set: &mut CandidateSet, i: usize, pnode: NodeId, store: &FeatureStore) {
+        self.scored
+            .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        let mut rest = &self.scored[..];
+        while let Some(&(sim, first)) = rest.first() {
+            let ties = rest.iter().take_while(|&&(s, _)| s == sim).count();
+            if ties == 1 {
+                for &rid in store.nodes_of_name(first) {
+                    set.push_at(i, MappingElement::new(pnode, rid, sim));
+                }
+            } else {
+                self.tied.clear();
+                for &(_, name) in &rest[..ties] {
+                    self.tied.extend_from_slice(store.nodes_of_name(name));
+                }
+                self.tied.sort_unstable();
+                for &rid in &self.tied {
+                    set.push_at(i, MappingElement::new(pnode, rid, sim));
+                }
+            }
+            rest = &rest[ties..];
+        }
+        self.scored.clear();
+    }
 }
 
 /// Element matching through the repository's [`FeatureStore`]: the zero-allocation
 /// fast path of [`match_elements`] for the paper's fuzzy name kernel.
 ///
-/// Query-side [`xsm_similarity::NameFeatures`] are built **once per personal node**
-/// (not once per candidate pair); repository-side features were built once at store
-/// construction. Each pair is then scored by
-/// [`fuzzy_features`] — bit-identical to
-/// [`compare_string_fuzzy`] on the node names, so this produces byte-identical
-/// candidate sets to `match_elements(…, &NameElementMatcher, …)` while the inner
-/// loop performs no allocation and no hashing (bit-parallel edit distance for names
-/// of ≤ 64 characters, DP over the scratch rows beyond).
+/// The matcher is localized — a pair's score depends on the two names only —
+/// so the pass runs over **names**: query-side [`xsm_similarity::NameFeatures`]
+/// are built once per personal node, each live repository name is scored once
+/// by [`fuzzy_features`] (bit-identical to [`compare_string_fuzzy`] on the
+/// names), and the score is fanned out to every node that carries the name.
+/// This produces byte-identical candidate sets to
+/// `match_elements(…, &NameElementMatcher, …)` in `|N_s| · distinct names`
+/// kernel calls instead of `|N_s| · |N_R|`, with no allocation and no hashing
+/// in the inner loop (bit-parallel edit distance for names of ≤ 64 characters,
+/// blocked beyond).
 pub fn match_elements_features(
     personal: &SchemaTree,
     store: &FeatureStore,
     config: &ElementMatchConfig,
     scratch: &mut SimScratch,
 ) -> CandidateSet {
-    let personal_nodes = personal.preorder();
-    let mut set = CandidateSet::new(personal_nodes.clone());
-    for &pnode in &personal_nodes {
+    let mut set = CandidateSet::new(personal.preorder());
+    let mut hits = NameHits::default();
+    for i in 0..set.node_count() {
+        let pnode = set.personal_nodes()[i];
         let pdata = personal.node(pnode).expect("preorder yields valid ids");
         let pfeatures = store.query_features(&pdata.name);
-        // Alive nodes only: tombstoned trees must be invisible to the
+        // Live names only: tombstoned trees must be invisible to the
         // exhaustive path exactly as the index-pruned path filters them.
-        for (rid, rfeatures) in store.iter_alive() {
-            let sim = fuzzy_features(&pfeatures, rfeatures, scratch);
-            if sim >= config.min_similarity && sim > 0.0 {
-                set.push(MappingElement::new(pnode, rid, sim));
-            }
+        for (name, rfeatures, _) in store.live_names() {
+            hits.score(&pfeatures, name, rfeatures, config, scratch);
         }
+        hits.fan_out(&mut set, i, pnode, store);
     }
-    finish(set, personal_nodes, config)
+    cap(set, config)
 }
 
 /// Index-pruned element matching through the [`FeatureStore`]: the zero-allocation
@@ -417,6 +412,12 @@ pub fn resolve_personal_queries(personal: &SchemaTree, index: &NameIndex) -> Vec
 /// supplied by the caller (`resolved` parallel to `personal.preorder()`), so a
 /// pipeline that already resolved the names for planning never re-walks their
 /// grams here.
+///
+/// Per personal node: one name-level filter lookup
+/// ([`NameIndex::lookup_names_resolved`]), the exact-name spellings added
+/// (always in-window — equal lowercased names have equal lengths — so the
+/// union stays complete), one kernel call per surviving **name**, and the
+/// score fanned out to the name's nodes.
 pub fn match_elements_with_index_features_resolved(
     personal: &SchemaTree,
     index: &NameIndex,
@@ -428,51 +429,44 @@ pub fn match_elements_with_index_features_resolved(
 ) -> CandidateSet {
     let store = index.features();
     let window = LengthWindow::fuzzy_floor(config.min_similarity);
-    let personal_nodes = personal.preorder();
+    let mut set = CandidateSet::new(personal.preorder());
     assert_eq!(
         resolved.len(),
-        personal_nodes.len(),
+        set.node_count(),
         "one resolved query per personal node, in pre-order"
     );
-    let mut set = CandidateSet::new(personal_nodes.clone());
-    for (&pnode, presolved) in personal_nodes.iter().zip(resolved) {
+    let mut hits = NameHits::default();
+    for (i, presolved) in resolved.iter().enumerate() {
+        let pnode = set.personal_nodes()[i];
         let pdata = personal.node(pnode).expect("preorder yields valid ids");
         let pfeatures = store.query_features(&pdata.name);
-        for rid in index_candidates_filtered(
-            index,
-            &pdata.name,
+        let (names, _) = index.lookup_names_resolved(
             presolved,
             min_overlap,
             window,
+            MergePolicy::Auto,
             candidates,
-        ) {
-            let rfeatures = store.features_of(rid).expect("index ids are valid");
-            let sim = fuzzy_features(&pfeatures, rfeatures, scratch);
-            if sim >= config.min_similarity && sim > 0.0 {
-                set.push(MappingElement::new(pnode, rid, sim));
+        );
+        for &name in names {
+            hits.score(&pfeatures, name, store.name_features(name), config, scratch);
+        }
+        for &name in index.exact_names(&pdata.name) {
+            // `names` is ascending; a spelling the filter already surfaced is
+            // scored once. A dead spelling fans out to nothing.
+            if names.binary_search(&name).is_err() {
+                hits.score(&pfeatures, name, store.name_features(name), config, scratch);
             }
         }
+        hits.fan_out(&mut set, i, pnode, store);
     }
-    finish(set, personal_nodes, config)
+    cap(set, config)
 }
 
-/// Shared tail of the `match_elements*` entry points: sort per-node lists and apply
-/// the optional per-node candidate cap.
-fn finish(
-    mut set: CandidateSet,
-    personal_nodes: Vec<xsm_schema::NodeId>,
-    config: &ElementMatchConfig,
-) -> CandidateSet {
-    set.sort();
+/// Shared tail of the `match_elements*` entry points: apply the optional
+/// per-node candidate cap to a sorted set (highest-similarity first).
+fn cap(mut set: CandidateSet, config: &ElementMatchConfig) -> CandidateSet {
     if let Some(cap) = config.max_candidates_per_node {
-        let mut capped = CandidateSet::new(personal_nodes);
-        for &pnode in capped.personal_nodes().to_vec().iter() {
-            for m in set.candidates_for(pnode).iter().take(cap) {
-                capped.push(*m);
-            }
-        }
-        capped.sort();
-        return capped;
+        set.truncate_per_node(cap);
     }
     set
 }
@@ -625,19 +619,6 @@ mod tests {
         // The high-similarity pairs survive the pruning.
         let title = personal.find_by_name("title").unwrap();
         assert_eq!(repo.name_of(indexed.candidates_for(title)[0].repo), "title");
-    }
-
-    #[test]
-    fn cached_matcher_shares_scores_across_calls() {
-        let cache = Arc::new(SimilarityCache::new());
-        let m = CachedElementMatcher::new(NameElementMatcher, Arc::clone(&cache));
-        let a = SchemaNode::element("author");
-        let b = SchemaNode::element("authorName");
-        let direct = NameElementMatcher.compare(&a, &b);
-        assert_eq!(m.compare(&a, &b), direct);
-        assert_eq!(m.compare(&a, &b), direct);
-        assert_eq!(m.cache().stats(), (1, 1));
-        assert_eq!(m.name(), "cached");
     }
 
     /// Byte-level equality of two candidate sets: same nodes, same pairs, same

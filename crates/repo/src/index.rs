@@ -6,13 +6,30 @@
 //! [`NameIndex`] is that substrate: an inverted index from lowercased names (exact)
 //! and from character q-grams (approximate candidate retrieval with a count filter).
 //!
+//! ## Names, not nodes
+//!
+//! A string join joins sets of **distinct strings**, and the filter (shared
+//! distinct grams, length window, positional intervals) is a function of the
+//! name alone. So the index is built over the repository's name table (the
+//! [`FeatureStore`]): every posting, positional interval, length and ScanCount
+//! counter is per distinct spelling — a [`NameId`] — and a surviving name
+//! stands for every live node in [`FeatureStore::nodes_of_name`]. A corpus
+//! that repeats each name eight times merges an eighth of the postings and
+//! verifies an eighth of the pairs; [`NameIndex::lookup_names_resolved`] is the
+//! lookup at that level, [`NameIndex::lookup_candidates_resolved`] its fan-out
+//! to node ids. Only the numbers a query *planner* compares with
+//! `|N_s| · indexed_nodes` stay **node-weighted**
+//! ([`NameIndex::estimate_candidate_volume_resolved`]: per segment, the live
+//! nodes behind its names), so plans do not depend on how often names repeat
+//! and per-shard statistics stay additive.
+//!
 //! ## Filter–verify layout
 //!
 //! The gram side is a **filter–verify pipeline** over integer postings:
 //!
-//! * Postings live in one flat arena of dense node indices (ascending, which is
-//!   also ascending [`GlobalNodeId`] order), grouped by gram and **segmented by
-//!   name character length**. A [`LengthWindow`] derived from the caller's
+//! * Postings live in one flat arena of name ids, grouped by gram and
+//!   **segmented by name character length**, ascending within a segment. A
+//!   [`LengthWindow`] derived from the caller's
 //!   similarity floor — the same length-difference bound
 //!   `xsm_similarity::compare_string_fuzzy_bounded` exploits — skips whole
 //!   segments before any merging: a candidate whose length already caps its fuzzy
@@ -31,20 +48,29 @@
 //!   showed length segmentation fragments the runs enough that its skip
 //!   advantage evaporates (one cursor per segment, `T ≪ runs`), which is exactly
 //!   why ScanProbe replaces it as the large-volume default.
-//! * Every merge reuses caller-owned [`CandidateScratch`]; steady-state
-//!   generation allocates only the output `Vec`.
+//! * Every merge reuses caller-owned [`CandidateScratch`] (one counter per
+//!   name id); steady-state name-level generation allocates nothing.
 //!
 //! Under an infinite window the result is **exactly** the classic merge-everything
 //! count filter ([`NameIndex::lookup_approximate_baseline`], kept as the reference
 //! and bench baseline): same ids, same order — proven by the property suite in
-//! `tests/candidate_equivalence.rs`.
+//! `tests/candidate_equivalence.rs`; `tests/name_table_equivalence.rs` checks
+//! both against a brute-force pass over the repository's nodes.
+//!
+//! ## Live mutation
+//!
+//! Appends and deletes follow the name table. A node whose spelling is already
+//! live adds no posting; only a new spelling (or one coming back after a
+//! compaction) extends the arena. A delete removes nodes from their names'
+//! lists; only a name left with **no** live node has dead postings, which
+//! [`NameIndex::compact`] reclaims. Name ids are never renumbered.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use xsm_schema::GlobalNodeId;
 use xsm_similarity::edit::normalized_similarity;
 
-use crate::features::FeatureStore;
+use crate::features::{FeatureStore, NameId};
 use crate::repository::SchemaRepository;
 
 // The ScanCount-vs-ScanProbe volume threshold lives in `crate::simd`
@@ -205,10 +231,10 @@ pub enum MergeAlgorithm {
 /// and the MergeSkip heap and cursor table keep their capacity across queries.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateScratch {
-    /// Dense per-node occurrence counters (ScanCount); only `touched` entries are
+    /// Dense per-name occurrence counters (ScanCount); only `touched` entries are
     /// ever non-zero between queries.
     counts: Vec<u8>,
-    /// Dense node indices whose counter was incremented this query.
+    /// Name ids whose counter was incremented this query.
     touched: Vec<u32>,
     /// Merge cursors: `(position, end)` into the index's posting arena.
     runs: Vec<(u32, u32)>,
@@ -220,17 +246,26 @@ pub struct CandidateScratch {
     segs: Vec<(u32, u32, u32)>,
     /// ScanProbe: the probe-only segments, sorted by length.
     long: Vec<(u32, u32, u32)>,
-    /// Surviving dense node indices.
+    /// Surviving name ids, ascending.
     out: Vec<u32>,
+}
+
+impl CandidateScratch {
+    /// Number of dense ScanCount counters currently allocated: one per name id
+    /// of the last index a counting merge ran against (never one per node).
+    pub fn counter_slots(&self) -> usize {
+        self.counts.len()
+    }
 }
 
 /// Work accounting of one candidate lookup (reported by the `candidates` bench).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CandidateStats {
-    /// Distinct nodes whose occurrence count was actually examined (ScanCount:
-    /// counter touches; ScanProbe: counter touches in the short segments;
-    /// MergeSkip: distinct frontier values processed — skipped and probe-only
-    /// postings are never examined).
+    /// Distinct **names** whose occurrence count was actually examined
+    /// (ScanCount: counter touches; ScanProbe: counter touches in the short
+    /// segments; MergeSkip: distinct frontier values processed — skipped and
+    /// probe-only postings are never examined). Never more than
+    /// [`NameIndex::distinct_names`], however often names repeat.
     pub candidates_examined: usize,
     /// Posting entries never merged: MergeSkip binary-search jumps plus the full
     /// volume of ScanProbe's probe-only segments.
@@ -239,9 +274,10 @@ pub struct CandidateStats {
     pub segments_skipped: usize,
     /// Binary probes into probe-only segments (ScanProbe).
     pub probes: usize,
-    /// Summed posting volume of the in-window segments.
+    /// Summed posting volume (live names) of the in-window segments — the
+    /// work the merge faces, not the node-weighted volume the planner reads.
     pub volume_in_window: usize,
-    /// Summed posting volume of all the query grams' segments.
+    /// Summed posting volume (live names) of all the query grams' segments.
     pub volume_total: usize,
     /// Count-filter survivors rejected by the positional q-gram filter (their
     /// matching grams were all displaced beyond the length-window edit bound).
@@ -255,62 +291,116 @@ pub struct CandidateStats {
 pub(crate) struct LenSegment {
     /// Character length of every name in the segment.
     pub(crate) len: u32,
-    /// Arena range of the segment's postings (dense node indices, ascending).
+    /// Arena range of the segment's postings (name ids, ascending).
     pub(crate) start: u32,
     pub(crate) end: u32,
 }
 
-/// Inverted indexes from names and q-grams to repository nodes, plus the node
-/// feature store the similarity kernels score against.
+/// The spellings sharing one lowercased form — what a case-insensitive exact
+/// lookup resolves to.
+#[derive(Debug, Clone, Default)]
+struct ExactGroup {
+    /// The spellings' name ids, ascending. Dead names stay listed (their node
+    /// lists are empty), so a group only ever grows.
+    names: Vec<NameId>,
+    /// The ascending union of the spellings' live nodes, kept **only** for a
+    /// group of two or more spellings; a lone spelling's node list in the
+    /// store already is the answer.
+    merged: Vec<GlobalNodeId>,
+}
+
+impl ExactGroup {
+    /// Derive `merged` from the members' node lists — whenever another
+    /// spelling joins the group.
+    fn rebuild(&mut self, store: &FeatureStore) {
+        self.merged.clear();
+        for &name in &self.names {
+            self.merged.extend_from_slice(store.nodes_of_name(name));
+        }
+        self.merged.sort_unstable();
+    }
+
+    /// Bring `merged`'s run for tree `tid` in line with the members' node
+    /// lists after that tree was appended or tombstoned. Idempotent, so every
+    /// touched member of the group may call it.
+    fn sync_tree(&mut self, store: &FeatureStore, tid: xsm_schema::TreeId) {
+        if self.names.len() < 2 {
+            return;
+        }
+        let mut run: Vec<GlobalNodeId> = Vec::new();
+        for &name in &self.names {
+            let nodes = store.nodes_of_name(name);
+            let start = nodes.partition_point(|id| id.tree < tid);
+            let end = start + nodes[start..].partition_point(|id| id.tree == tid);
+            run.extend_from_slice(&nodes[start..end]);
+        }
+        run.sort_unstable();
+        let start = self.merged.partition_point(|id| id.tree < tid);
+        let end = start + self.merged[start..].partition_point(|id| id.tree == tid);
+        self.merged.splice(start..end, run);
+    }
+}
+
+/// Inverted indexes from names and q-grams to the repository's **name table**
+/// (the [`FeatureStore`] the similarity kernels score against): every posting,
+/// positional interval, length and counter is per distinct spelling, and a
+/// surviving name fans out to the nodes that carry it.
 #[derive(Debug, Clone, Default)]
 pub struct NameIndex {
-    /// lowercase name → nodes carrying exactly that name.
-    exact: HashMap<String, Vec<GlobalNodeId>>,
-    /// All posting entries (dense node indices into the store), grouped by gram,
-    /// then by name length; ascending within each segment.
-    arena: Vec<u32>,
+    /// lowercase name → the spellings that lowercase to it.
+    exact: HashMap<String, ExactGroup>,
+    /// All posting entries (name ids), grouped by gram, then by name length;
+    /// ascending within each segment.
+    arena: Vec<NameId>,
     /// Packed `first << 16 | last` occurrence positions of the posting's gram
     /// within the posting's name, parallel to `arena` (the positional q-gram
     /// filter's corpus side). Serialized with the arena so snapshot loads keep
     /// the filter without re-deriving per-name gram positions.
     arena_pos: Vec<u32>,
     /// Length-segment directory; gram `g` owns
-    /// `segments[gram_segments[g] .. gram_segments[g + 1]]`. After appends a
-    /// gram may own several segments of the *same* length (the pre-append run
-    /// and one tail run per append, older first — dense order is preserved
-    /// across them); compaction merges them back into one.
+    /// `segments[gram_segments[g] .. gram_segments[g + 1]]`, ordered by length.
+    /// After appends a gram may own several segments of the *same* length (the
+    /// older run first, one tail run per append that posted new names); each
+    /// is ascending on its own and compaction merges them back into one.
     segments: Vec<LenSegment>,
     gram_segments: Vec<u32>,
-    /// Tombstoned postings per segment, parallel to `segments`: the live size
-    /// of segment `i` is `(end - start) - seg_dead[i]`. Volume estimates and
-    /// the planner read live sizes; the merge algorithms skip dead candidates
-    /// at emission time; compaction rewrites the arena and zeroes this.
+    /// Postings of dead names (no live node) per segment, parallel to
+    /// `segments`: segment `i` merges `(end - start) - seg_dead[i]` live
+    /// names. The merge algorithms skip dead names at emission time;
+    /// compaction rewrites the arena and zeroes this.
     seg_dead: Vec<u32>,
-    /// Total tombstoned postings in the arena (`seg_dead` summed).
+    /// Live **nodes** behind each segment, parallel to `segments`: the summed
+    /// node-list lengths of the segment's names. This is the posting volume a
+    /// per-node index would hold, and what the planner-facing estimates
+    /// report, so plans do not depend on how often names repeat.
+    seg_nodes: Vec<u32>,
+    /// Total postings of dead names in the arena (`seg_dead` summed).
     dead_postings: usize,
-    /// Character length of every node's lowercased name, by dense index
-    /// (ScanProbe reads a candidate's length to pick its probe segments).
+    /// Character length of every name's lowercased form, by name id (ScanProbe
+    /// reads a candidate's length to pick its probe segments).
     lens: Vec<u32>,
-    /// Per-node features and the shared gram interner.
+    /// Whether the name's postings are in the arena, by name id. A dead name
+    /// stays posted until a compaction; one that comes back before then is
+    /// revived in place, one that comes back after is posted afresh.
+    posted: Vec<bool>,
+    /// The name table and the shared gram interner.
     store: FeatureStore,
     q: usize,
 }
 
-/// Build the exact lowercase-name map over a feature store. Keyed lookups
-/// before insertion keep it to one owned `String` per *distinct* name —
-/// repositories repeat names heavily, and an `entry(name.to_string())` loop
-/// would allocate per node instead.
-fn exact_name_map(store: &FeatureStore) -> HashMap<String, Vec<GlobalNodeId>> {
-    let mut exact: HashMap<String, Vec<GlobalNodeId>> = HashMap::with_capacity(store.len() / 2 + 1);
-    for (id, features) in store.iter() {
-        match exact.get_mut(&*features.lower) {
-            Some(nodes) => nodes.push(id),
-            None => {
-                exact.insert(features.lower.to_string(), vec![id]);
-            }
+/// Run-length counts of a batch of node name ids: `(name, nodes)` per distinct
+/// name, ascending by name.
+fn name_counts(names: &[NameId]) -> Vec<(NameId, u32)> {
+    let mut sorted = names.to_vec();
+    sorted.sort_unstable();
+    let mut counts: Vec<(NameId, u32)> = Vec::new();
+    for name in sorted {
+        match counts.last_mut() {
+            Some((last, n)) if *last == name => *n += 1,
+            _ => counts.push((name, 1)),
         }
     }
-    exact
+    counts
 }
 
 impl NameIndex {
@@ -320,76 +410,33 @@ impl NameIndex {
     }
 
     /// Build with an explicit q-gram length (`q >= 1`). This also builds the
-    /// repository's [`FeatureStore`], so every node's name features (and the shared
-    /// gram interner) are computed exactly once, here.
+    /// repository's [`FeatureStore`], so every distinct name's features (and
+    /// the shared gram interner) are computed exactly once, here.
     pub fn build_with_q(repo: &SchemaRepository, q: usize) -> Self {
         assert!(q >= 1, "q must be at least 1");
-        let store = FeatureStore::build(repo, q);
-        let exact = exact_name_map(&store);
-        let gram_count = store.interner().len();
-        let mut per_gram: Vec<Vec<(u32, u32)>> = vec![Vec::new(); gram_count];
-        let mut lens: Vec<u32> = Vec::with_capacity(store.len());
-        let mut total_postings = 0usize;
-        for (dense, (_, features)) in store.iter().enumerate() {
-            lens.push(features.char_len() as u32);
-            // The signature is already sorted + deduplicated, so each node lands at
-            // most once per posting list, in canonical node order. Fresh builds
-            // carry per-gram positions parallel to the signature.
-            debug_assert_eq!(features.gram_sig().len(), features.gram_positions().len());
-            for (&gram_id, &pos) in features.gram_sig().iter().zip(features.gram_positions()) {
-                per_gram[gram_id as usize].push((dense as u32, pos));
-                total_postings += 1;
-            }
-        }
-        let mut arena: Vec<u32> = Vec::with_capacity(total_postings);
-        let mut arena_pos: Vec<u32> = Vec::with_capacity(total_postings);
-        let mut segments: Vec<LenSegment> = Vec::new();
-        let mut gram_segments: Vec<u32> = Vec::with_capacity(gram_count + 1);
-        gram_segments.push(0);
-        for list in &mut per_gram {
-            // Stable by-length sort keeps the dense indices ascending within each
-            // segment (they were pushed in canonical order).
-            list.sort_by_key(|&(dense, _)| lens[dense as usize]);
-            let mut k = 0;
-            while k < list.len() {
-                let len = lens[list[k].0 as usize];
-                let start = arena.len() as u32;
-                while k < list.len() && lens[list[k].0 as usize] == len {
-                    arena.push(list[k].0);
-                    arena_pos.push(list[k].1);
-                    k += 1;
-                }
-                segments.push(LenSegment {
-                    len,
-                    start,
-                    end: arena.len() as u32,
-                });
-            }
-            gram_segments.push(segments.len() as u32);
-        }
-        let seg_dead = vec![0; segments.len()];
-        NameIndex {
-            exact,
-            arena,
-            arena_pos,
-            segments,
-            gram_segments,
-            seg_dead,
-            dead_postings: 0,
-            lens,
-            store,
+        let mut index = NameIndex {
+            store: FeatureStore::build(repo, q),
+            gram_segments: vec![0],
             q,
+            ..NameIndex::default()
+        };
+        let names: Vec<NameId> = (0..index.store.name_count() as NameId).collect();
+        for &name in &names {
+            index.register_name(name);
         }
+        index.post_names(&names);
+        index
     }
 
-    /// Reassemble an index from snapshot parts. The parts must be a dump of a
-    /// previously built index over the same repository the `store` covers —
-    /// including the exact-name map, rebuilt by the caller with one insert per
-    /// distinct name (hashing every node again is measurable at load time).
-    #[allow(clippy::too_many_arguments)]
+    /// Reassemble an index from snapshot parts: a dump of a previously built
+    /// index's posting arena and directories over the names `store` holds
+    /// (`lens` one entry per name, every arena entry a valid name id, every
+    /// segment inside the arena). What follows from those — the exact-name
+    /// groups, which names are posted, and the dead and node-weighted size of
+    /// every segment under the store's tombstones — is rederived in one arena
+    /// pass, so it is never serialized.
     pub(crate) fn from_parts(
-        exact: HashMap<String, Vec<GlobalNodeId>>,
-        arena: Vec<u32>,
+        arena: Vec<NameId>,
         arena_pos: Vec<u32>,
         segments: Vec<LenSegment>,
         gram_segments: Vec<u32>,
@@ -398,239 +445,337 @@ impl NameIndex {
         q: usize,
     ) -> Self {
         debug_assert_eq!(arena.len(), arena_pos.len());
-        let seg_dead = vec![0; segments.len()];
-        NameIndex {
-            exact,
+        debug_assert_eq!(lens.len(), store.name_count());
+        let mut index = NameIndex {
+            seg_dead: vec![0; segments.len()],
+            seg_nodes: vec![0; segments.len()],
+            posted: vec![false; lens.len()],
             arena,
             arena_pos,
             segments,
             gram_segments,
-            seg_dead,
-            dead_postings: 0,
             lens,
             store,
             q,
+            ..NameIndex::default()
+        };
+        for name in 0..index.store.name_count() as NameId {
+            index.join_exact_group(name);
+        }
+        for (i, seg) in index.segments.iter().enumerate() {
+            for &name in &index.arena[seg.start as usize..seg.end as usize] {
+                index.posted[name as usize] = true;
+                let nodes = index.store.nodes_of_name(name).len() as u32;
+                index.seg_nodes[i] += nodes;
+                if nodes == 0 {
+                    index.seg_dead[i] += 1;
+                    index.dead_postings += 1;
+                }
+            }
+        }
+        index
+    }
+
+    /// Give a name the store just allocated its index-side columns: length,
+    /// posted flag (postings follow in [`NameIndex::post_names`]) and
+    /// exact-name group.
+    fn register_name(&mut self, name: NameId) {
+        debug_assert_eq!(name as usize, self.lens.len(), "names register in id order");
+        self.lens
+            .push(self.store.name_features(name).char_len() as u32);
+        self.posted.push(false);
+        self.join_exact_group(name);
+    }
+
+    /// List `name` under its lowercased form; a spelling that joins others
+    /// makes (or keeps) their group a merged one. Keyed lookups before
+    /// insertion keep it to one owned `String` per *distinct* lowercased name.
+    fn join_exact_group(&mut self, name: NameId) {
+        let lower = self.store.lower_of(name);
+        match self.exact.get_mut(lower) {
+            Some(group) => {
+                group.names.push(name);
+                group.rebuild(&self.store);
+            }
+            None => {
+                self.exact.insert(
+                    lower.to_string(),
+                    ExactGroup {
+                        names: vec![name],
+                        merged: Vec::new(),
+                    },
+                );
+            }
         }
     }
 
-    /// Replay a persisted tombstone set onto a freshly reassembled index (the
-    /// snapshot-load path): mark the trees dead in the store and recount the
-    /// per-segment dead postings in one arena pass. The exact-name map needs no
-    /// work — it was serialized already cleaned of dead nodes.
-    pub(crate) fn apply_tombstones(&mut self, trees: &[xsm_schema::TreeId]) {
-        for &tid in trees {
-            self.store.tombstone_tree(tid);
+    /// After tree `tid` was appended or tombstoned: bring the merged node list
+    /// of `name`'s exact group up to date (a no-op for the common
+    /// lone-spelling group, whose answer is the store's own node list).
+    fn sync_exact_group(&mut self, name: NameId, tid: xsm_schema::TreeId) {
+        let lower = self.store.lower_of(name);
+        if let Some(group) = self.exact.get_mut(lower) {
+            group.sync_tree(&self.store, tid);
         }
-        self.dead_postings = 0;
-        for (i, seg) in self.segments.iter().enumerate() {
-            let dead = self.arena[seg.start as usize..seg.end as usize]
+    }
+
+    /// The directory entry of gram `gram_id` holding `name` (whose lowercased
+    /// length is `len`), if the name is posted under the gram. Same-length
+    /// twins hold disjoint names, so at most one probe hits.
+    fn find_segment(&self, gram_id: u32, len: u32, name: NameId) -> Option<usize> {
+        let (seg_start, seg_end) = self.segment_range(gram_id);
+        let first = seg_start + self.segments[seg_start..seg_end].partition_point(|s| s.len < len);
+        (first..seg_end)
+            .take_while(|&i| self.segments[i].len == len)
+            .find(|&i| {
+                let seg = self.segments[i];
+                self.arena[seg.start as usize..seg.end as usize]
+                    .binary_search(&name)
+                    .is_ok()
+            })
+    }
+
+    /// The directory entries holding `name`'s postings, one per distinct gram
+    /// of the name, written into `out`.
+    fn segments_of(&self, name: NameId, out: &mut Vec<usize>) {
+        out.clear();
+        let len = self.lens[name as usize];
+        out.extend(
+            self.store
+                .name_features(name)
+                .gram_sig()
                 .iter()
-                .filter(|&&dense| self.store.is_dead(dense as usize))
-                .count();
-            self.seg_dead[i] = dead as u32;
-            self.dead_postings += dead;
-        }
+                .filter_map(|&gram_id| self.find_segment(gram_id, len, name)),
+        );
     }
 
-    /// Append one tree's nodes to the index: the [`FeatureStore`] grows at the
-    /// tail, the new postings extend the arena as new length-segmented runs,
-    /// and the per-gram segment *directory* is remerged (metadata-sized work —
-    /// existing arena entries, dense indices and feature slots are untouched).
-    /// `tid` must be the next tree index of the repository the index covers.
-    pub fn append_tree(&mut self, tid: xsm_schema::TreeId, tree: &xsm_schema::SchemaTree) {
-        let old_total = self.store.len();
-        self.store.append_tree(tid, tree);
-        let new_total = self.store.len();
-
-        // Per-node lengths, exact-name postings, and the new per-gram lists.
-        let mut per_gram: HashMap<u32, Vec<(u32, u32)>> = HashMap::new();
-        let ids = self.store.node_ids();
-        for (dense, &id) in ids.iter().enumerate().take(new_total).skip(old_total) {
-            let features = self.store.features_at(dense);
-            self.lens.push(features.char_len() as u32);
-            debug_assert_eq!(features.gram_sig().len(), features.gram_positions().len());
-            for (&gram_id, &pos) in features.gram_sig().iter().zip(features.gram_positions()) {
-                per_gram
-                    .entry(gram_id)
-                    .or_default()
-                    .push((dense as u32, pos));
-            }
-            let lower = &*features.lower;
-            match self.exact.get_mut(lower) {
-                // Dense order is ascending id order, so pushes keep the
-                // posting lists sorted.
-                Some(nodes) => nodes.push(id),
-                None => {
-                    self.exact.insert(lower.to_string(), vec![id]);
-                }
-            }
+    /// Post `names` (distinct, each live and not yet posted): their postings
+    /// extend the arena as new length-segmented tail runs, one per
+    /// (gram, length) among them, and the per-gram segment *directory* is
+    /// remerged (metadata-sized work — existing arena entries are untouched).
+    fn post_names(&mut self, names: &[NameId]) {
+        if names.is_empty() {
+            return;
         }
-
-        // Tail-extend the arena with the new runs, one segment per
-        // (gram, length) among the appended nodes.
-        let mut new_segments: HashMap<u32, Vec<(LenSegment, usize)>> =
-            HashMap::with_capacity(per_gram.len());
-        for (gram_id, mut list) in per_gram {
-            list.sort_by_key(|&(dense, _)| self.lens[dense as usize]);
-            let mut segs: Vec<(LenSegment, usize)> = Vec::new();
-            let mut k = 0;
-            while k < list.len() {
-                let len = self.lens[list[k].0 as usize];
-                let start = self.arena.len() as u32;
-                while k < list.len() && self.lens[list[k].0 as usize] == len {
-                    self.arena.push(list[k].0);
-                    self.arena_pos.push(list[k].1);
-                    k += 1;
+        let mut postings: Vec<(u32, u32, NameId, u32)> = Vec::new();
+        for &name in names {
+            let features = self.store.name_features(name);
+            if features.gram_positions().len() != features.gram_sig().len() {
+                self.store.rebuild_features(name);
+            }
+            let features = self.store.name_features(name);
+            let len = self.lens[name as usize];
+            for (&gram_id, &pos) in features.gram_sig().iter().zip(features.gram_positions()) {
+                postings.push((gram_id, len, name, pos));
+            }
+            self.posted[name as usize] = true;
+        }
+        // The signature is sorted + deduplicated, so a name lands at most once
+        // per gram; sorting groups the batch into ascending (gram, length) runs.
+        postings.sort_unstable();
+        self.arena.reserve(postings.len());
+        self.arena_pos.reserve(postings.len());
+        let mut runs: Vec<(u32, LenSegment, u32)> = Vec::new();
+        for &(gram_id, len, name, pos) in &postings {
+            let at = self.arena.len() as u32;
+            self.arena.push(name);
+            self.arena_pos.push(pos);
+            let nodes = self.store.nodes_of_name(name).len() as u32;
+            match runs.last_mut() {
+                Some((g, seg, seg_nodes)) if *g == gram_id && seg.len == len => {
+                    seg.end = at + 1;
+                    *seg_nodes += nodes;
                 }
-                segs.push((
+                _ => runs.push((
+                    gram_id,
                     LenSegment {
                         len,
-                        start,
-                        end: self.arena.len() as u32,
+                        start: at,
+                        end: at + 1,
                     },
-                    0,
-                ));
+                    nodes,
+                )),
             }
-            new_segments.insert(gram_id, segs);
         }
 
-        // Remerge the segment directory: per gram, old segments and the new
-        // tail run ordered by length, the old segment first on equal lengths
-        // (old dense indices < new ones, so ascending order is preserved
-        // across the same-length pair).
+        // Remerge the directory: per gram, the old segments and the new runs
+        // ordered by length, the old segment first on equal lengths.
         let gram_count = self.store.interner().len();
-        let mut segments = Vec::with_capacity(self.segments.len() + new_segments.len());
-        let mut seg_dead = Vec::with_capacity(segments.capacity());
+        let total = self.segments.len() + runs.len();
+        let mut segments = Vec::with_capacity(total);
+        let mut seg_dead = Vec::with_capacity(total);
+        let mut seg_nodes = Vec::with_capacity(total);
         let mut gram_segments = Vec::with_capacity(gram_count + 1);
         gram_segments.push(0u32);
         let old_gram_count = self.gram_segments.len() - 1;
+        let mut new_runs = runs.into_iter().peekable();
         for gram_id in 0..gram_count {
-            let old = if gram_id < old_gram_count {
-                let (s, e) = (
-                    self.gram_segments[gram_id] as usize,
-                    self.gram_segments[gram_id + 1] as usize,
-                );
-                s..e
+            let (old_start, old_end) = if gram_id < old_gram_count {
+                self.segment_range(gram_id as u32)
             } else {
-                0..0
+                (0, 0)
             };
-            let mut old_iter = old.clone().peekable();
-            let mut new_iter = new_segments
-                .remove(&(gram_id as u32))
-                .unwrap_or_default()
-                .into_iter()
-                .peekable();
+            let mut old = (old_start..old_end).peekable();
             loop {
-                let take_old = match (old_iter.peek(), new_iter.peek()) {
-                    (Some(&oi), Some((nseg, _))) => self.segments[oi].len <= nseg.len,
+                let new_len = new_runs
+                    .peek()
+                    .filter(|(g, _, _)| *g as usize == gram_id)
+                    .map(|(_, seg, _)| seg.len);
+                let take_old = match (old.peek(), new_len) {
+                    (Some(&oi), Some(new_len)) => self.segments[oi].len <= new_len,
                     (Some(_), None) => true,
                     (None, Some(_)) => false,
                     (None, None) => break,
                 };
                 if take_old {
-                    let oi = old_iter.next().expect("peeked");
+                    let oi = old.next().expect("peeked");
                     segments.push(self.segments[oi]);
                     seg_dead.push(self.seg_dead[oi]);
+                    seg_nodes.push(self.seg_nodes[oi]);
                 } else {
-                    let (seg, dead) = new_iter.next().expect("peeked");
+                    let (_, seg, nodes) = new_runs.next().expect("peeked");
                     segments.push(seg);
-                    seg_dead.push(dead as u32);
+                    seg_dead.push(0);
+                    seg_nodes.push(nodes);
                 }
             }
             gram_segments.push(segments.len() as u32);
         }
         self.segments = segments;
         self.seg_dead = seg_dead;
+        self.seg_nodes = seg_nodes;
         self.gram_segments = gram_segments;
     }
 
-    /// Tombstone tree `tid`: its nodes stop being returned by every lookup, the
-    /// exact-name map drops them eagerly, and their postings are recorded dead
-    /// per segment (filtered at candidate emission until a [`NameIndex::compact`]
-    /// physically reclaims them). Returns the number of postings tombstoned, or
-    /// `None` when the tree is unknown or already dead.
-    pub fn tombstone_tree(&mut self, tid: xsm_schema::TreeId) -> Option<usize> {
-        let range = self.store.tombstone_tree(tid)?;
-        let ids = self.store.node_ids();
-        let mut killed = 0usize;
-        for dense in range {
-            let features = self.store.features_at(dense);
-            let len = self.lens[dense];
-            // Drop the node from its exact-name posting list (kept sorted, so
-            // one binary search finds it).
-            let id = ids[dense];
-            if let Some(nodes) = self.exact.get_mut(&*features.lower) {
-                if let Ok(pos) = nodes.binary_search(&id) {
-                    nodes.remove(pos);
-                }
-                if nodes.is_empty() {
-                    self.exact.remove(&*features.lower);
-                }
+    /// Append a batch of trees to the index; they take consecutive ids from
+    /// `first`, which must be the next tree index of the repository the index
+    /// covers. A node whose spelling is already live is a push onto that
+    /// name's node list plus a node-weight bump on the name's segments — no
+    /// posting, no directory work. Only a spelling that is new, or that comes
+    /// back after a compaction reclaimed it, posts: the arena grows tail runs
+    /// and the segment directory is remerged, once for the whole batch. A
+    /// spelling that comes back while its dead postings are still in the
+    /// arena is revived in place.
+    pub fn append_trees(&mut self, first: xsm_schema::TreeId, trees: &[xsm_schema::SchemaTree]) {
+        let mut to_post: Vec<NameId> = Vec::new();
+        let mut segs: Vec<usize> = Vec::new();
+        for (tid, tree) in (first.0..).map(xsm_schema::TreeId).zip(trees) {
+            let old_names = self.store.name_count();
+            let old_nodes = self.store.len();
+            self.store.append_tree(tid, tree);
+            for name in old_names..self.store.name_count() {
+                self.register_name(name as NameId);
             }
-            // Record the posting dead in each gram's segment of this length
-            // that contains it (same-length twins hold disjoint dense ranges,
-            // so exactly one probe succeeds).
-            for &gram_id in features.gram_sig() {
-                let (seg_start, seg_end) = self.segment_range(gram_id);
-                for i in seg_start..seg_end {
-                    let seg = self.segments[i];
-                    if seg.len != len {
-                        continue;
+            for (name, added) in name_counts(&self.store.node_names()[old_nodes..]) {
+                let awakened = self.store.nodes_of_name(name).len() == added as usize;
+                if !self.posted[name as usize] {
+                    // Posted after the batch, with all the node weight the
+                    // batch gave it; a later tree of the batch finds it
+                    // already waiting.
+                    if awakened {
+                        to_post.push(name);
                     }
-                    if self.arena[seg.start as usize..seg.end as usize]
-                        .binary_search(&(dense as u32))
-                        .is_ok()
-                    {
-                        self.seg_dead[i] += 1;
-                        killed += 1;
-                        break;
+                } else {
+                    self.segments_of(name, &mut segs);
+                    for &i in &segs {
+                        self.seg_nodes[i] += added;
+                        if awakened {
+                            self.seg_dead[i] -= 1;
+                        }
+                    }
+                    if awakened {
+                        self.dead_postings -= segs.len();
                     }
                 }
+                self.sync_exact_group(name, tid);
             }
         }
-        self.dead_postings += killed;
-        Some(killed)
+        self.post_names(&to_post);
     }
 
-    /// LSM-style compaction: rewrite the posting arena alive-only, merging a
-    /// gram's same-length segment twins (accumulated by appends) back into one
-    /// run each. Dense indices are *never* renumbered — dead feature slots
-    /// stay allocated so surviving postings keep their meaning — which makes
-    /// compaction a physical-layout operation with no logical effect (and no
-    /// generation bump). Returns the number of postings reclaimed.
+    /// Tombstone tree `tid`: its nodes leave their names' node lists, so no
+    /// lookup returns them and the node-weighted segment sizes shrink; a name
+    /// left with **no** live node has its postings recorded dead per segment
+    /// (filtered at candidate emission until a [`NameIndex::compact`]
+    /// physically reclaims them). Returns the node-weighted posting volume the
+    /// tombstone removed — each deleted node once per distinct gram of its
+    /// name, the same number however the forest is sharded — or `None` when
+    /// the tree is unknown or already dead.
+    pub fn tombstone_tree(&mut self, tid: xsm_schema::TreeId) -> Option<usize> {
+        let range = self.store.tombstone_tree(tid)?;
+        let mut dropped = 0usize;
+        let mut segs: Vec<usize> = Vec::new();
+        for (name, removed) in name_counts(&self.store.node_names()[range]) {
+            let died = self.store.nodes_of_name(name).is_empty();
+            self.segments_of(name, &mut segs);
+            for &i in &segs {
+                self.seg_nodes[i] -= removed;
+                if died {
+                    self.seg_dead[i] += 1;
+                }
+            }
+            if died {
+                self.dead_postings += segs.len();
+            }
+            dropped += removed as usize * segs.len();
+            self.sync_exact_group(name, tid);
+        }
+        Some(dropped)
+    }
+
+    /// LSM-style compaction: rewrite the posting arena without the postings
+    /// of dead names, merging a gram's same-length segment twins (accumulated
+    /// by appends) back into one ascending run each. Name ids are *never*
+    /// renumbered — a dead name keeps its id and features, and is posted
+    /// afresh if an append brings it back — which makes compaction a
+    /// physical-layout operation with no logical effect (and no generation
+    /// bump). Returns the number of postings reclaimed.
     pub fn compact(&mut self) -> usize {
         let reclaimed = self.dead_postings;
         let mut arena = Vec::with_capacity(self.arena.len() - self.dead_postings);
         let mut arena_pos = Vec::with_capacity(arena.capacity());
         let mut segments = Vec::with_capacity(self.segments.len());
+        let mut seg_nodes = Vec::with_capacity(self.segments.len());
         let mut gram_segments = Vec::with_capacity(self.gram_segments.len());
         gram_segments.push(0u32);
+        let mut run: Vec<(NameId, u32)> = Vec::new();
         for gram_id in 0..self.gram_segments.len() - 1 {
             let (seg_start, seg_end) = self.segment_range(gram_id as u32);
             let mut i = seg_start;
             while i < seg_end {
                 let len = self.segments[i].len;
-                let start = arena.len() as u32;
-                // Adjacent directory entries of equal length are the old run
-                // followed by append runs, already ascending across the group.
+                run.clear();
+                let mut nodes = 0u32;
                 while i < seg_end && self.segments[i].len == len {
                     let seg = self.segments[i];
                     for k in seg.start as usize..seg.end as usize {
-                        let dense = self.arena[k];
-                        if !self.store.is_dead(dense as usize) {
-                            arena.push(dense);
-                            arena_pos.push(self.arena_pos[k]);
+                        let name = self.arena[k];
+                        if self.is_dead(name) {
+                            self.posted[name as usize] = false;
+                        } else {
+                            run.push((name, self.arena_pos[k]));
                         }
                     }
+                    nodes += self.seg_nodes[i];
                     i += 1;
                 }
-                if arena.len() as u32 > start {
-                    segments.push(LenSegment {
-                        len,
-                        start,
-                        end: arena.len() as u32,
-                    });
+                if run.is_empty() {
+                    continue;
                 }
+                // Each twin is ascending, but a name posted afresh in a later
+                // twin may sort before an older twin's names.
+                run.sort_unstable_by_key(|&(name, _)| name);
+                let start = arena.len() as u32;
+                for &(name, pos) in &run {
+                    arena.push(name);
+                    arena_pos.push(pos);
+                }
+                segments.push(LenSegment {
+                    len,
+                    start,
+                    end: arena.len() as u32,
+                });
+                seg_nodes.push(nodes);
             }
             gram_segments.push(segments.len() as u32);
         }
@@ -639,17 +784,32 @@ impl NameIndex {
         self.segments = segments;
         self.gram_segments = gram_segments;
         self.seg_dead = vec![0; self.segments.len()];
+        self.seg_nodes = seg_nodes;
         self.dead_postings = 0;
         reclaimed
     }
 
-    /// Tombstoned postings still occupying the arena.
+    /// Posting entries in the arena, dead ones included: one per (gram, posted
+    /// name) pair — however many nodes carry the name.
+    pub fn posting_count(&self) -> usize {
+        self.arena.len()
+    }
+
+    /// Entries in the length-segment directory (same-length twins left by
+    /// appends count separately until a compaction merges them).
+    pub fn segment_count(&self) -> usize {
+        self.segments.len()
+    }
+
+    /// Postings of dead names (names with no live node) still occupying the
+    /// arena.
     pub fn dead_postings(&self) -> usize {
         self.dead_postings
     }
 
-    /// Fraction of the arena occupied by tombstoned postings (0 when empty) —
-    /// the dead-weight measure compaction thresholds are expressed in.
+    /// Fraction of the arena occupied by postings of dead names (0 when
+    /// empty) — the dead-weight measure compaction thresholds are expressed
+    /// in. Deleting a tree whose names all live on elsewhere adds nothing here.
     pub fn dead_posting_fraction(&self) -> f64 {
         if self.arena.is_empty() {
             0.0
@@ -663,14 +823,8 @@ impl NameIndex {
         self.store.dead_trees()
     }
 
-    /// The exact lowercase-name map, for serialization. Hash-ordered — a
-    /// deterministic writer must sort before laying it out.
-    pub(crate) fn exact_raw(&self) -> &HashMap<String, Vec<GlobalNodeId>> {
-        &self.exact
-    }
-
-    /// The flat posting arena (dense node indices), for serialization.
-    pub(crate) fn arena_raw(&self) -> &[u32] {
+    /// The flat posting arena (name ids), for serialization.
+    pub(crate) fn arena_raw(&self) -> &[NameId] {
         &self.arena
     }
 
@@ -689,28 +843,43 @@ impl NameIndex {
         &self.gram_segments
     }
 
-    /// Character length of every node's lowercased name, for serialization.
+    /// Character length of every name's lowercased form, for serialization.
     pub(crate) fn lens_raw(&self) -> &[u32] {
         &self.lens
     }
 
-    /// Number of distinct names indexed.
+    /// Number of distinct name spellings in the name table — the id space the
+    /// postings and the ScanCount counters range over. Like
+    /// [`FeatureStore::name_count`] it includes names whose nodes were all
+    /// deleted.
     pub fn distinct_names(&self) -> usize {
-        self.exact.len()
+        self.store.name_count()
     }
 
-    /// The per-node feature store (shared gram interner, one `NameFeatures` per
-    /// node) built alongside the index.
+    /// The name table (shared gram interner, one `NameFeatures` per distinct
+    /// spelling, each name's live nodes) built alongside the index.
     pub fn features(&self) -> &FeatureStore {
         &self.store
     }
 
-    /// Nodes whose name equals `name` (case-insensitive).
+    /// Nodes whose name equals `name` (case-insensitive), ascending.
     pub fn lookup_exact(&self, name: &str) -> &[GlobalNodeId] {
+        match self.exact.get(&name.to_lowercase()) {
+            None => &[],
+            Some(group) => match group.names[..] {
+                [only] => self.store.nodes_of_name(only),
+                _ => &group.merged,
+            },
+        }
+    }
+
+    /// The spellings equal to `name` case-insensitively, ascending by id —
+    /// the name-level form of [`NameIndex::lookup_exact`]. Dead names are
+    /// included; their node lists are empty.
+    pub fn exact_names(&self, name: &str) -> &[NameId] {
         self.exact
             .get(&name.to_lowercase())
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+            .map_or(&[], |group| &group.names)
     }
 
     /// Resolve a query name against this index's interner once; the result feeds
@@ -737,14 +906,14 @@ impl NameIndex {
     /// equivalence suite, and its working memory scales with the candidates
     /// touched rather than the corpus, which suits one-shot callers). Hot paths
     /// hold a [`CandidateScratch`] per worker and call
-    /// [`NameIndex::lookup_candidates`] instead.
+    /// [`NameIndex::lookup_names_resolved`] instead.
     pub fn lookup_approximate(&self, name: &str, min_overlap_fraction: f64) -> Vec<GlobalNodeId> {
         self.lookup_approximate_baseline(name, min_overlap_fraction)
     }
 
     /// The filter–verify candidate lookup (see the module docs): length segments
     /// outside the window are skipped wholesale, the survivors are merged with a
-    /// T-occurrence count filter (ScanCount or MergeSkip, chosen from the
+    /// T-occurrence count filter (ScanCount or ScanProbe, chosen from the
     /// in-window volume). Returns candidate ids ascending.
     pub fn lookup_candidates(
         &self,
@@ -773,7 +942,10 @@ impl NameIndex {
         )
     }
 
-    /// The resolved-query core of the filter–verify lookup.
+    /// The node-level form of the resolved lookup:
+    /// [`NameIndex::lookup_names_resolved`] fanned out over the surviving
+    /// names' node lists, ascending. The matcher scores names, not nodes, and
+    /// calls the name-level lookup directly.
     pub fn lookup_candidates_resolved(
         &self,
         resolved: &ResolvedQuery,
@@ -782,16 +954,44 @@ impl NameIndex {
         policy: MergePolicy,
         scratch: &mut CandidateScratch,
     ) -> (Vec<GlobalNodeId>, CandidateStats) {
+        let (names, stats) =
+            self.lookup_names_resolved(resolved, min_overlap_fraction, window, policy, scratch);
+        (self.fan_out(names), stats)
+    }
+
+    /// The nodes of `names`, ascending.
+    fn fan_out(&self, names: &[NameId]) -> Vec<GlobalNodeId> {
+        let mut nodes: Vec<GlobalNodeId> = Vec::new();
+        for &name in names {
+            nodes.extend_from_slice(self.store.nodes_of_name(name));
+        }
+        nodes.sort_unstable();
+        nodes
+    }
+
+    /// The resolved-query core of the filter–verify lookup, at the level it
+    /// runs on: the live names (ascending, held in `scratch`) that pass the
+    /// length window, the T-occurrence count filter and — under a finite
+    /// window — the positional filter. Each returned name stands for every
+    /// node in [`FeatureStore::nodes_of_name`].
+    pub fn lookup_names_resolved<'s>(
+        &self,
+        resolved: &ResolvedQuery,
+        min_overlap_fraction: f64,
+        window: LengthWindow,
+        policy: MergePolicy,
+        scratch: &'s mut CandidateScratch,
+    ) -> (&'s [NameId], CandidateStats) {
         let mut stats = CandidateStats::default();
+        scratch.out.clear();
         if resolved.distinct == 0 {
-            return (Vec::new(), stats);
+            return (&scratch.out, stats);
         }
         let needed = ((min_overlap_fraction * resolved.distinct as f64).ceil() as usize).max(1);
 
-        // Length filter: collect the in-window segments. Sizes and volumes are
-        // *live* (dead postings subtracted), so the planner-facing numbers and
-        // the merge-policy choice match a from-scratch rebuild of the same
-        // logical content; fully-dead segments vanish entirely, like the
+        // Length filter: collect the in-window segments. Sizes and volumes
+        // count *live names* — what the merge below actually touches; segments
+        // whose names are all dead vanish entirely, like a from-scratch
         // rebuild never having had them.
         scratch.segs.clear();
         for &gram_id in &resolved.known {
@@ -811,13 +1011,13 @@ impl NameIndex {
                 }
             }
         }
-        // A node can occur at most once per known gram, so a bound above the known
+        // A name can occur at most once per known gram, so a bound above the known
         // gram count (or the surviving segment count) is unreachable.
         if needed > resolved.known.len()
             || needed > scratch.segs.len()
             || stats.volume_in_window == 0
         {
-            return (Vec::new(), stats);
+            return (&scratch.out, stats);
         }
 
         // The `u8` counters cap both the reachable count (≤ known grams) and the
@@ -856,13 +1056,7 @@ impl NameIndex {
         if let LengthWindow::FuzzyFloor(floor) = window {
             self.positional_filter(resolved, floor, scratch, &mut stats);
         }
-        let ids = self.store.node_ids();
-        let out = scratch
-            .out
-            .iter()
-            .map(|&dense| ids[dense as usize])
-            .collect();
-        (out, stats)
+        (&scratch.out, stats)
     }
 
     /// Positional q-gram filter over the count-filter survivors in
@@ -893,13 +1087,13 @@ impl NameIndex {
         let per_edit = (self.q + 1) as i64;
         let mut kept = 0usize;
         for idx in 0..scratch.out.len() {
-            let dense = scratch.out[idx];
-            let c_len = self.lens[dense as usize] as usize;
+            let name = scratch.out[idx];
+            let c_len = self.lens[name as usize] as usize;
             let k = max_edits_for_floor(floor, resolved.char_len, c_len);
             let bound = resolved.distinct as i64 - k as i64 * per_edit;
             if bound <= 0 {
                 // The edit budget could destroy every gram — nothing to test.
-                scratch.out[kept] = dense;
+                scratch.out[kept] = name;
                 kept += 1;
                 continue;
             }
@@ -911,7 +1105,7 @@ impl NameIndex {
                 if compatible + (resolved.known.len() - g_i) < bound {
                     break; // the remaining grams cannot reach the bound
                 }
-                if let Some(c_pos) = self.posting_position(gram_id, dense) {
+                if let Some(c_pos) = self.posting_position(gram_id, name) {
                     if positions_compatible(q_pos, c_pos, k) {
                         compatible += 1;
                         if compatible >= bound {
@@ -921,7 +1115,7 @@ impl NameIndex {
                 }
             }
             if compatible >= bound {
-                scratch.out[kept] = dense;
+                scratch.out[kept] = name;
                 kept += 1;
             } else {
                 stats.positional_rejections += 1;
@@ -930,30 +1124,21 @@ impl NameIndex {
         scratch.out.truncate(kept);
     }
 
-    /// The packed gram-position entry of `dense` in `gram_id`'s posting list,
-    /// or `None` when the candidate does not contain the gram. Same-length
-    /// twin segments hold disjoint dense ranges, so at most one probe hits.
-    fn posting_position(&self, gram_id: u32, dense: u32) -> Option<u32> {
-        let len = self.lens[dense as usize];
-        let (seg_start, seg_end) = self.segment_range(gram_id);
-        for i in seg_start..seg_end {
-            let seg = self.segments[i];
-            if seg.len != len {
-                continue;
-            }
-            if let Ok(off) = self.arena[seg.start as usize..seg.end as usize].binary_search(&dense)
-            {
-                return Some(self.arena_pos[seg.start as usize + off]);
-            }
-        }
-        None
+    /// The packed gram-position entry of `name` in `gram_id`'s posting list,
+    /// or `None` when the name does not contain the gram.
+    fn posting_position(&self, gram_id: u32, name: NameId) -> Option<u32> {
+        let seg = self.segments[self.find_segment(gram_id, self.lens[name as usize], name)?];
+        let off = self.arena[seg.start as usize..seg.end as usize]
+            .binary_search(&name)
+            .ok()?;
+        Some(self.arena_pos[seg.start as usize + off])
     }
 
     /// The counting pass shared by ScanCount and ScanProbe: dense `u8` counters
     /// over `scratch.runs`, first touches recorded so the counters can be reset
     /// in time proportional to the candidates touched, not the corpus.
     fn scan_runs(&self, scratch: &mut CandidateScratch, stats: &mut CandidateStats) {
-        scratch.counts.resize(self.store.len(), 0);
+        scratch.counts.resize(self.store.name_count(), 0);
         scratch.touched.clear();
         for &(start, end) in &scratch.runs {
             crate::simd::accumulate_run(
@@ -965,7 +1150,7 @@ impl NameIndex {
         stats.candidates_examined = scratch.touched.len();
     }
 
-    /// ScanCount: one dense `u8` counter per node, reset through the touched list
+    /// ScanCount: one dense `u8` counter per name, reset through the touched list
     /// so the per-query cost scales with the candidates touched, not the corpus.
     fn merge_scan_count(
         &self,
@@ -975,13 +1160,11 @@ impl NameIndex {
     ) {
         self.scan_runs(scratch, stats);
         scratch.out.clear();
-        for &dense in &scratch.touched {
-            if scratch.counts[dense as usize] as usize >= needed
-                && !self.store.is_dead(dense as usize)
-            {
-                scratch.out.push(dense);
+        for &name in &scratch.touched {
+            if scratch.counts[name as usize] as usize >= needed && !self.is_dead(name) {
+                scratch.out.push(name);
             }
-            scratch.counts[dense as usize] = 0;
+            scratch.counts[name as usize] = 0;
         }
         scratch.out.sort_unstable();
     }
@@ -1030,13 +1213,13 @@ impl NameIndex {
         // probe segments of its length (`scratch.long` is sorted by length, so the
         // per-length slice is one binary-searched range).
         scratch.out.clear();
-        for &dense in &scratch.touched {
-            let short_count = scratch.counts[dense as usize] as usize;
-            scratch.counts[dense as usize] = 0;
-            if self.store.is_dead(dense as usize) {
+        for &name in &scratch.touched {
+            let short_count = scratch.counts[name as usize] as usize;
+            scratch.counts[name as usize] = 0;
+            if self.is_dead(name) {
                 continue;
             }
-            let len = self.lens[dense as usize];
+            let len = self.lens[name as usize];
             let group_start = scratch.long.partition_point(|&(l, _, _)| l < len);
             let group_end =
                 scratch.long[group_start..].partition_point(|&(l, _, _)| l == len) + group_start;
@@ -1048,7 +1231,7 @@ impl NameIndex {
             for &(_, start, end) in &scratch.long[group_start..group_end] {
                 stats.probes += 1;
                 if self.arena[start as usize..end as usize]
-                    .binary_search(&dense)
+                    .binary_search(&name)
                     .is_ok()
                 {
                     total += 1;
@@ -1058,7 +1241,7 @@ impl NameIndex {
                 }
             }
             if total >= needed {
-                scratch.out.push(dense);
+                scratch.out.push(name);
             }
         }
         scratch.out.sort_unstable();
@@ -1095,7 +1278,7 @@ impl NameIndex {
             }
             stats.candidates_examined += 1;
             if scratch.popped.len() >= needed {
-                if !self.store.is_dead(value as usize) {
+                if !self.is_dead(value) {
                     scratch.out.push(value);
                 }
                 for &run_idx in &scratch.popped {
@@ -1135,10 +1318,11 @@ impl NameIndex {
         }
     }
 
-    /// The classic pre-filter–verify lookup, kept verbatim as the equivalence
+    /// The classic pre-filter–verify lookup, kept as the equivalence
     /// reference and bench baseline: merge **every** posting of the query's grams
-    /// through a per-query hash map, then apply the count filter. Returns the
-    /// candidates ascending plus the number of distinct nodes examined.
+    /// through a per-query hash map, then apply the count filter and fan the
+    /// surviving names out. Returns the candidate nodes ascending plus the
+    /// number of distinct names examined.
     pub fn lookup_approximate_baseline_counted(
         &self,
         name: &str,
@@ -1148,29 +1332,26 @@ impl NameIndex {
         if distinct == 0 {
             return (Vec::new(), 0);
         }
-        let ids = self.store.node_ids();
-        let mut counts: HashMap<GlobalNodeId, usize> = HashMap::new();
+        let mut counts: HashMap<NameId, usize> = HashMap::new();
         for &gram_id in &known {
             let (seg_start, seg_end) = self.segment_range(gram_id);
             for seg in &self.segments[seg_start..seg_end] {
-                for &dense in &self.arena[seg.start as usize..seg.end as usize] {
-                    if self.store.is_dead(dense as usize) {
-                        continue;
+                for &posted in &self.arena[seg.start as usize..seg.end as usize] {
+                    if !self.is_dead(posted) {
+                        *counts.entry(posted).or_default() += 1;
                     }
-                    *counts.entry(ids[dense as usize]).or_default() += 1;
                 }
             }
         }
         let needed = (min_overlap_fraction * distinct as f64).ceil() as usize;
         let needed = needed.max(1);
         let examined = counts.len();
-        let mut out: Vec<GlobalNodeId> = counts
+        let names: Vec<NameId> = counts
             .into_iter()
             .filter(|&(_, c)| c >= needed)
-            .map(|(id, _)| id)
+            .map(|(name, _)| name)
             .collect();
-        out.sort();
-        (out, examined)
+        (self.fan_out(&names), examined)
     }
 
     /// [`NameIndex::lookup_approximate_baseline_counted`] without the accounting.
@@ -1194,6 +1375,13 @@ impl NameIndex {
         self.store.alive_len()
     }
 
+    /// Whether `name` has no live node (its postings, if still in the arena,
+    /// are dead weight).
+    #[inline]
+    fn is_dead(&self, name: NameId) -> bool {
+        self.store.nodes_of_name(name).is_empty()
+    }
+
     /// Segment-directory range of one gram.
     fn segment_range(&self, gram_id: u32) -> (usize, usize) {
         (
@@ -1202,18 +1390,17 @@ impl NameIndex {
         )
     }
 
-    /// Live length of the posting list of one q-gram (0 for grams absent from
-    /// the index; tombstoned postings do not count).
+    /// Number of live nodes whose name contains the q-gram (0 for grams
+    /// absent from the index) — the gram's node-weighted posting length.
     pub fn gram_posting_len(&self, gram: &str) -> usize {
         self.store
             .interner()
             .lookup(gram)
             .map(|id| {
                 let (seg_start, seg_end) = self.segment_range(id);
-                (seg_start..seg_end)
-                    .map(|i| {
-                        (self.segments[i].end - self.segments[i].start - self.seg_dead[i]) as usize
-                    })
+                self.seg_nodes[seg_start..seg_end]
+                    .iter()
+                    .map(|&nodes| nodes as usize)
                     .sum()
             })
             .unwrap_or(0)
@@ -1242,7 +1429,7 @@ impl NameIndex {
             for i in seg_start..seg_end {
                 let seg = self.segments[i];
                 if window.admits(resolved.char_len, seg.len as usize) {
-                    volume += (seg.end - seg.start - self.seg_dead[i]) as usize;
+                    volume += self.seg_nodes[i] as usize;
                 }
             }
         }
@@ -1257,7 +1444,7 @@ impl NameIndex {
             let (seg_start, seg_end) = self.segment_range(gram_id);
             for i in seg_start..seg_end {
                 let seg = self.segments[i];
-                let size = (seg.end - seg.start - self.seg_dead[i]) as usize;
+                let size = self.seg_nodes[i] as usize;
                 if size == 0 {
                     continue;
                 }

@@ -10,9 +10,10 @@
 //!
 //! * [`SchemaRepository`] — the forest store with per-tree node labellings,
 //! * [`index::NameIndex`] — exact and q-gram approximate name lookup across the forest,
-//! * [`features::FeatureStore`] — one precomputed `NameFeatures` per node plus the
-//!   shared gram interner, built together with the index so the similarity kernels
-//!   never re-derive per-name data at query time,
+//! * [`features::FeatureStore`] — the name table: per distinct spelling one
+//!   precomputed `NameFeatures` and the live nodes that carry it, per node a
+//!   name id, plus the shared gram interner — built together with the index so
+//!   the similarity kernels never re-derive per-name data at query time,
 //! * [`generator`] — a seeded synthetic corpus generator that substitutes for the
 //!   crawled corpus (see DESIGN.md, substitution 1): domain vocabularies, realistic
 //!   tree shapes and name mutations give the same *statistical* behaviour that the
@@ -37,7 +38,7 @@ pub mod sampling;
 pub mod simd;
 pub mod snapshot;
 
-pub use features::FeatureStore;
+pub use features::{FeatureStore, NameId};
 pub use generator::{GeneratorConfig, RepositoryGenerator};
 pub use index::{
     CandidateQuery, CandidateScratch, CandidateStats, LengthWindow, MergeAlgorithm, MergePolicy,

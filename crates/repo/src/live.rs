@@ -6,15 +6,20 @@
 //! therefore its [`crate::FeatureStore`]) and keeps the pair **incrementally
 //! consistent** under three mutations:
 //!
-//! * **append** — new trees take the next [`TreeId`]s; the posting arena grows
-//!   tail-only runs, the feature store appends columns, and no existing entry
-//!   moves (dense node indices are stable for the repository's lifetime),
-//! * **delete** — trees are *tombstoned*: their postings stay in the arena but
-//!   are subtracted from every live size and filtered out of every candidate
-//!   merge, so queries answer as if the tree were never there,
-//! * **compact** — once tombstoned weight crosses a threshold, the arena is
-//!   rewritten alive-only (LSM-style), reclaiming the dead postings without
-//!   renumbering a single dense index.
+//! * **append** — new trees take the next [`TreeId`]s and their nodes join the
+//!   node lists of their names in the name table. A node whose spelling is
+//!   already known adds **no posting**; only a spelling never seen before (or
+//!   one a compaction had reclaimed) grows the arena by tail-only runs. No
+//!   existing entry moves (name ids and dense node slots are stable for the
+//!   repository's lifetime),
+//! * **delete** — trees are *tombstoned*: their nodes leave their names' node
+//!   lists, so queries answer as if the tree were never there. Only a name
+//!   left with **no** live node has dead postings: they stay in the arena,
+//!   filtered out of every candidate merge,
+//! * **compact** — once the postings of dead names cross a threshold, the
+//!   arena is rewritten without them (LSM-style), without renumbering a single
+//!   name id. A corpus that repeats its names kills few of them, so it
+//!   compacts rarely.
 //!
 //! Every *logical* mutation (append batch, delete batch) bumps a monotonically
 //! increasing **generation**, recorded per-operation in the [`IngestLog`].
@@ -91,7 +96,8 @@ pub enum IngestOp {
     Delete {
         /// The tree that died.
         tree: TreeId,
-        /// Posting-arena entries the tombstone covered.
+        /// Node-weighted posting volume the tombstone removed: each deleted
+        /// node once per distinct gram of its name.
         postings_dropped: usize,
     },
     /// The posting arena was compacted (physical-only; same generation as the
@@ -186,19 +192,19 @@ impl LiveRepository {
     /// Append a batch of trees; they receive consecutive [`TreeId`]s starting
     /// at the current tree count, returned in order. One generation bump for
     /// the whole batch. Existing index entries are never touched — appending
-    /// is tail-only in the arena, the feature columns and the tree table.
+    /// is tail-only in the arena, the name table and the tree table, and a
+    /// tree of already-known spellings does not touch the arena at all.
     pub fn append_trees(&mut self, trees: Vec<SchemaTree>) -> Result<Vec<TreeId>, LiveError> {
         if trees.is_empty() {
             return Err(LiveError::EmptyBatch);
         }
         let generation = self.generation + 1;
+        self.index
+            .append_trees(TreeId(self.repo.tree_count() as u32), &trees);
         let mut ids = Vec::with_capacity(trees.len());
         for tree in trees {
-            let tid = TreeId(self.repo.tree_count() as u32);
             let nodes = tree.len();
-            self.index.append_tree(tid, &tree);
-            let assigned = self.repo.add_tree(tree);
-            debug_assert_eq!(assigned, tid, "repository and index must agree on ids");
+            let tid = self.repo.add_tree(tree);
             self.log.records.push(IngestRecord {
                 generation,
                 op: IngestOp::Append { tree: tid, nodes },
@@ -209,8 +215,11 @@ impl LiveRepository {
         Ok(ids)
     }
 
-    /// Tombstone a batch of trees; returns the number of posting-arena entries
-    /// the tombstones cover. The batch is validated **before** anything is
+    /// Tombstone a batch of trees; returns the node-weighted posting volume the
+    /// tombstones removed (each deleted node once per distinct gram of its
+    /// name — the same however the forest is sharded; the arena itself only
+    /// holds dead postings for names that lost their last node). The batch is
+    /// validated **before** anything is
     /// applied — an unknown, already-dead or duplicated tree rejects the whole
     /// batch with the repository unchanged. One generation bump per batch.
     pub fn delete_trees(&mut self, trees: &[TreeId]) -> Result<usize, LiveError> {
@@ -248,8 +257,8 @@ impl LiveRepository {
         Ok(dropped)
     }
 
-    /// Rewrite the posting arena alive-only, reclaiming every tombstoned
-    /// posting. Physical-only: answers cannot change, so the generation does
+    /// Rewrite the posting arena without the postings of dead names.
+    /// Physical-only: answers cannot change, so the generation does
     /// not move and caches keyed on it stay valid.
     pub fn compact(&mut self) -> usize {
         let reclaimed = self.index.compact();

@@ -12,8 +12,12 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"XSMSNAP1";
 /// any byte-layout change; there is no cross-version migration.
 ///
 /// v2 added the `index_pos` section (packed gram-position intervals parallel
-/// to the posting arena, feeding the positional q-gram filter).
-pub const FORMAT_VERSION: u32 = 2;
+/// to the posting arena, feeding the positional q-gram filter). v3 is the
+/// name-table layout: spellings, features, postings, positions and lengths
+/// are stored once per distinct name (`names` replaces `node_names`), every
+/// node carries a `u32` name id (`node_name_ids`), and the exact-name
+/// sections are gone — the reader derives them.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Bytes before the header payload: magic + version (u32) + header length (u32).
 pub(crate) const PREAMBLE_LEN: usize = 8 + 4 + 4;
@@ -28,7 +32,12 @@ pub(crate) const NONE_SENTINEL: u32 = u32::MAX;
 /// Required section names, in the order the writer lays them out.
 pub(crate) mod section {
     pub const TREES: &str = "trees";
-    pub const NODE_NAMES: &str = "node_names";
+    /// Every distinct name spelling, in name-id order (new in format v3,
+    /// replacing the per-node `node_names`).
+    pub const NAMES: &str = "names";
+    /// One `u32` name id per node, canonical (tree, slot) order — an index
+    /// into [`NAMES`]. New in format v3.
+    pub const NODE_NAME_IDS: &str = "node_name_ids";
     pub const NODE_META: &str = "node_meta";
     pub const NODE_PROPS: &str = "node_props";
     pub const LABELINGS: &str = "labelings";
@@ -49,8 +58,6 @@ pub(crate) mod section {
     pub const INDEX_SEGMENTS: &str = "index_segments";
     pub const INDEX_GRAM_SEGMENTS: &str = "index_gram_segments";
     pub const INDEX_LENS: &str = "index_lens";
-    pub const EXACT_NAMES: &str = "exact_names";
-    pub const EXACT_NODES: &str = "exact_nodes";
     pub const CENTROIDS: &str = "centroids";
     /// Tombstoned tree ids (u32, ascending). **Optional**: written only when a
     /// live repository has tombstones, so snapshots of never-mutated

@@ -1,13 +1,25 @@
 //! Versioned snapshot persistence: build once, load in milliseconds.
 //!
-//! Everything the serving engine builds at startup — the length-segmented
-//! posting arena of the [`crate::NameIndex`] with its gram and length-segment
-//! directories, the [`xsm_similarity::features::GramInterner`] table, one
-//! [`xsm_similarity::features::NameFeatures`] per node (gram signatures, Myers
-//! match vectors; word tokens stay lazy), per-tree centroids and the
-//! repository's tree/node tables — is deterministic given the repository. This
-//! module serializes all of it into **one self-describing file** so a restart
-//! is a sequential read plus validation instead of a rebuild.
+//! Everything the serving engine builds at startup — the name table (every
+//! distinct spelling once, with its
+//! [`xsm_similarity::features::NameFeatures`]: gram signatures, Myers match
+//! vectors; word tokens stay lazy), the length-segmented posting arena of the
+//! [`crate::NameIndex`] over name ids with its gram and length-segment
+//! directories, the [`xsm_similarity::features::GramInterner`] table,
+//! per-tree centroids and the repository's tree/node tables — is deterministic
+//! given the repository. This module serializes all of it into **one
+//! self-describing file** so a restart is a sequential read plus validation
+//! instead of a rebuild.
+//!
+//! Since format v3 everything that is a function of a name is stored **per
+//! name**: `names` (the spellings, in name-id order), `gram_sigs` /
+//! `gram_counts` / `peq` (feature columns), `index_arena` / `index_pos`
+//! (postings and positional intervals over name ids) and `index_lens`. A node
+//! costs its fixed-width metadata, its labelling and one `u32` in
+//! `node_name_ids`. What follows from those columns — each name's node list,
+//! the case-insensitive exact-name groups, which postings the tombstones leave
+//! dead and the node-weighted segment sizes the planner reads — is **derived
+//! at load**, not stored, so no section can contradict another about it.
 //!
 //! ## File layout
 //!

@@ -9,9 +9,11 @@
 //!
 //! Reconstruction is slicing, not parsing: every section is a flat
 //! little-endian array decoded with bulk `u32` passes; the only per-entry work
-//! is reassembling the `Box`ed feature fields and replaying tree edges —
-//! integer appends, no hashing except one insert per distinct name when the
-//! serialized exact-name map is rebuilt.
+//! is replaying tree edges and, per distinct name, one hash insert into the
+//! spelling map and the exact-name groups. What follows from the serialized
+//! columns — each name's node list, the exact-name groups, the dead and
+//! node-weighted segment sizes — is rederived, never read, so it cannot
+//! disagree with them.
 
 use std::path::Path;
 
@@ -228,8 +230,6 @@ fn reconstruct(header: &SnapshotHeader, body: &[u8]) -> Result<Snapshot, Snapsho
     }
 
     // --- tombstones (optional; absent from never-mutated snapshots) --------
-    // Parsed early: the dead-node count below feeds the exact-map size check,
-    // and the ids are re-applied to the index after assembly.
     let tombstoned: Vec<TreeId> = match maybe_section_payload(header, body, section::TOMBSTONES) {
         None => Vec::new(),
         Some(payload) => {
@@ -252,18 +252,27 @@ fn reconstruct(header: &SnapshotHeader, body: &[u8]) -> Result<Snapshot, Snapsho
             trees
         }
     };
-    let dead_nodes: usize = tombstoned
-        .iter()
-        .map(|t| tree_sizes[t.index()] as usize)
-        .sum();
 
-    // --- node names + fixed-width metadata ---------------------------------
+    // --- the name table, per-node name ids + fixed-width metadata ----------
     let mut cur = Cursor::new(
-        section_payload(header, body, section::NODE_NAMES)?,
-        section::NODE_NAMES,
+        section_payload(header, body, section::NAMES)?,
+        section::NAMES,
     );
-    let node_names = cur.read_str_table(Some(node_count), "node names")?;
+    let spellings = cur.read_str_table(None, "name spellings")?;
     cur.finish()?;
+    let name_count = spellings.len();
+    let node_name_ids = flat_u32s(header, body, section::NODE_NAME_IDS)?;
+    if node_name_ids.len() != node_count {
+        return Err(SnapshotError::malformed(format!(
+            "node_name_ids has {} entries for {node_count} nodes",
+            node_name_ids.len()
+        )));
+    }
+    if let Some(&bad) = node_name_ids.iter().find(|&&n| n as usize >= name_count) {
+        return Err(SnapshotError::malformed(format!(
+            "a node refers to unknown name {bad} ({name_count} names)"
+        )));
+    }
 
     let meta = section_payload(header, body, section::NODE_META)?;
     if meta.len() != node_count * 8 {
@@ -281,10 +290,6 @@ fn reconstruct(header: &SnapshotHeader, body: &[u8]) -> Result<Snapshot, Snapsho
     // replayed `add_root`/`add_child` sequence would apply.
     let mut trees = Vec::with_capacity(tree_count);
     let mut dense = 0usize;
-    // The rebuild consumes the decoded name strings — `SchemaNode` takes
-    // ownership, so handing over the table's allocations avoids a second
-    // per-node copy.
-    let mut node_names = node_names.into_iter();
     for (t, name) in tree_names.iter().enumerate() {
         let n = tree_sizes[t] as usize;
         let mut nodes = Vec::with_capacity(n);
@@ -292,7 +297,7 @@ fn reconstruct(header: &SnapshotHeader, body: &[u8]) -> Result<Snapshot, Snapsho
         for _ in 0..n {
             let m = &meta[dense * 8..dense * 8 + 8];
             let parent = u32::from_le_bytes([m[0], m[1], m[2], m[3]]);
-            let node_name = node_names.next().expect("table length validated above");
+            let node_name = spellings[node_name_ids[dense] as usize].clone();
             nodes.push(decode_node(node_name, m[4], m[5], m[6])?);
             parents.push((parent != NONE_SENTINEL).then_some(NodeId(parent)));
             dense += 1;
@@ -381,7 +386,7 @@ fn reconstruct(header: &SnapshotHeader, body: &[u8]) -> Result<Snapshot, Snapsho
     }
     let repository = SchemaRepository::from_labeled_trees(trees, labelings);
 
-    // --- the gram interner and per-node features ---------------------------
+    // --- the gram interner and per-name features ---------------------------
     if header.q == 0 {
         return Err(SnapshotError::malformed("header q must be >= 1"));
     }
@@ -398,11 +403,10 @@ fn reconstruct(header: &SnapshotHeader, body: &[u8]) -> Result<Snapshot, Snapsho
         section_payload(header, body, section::GRAM_SIGS)?,
         section::GRAM_SIGS,
     );
-    let sig_offsets = cur.read_u32s(node_count + 1, "gram signature offsets")?;
+    let sig_offsets = cur.read_u32s(name_count + 1, "gram signature offsets")?;
     let sig_total = *sig_offsets.last().unwrap() as usize;
     // The flat signature/count/match-vector payloads stay as raw bytes here
-    // and are decoded straight into each node's boxed slices below — at this
-    // volume an intermediate decoded `Vec` is a second full copy.
+    // and are decoded once into the feature columns below.
     let sig_bytes = cur.take(
         sig_total
             .checked_mul(4)
@@ -443,7 +447,7 @@ fn reconstruct(header: &SnapshotHeader, body: &[u8]) -> Result<Snapshot, Snapsho
     };
 
     let mut cur = Cursor::new(section_payload(header, body, section::PEQ)?, section::PEQ);
-    let peq_offsets = cur.read_u32s(node_count + 1, "match-vector offsets")?;
+    let peq_offsets = cur.read_u32s(name_count + 1, "match-vector offsets")?;
     let peq_total = *peq_offsets.last().unwrap() as usize;
     let peq_bytes = cur.take(
         peq_total
@@ -454,10 +458,10 @@ fn reconstruct(header: &SnapshotHeader, body: &[u8]) -> Result<Snapshot, Snapsho
     cur.finish()?;
     check_offsets(&peq_offsets, peq_total, "match-vector offsets")?;
 
-    // Per-node features stay *columnar*: a handful of bulk decodes here, and
-    // the store materialises a node's `NameFeatures` on its first use. This is
+    // Per-name features stay *columnar*: a handful of bulk decodes here, and
+    // the store materialises a name's `NameFeatures` on its first use. This is
     // what keeps reconstruction time proportional to bytes rather than to the
-    // several boxed slices per node an eager build would allocate.
+    // several boxed slices per name an eager build would allocate.
     let decode_u32 = |c: &[u8]| u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
     let mut columns = FeatureColumns {
         sig_flat: sig_bytes.chunks_exact(4).map(decode_u32).collect(),
@@ -475,12 +479,12 @@ fn reconstruct(header: &SnapshotHeader, body: &[u8]) -> Result<Snapshot, Snapsho
         })?;
         columns.peq_flat.push((c, mask));
     }
-    columns.lower_offsets.reserve_exact(node_count + 1);
+    columns.lower_offsets.reserve_exact(name_count + 1);
     columns.lower_offsets.push(0);
-    columns.orig_offsets.reserve_exact(node_count + 1);
+    columns.orig_offsets.reserve_exact(name_count + 1);
     columns.orig_offsets.push(0);
-    for (_, node) in repository.nodes() {
-        let name = node.name.as_str();
+    for name in &spellings {
+        let name = name.as_str();
         // One scan decides both the lowercase form and whether the original
         // spelling needs keeping; ASCII (the overwhelming case) skips the
         // Unicode lowercasing machinery entirely.
@@ -503,7 +507,15 @@ fn reconstruct(header: &SnapshotHeader, body: &[u8]) -> Result<Snapshot, Snapsho
         columns.lower_offsets.push(columns.lower_blob.len() as u32);
         columns.orig_offsets.push(columns.orig_blob.len() as u32);
     }
-    let store = FeatureStore::from_columns(interner, columns, tree_starts);
+    let store = FeatureStore::from_columns(
+        interner,
+        columns,
+        spellings,
+        node_name_ids,
+        tree_starts,
+        tombstoned,
+    )
+    .map_err(|e| SnapshotError::malformed(format!("name table: {e}")))?;
 
     // --- the index ---------------------------------------------------------
     // Decode and bounds-check the posting arena in one pass — it is the
@@ -519,9 +531,9 @@ fn reconstruct(header: &SnapshotHeader, body: &[u8]) -> Result<Snapshot, Snapsho
     let mut arena = Vec::with_capacity(arena_payload.len() / 4);
     for c in arena_payload.chunks_exact(4) {
         let d = decode_u32(c);
-        if d as usize >= node_count {
+        if d as usize >= name_count {
             return Err(SnapshotError::malformed(format!(
-                "posting arena refers to unknown node {d}"
+                "posting arena refers to unknown name {d} ({name_count} names)"
             )));
         }
         arena.push(d);
@@ -574,69 +586,16 @@ fn reconstruct(header: &SnapshotHeader, body: &[u8]) -> Result<Snapshot, Snapsho
         )));
     }
     let lens = flat_u32s(header, body, section::INDEX_LENS)?;
-    if lens.len() != node_count {
+    if lens.len() != name_count {
         return Err(SnapshotError::malformed(format!(
-            "index_lens has {} entries for {node_count} nodes",
+            "index_lens has {} entries for {name_count} names",
             lens.len()
         )));
     }
 
-    // The exact-name map: one insert per distinct name. Every node carries
-    // exactly one name, so the posting lists partition the node set — their
-    // lengths must sum to the node count.
-    let mut cur = Cursor::new(
-        section_payload(header, body, section::EXACT_NAMES)?,
-        section::EXACT_NAMES,
-    );
-    let exact_names = cur.read_str_table(None, "exact names")?;
-    cur.finish()?;
-    let mut cur = Cursor::new(
-        section_payload(header, body, section::EXACT_NODES)?,
-        section::EXACT_NODES,
-    );
-    let exact_offsets = cur.read_u32s(exact_names.len() + 1, "exact-name offsets")?;
-    let exact_total = *exact_offsets.last().unwrap() as usize;
-    let exact_flat = cur.read_u32s(exact_total, "exact-name postings")?;
-    cur.finish()?;
-    check_offsets(&exact_offsets, exact_total, "exact-name offsets")?;
-    // Tombstoned nodes are removed from the exact map at delete time, so the
-    // lists partition the *alive* node set.
-    if exact_total != node_count - dead_nodes {
-        return Err(SnapshotError::malformed(format!(
-            "exact-name postings cover {exact_total} nodes, header says {node_count} \
-             ({dead_nodes} tombstoned)"
-        )));
-    }
-    let dense_ids: Vec<GlobalNodeId> = {
-        let mut ids = Vec::with_capacity(node_count);
-        for (t, &n) in tree_sizes.iter().enumerate() {
-            for slot in 0..n {
-                ids.push(GlobalNodeId::new(TreeId(t as u32), NodeId(slot)));
-            }
-        }
-        ids
-    };
-    let mut exact = std::collections::HashMap::with_capacity(exact_names.len());
-    for (i, name) in exact_names.into_iter().enumerate() {
-        let range = exact_offsets[i] as usize..exact_offsets[i + 1] as usize;
-        let mut nodes = Vec::with_capacity(range.len());
-        for &dense in &exact_flat[range] {
-            let id = dense_ids.get(dense as usize).ok_or_else(|| {
-                SnapshotError::malformed(format!(
-                    "exact-name postings refer to unknown node {dense}"
-                ))
-            })?;
-            nodes.push(*id);
-        }
-        if exact.insert(name, nodes).is_some() {
-            return Err(SnapshotError::malformed(
-                "exact-name table repeats a name".to_string(),
-            ));
-        }
-    }
-
-    let mut index = NameIndex::from_parts(
-        exact,
+    // The store already carries the tombstones (dead trees are out of every
+    // name's node list); the index rederives which postings that leaves dead.
+    let index = NameIndex::from_parts(
         arena,
         arena_pos,
         segments,
@@ -645,12 +604,6 @@ fn reconstruct(header: &SnapshotHeader, body: &[u8]) -> Result<Snapshot, Snapsho
         store,
         header.q as usize,
     );
-    // Re-mark the dead trees: the arena still holds their postings (the writer
-    // serializes the physical state), so the live sizes and emission filters
-    // must be reconstructed exactly as the mutating engine had them.
-    if !tombstoned.is_empty() {
-        index.apply_tombstones(&tombstoned);
-    }
 
     // --- centroids ---------------------------------------------------------
     let centroid_slots = flat_u32s(header, body, section::CENTROIDS)?;

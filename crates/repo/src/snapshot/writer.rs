@@ -5,8 +5,8 @@
 //! repository, index, centroids, generation and tree map it produces the same
 //! file, which is what lets `tests/snapshot_golden.rs` pin the format. The
 //! hash-ordered structures in the engine are therefore laid out in a canonical
-//! order instead of map iteration order: the gram table in dense id order, the
-//! exact-name map sorted by name.
+//! order instead of map iteration order: the gram table in dense gram-id
+//! order, the name table in name-id order.
 
 use std::path::Path;
 
@@ -98,10 +98,30 @@ impl SnapshotWriter {
         }
         sections.push((section::TREES, buf));
 
-        // node_names: every node's name, canonical (tree, slot) order.
+        // names: every distinct spelling once, in name-id order, and
+        // node_name_ids: each node's index into it, canonical (tree, slot)
+        // order. Together they replace a per-node name table.
+        assert_eq!(
+            store.len(),
+            node_count,
+            "the index must cover the repository being written"
+        );
+        let name_count = store.name_count();
         let mut buf = Vec::new();
-        put_str_table(&mut buf, repo.nodes().map(|(_, n)| n.name.as_str()));
-        sections.push((section::NODE_NAMES, buf));
+        put_str_table(
+            &mut buf,
+            (0..name_count as u32).map(|name| {
+                let features = store.name_features(name);
+                features.original().unwrap_or(&features.lower)
+            }),
+        );
+        sections.push((section::NAMES, buf));
+
+        let mut buf = Vec::with_capacity(4 * node_count);
+        for &name in store.node_names() {
+            put_u32(&mut buf, name);
+        }
+        sections.push((section::NODE_NAME_IDS, buf));
 
         // node_meta: 8 bytes per node — parent, kind, cardinality, datatype, flags.
         let mut buf = Vec::with_capacity(node_count * 8);
@@ -159,16 +179,17 @@ impl SnapshotWriter {
         put_str_table(&mut buf, gram_table.iter().map(|s| s.as_str()));
         sections.push((section::GRAM_TABLE, buf));
 
-        // gram_sigs / gram_counts / peq: per-node variable-length feature
+        // gram_sigs / gram_counts / peq: per-name variable-length feature
         // columns, each as offsets + one flat arena.
-        let mut sig_offsets = Vec::with_capacity(node_count + 1);
+        let mut sig_offsets = Vec::with_capacity(name_count + 1);
         let mut sig_flat: Vec<u32> = Vec::new();
         let mut count_flat: Vec<u32> = Vec::new();
-        let mut peq_offsets = Vec::with_capacity(node_count + 1);
+        let mut peq_offsets = Vec::with_capacity(name_count + 1);
         let mut peq_flat: Vec<(char, u64)> = Vec::new();
         sig_offsets.push(0u32);
         peq_offsets.push(0u32);
-        for (_, features) in store.iter() {
+        for name in 0..name_count as u32 {
+            let features = store.name_features(name);
             sig_flat.extend_from_slice(features.gram_sig());
             count_flat.extend_from_slice(features.gram_counts());
             sig_offsets.push(sig_flat.len() as u32);
@@ -210,8 +231,8 @@ impl SnapshotWriter {
         }
         sections.push((section::PEQ, buf));
 
-        // The index: posting arena, length-segment directory, per-gram
-        // directory offsets, per-node name lengths.
+        // The index: posting arena (name ids), length-segment directory,
+        // per-gram directory offsets, per-name lengths.
         let mut buf = Vec::with_capacity(4 * index.arena_raw().len());
         for &v in index.arena_raw() {
             put_u32(&mut buf, v);
@@ -245,45 +266,6 @@ impl SnapshotWriter {
             put_u32(&mut buf, v);
         }
         sections.push((section::INDEX_LENS, buf));
-
-        // exact_names / exact_nodes: the exact lowercase-name map — the
-        // engine's one remaining hash-ordered structure, laid out sorted by
-        // name so the file stays deterministic. Each name's posting list is
-        // its dense node indices in stored (ascending) order; shipping the
-        // map means the reader inserts once per *distinct* name instead of
-        // hashing every node again.
-        let exact = index.exact_raw();
-        let mut exact_names: Vec<&str> = exact.keys().map(|s| s.as_str()).collect();
-        exact_names.sort_unstable();
-        let mut buf = Vec::new();
-        put_str_table(&mut buf, exact_names.iter().copied());
-        sections.push((section::EXACT_NAMES, buf));
-
-        let tree_starts: Vec<u32> = {
-            let mut starts = Vec::with_capacity(tree_count + 1);
-            starts.push(0u32);
-            for (_, tree) in repo.trees() {
-                starts.push(starts.last().unwrap() + tree.len() as u32);
-            }
-            starts
-        };
-        let mut offsets = Vec::with_capacity(exact_names.len() + 1);
-        let mut flat: Vec<u32> = Vec::with_capacity(node_count);
-        offsets.push(0u32);
-        for name in &exact_names {
-            for id in &exact[*name] {
-                flat.push(tree_starts[id.tree.index()] + id.node.0);
-            }
-            offsets.push(flat.len() as u32);
-        }
-        let mut buf = Vec::with_capacity(4 * (offsets.len() + flat.len()));
-        for &v in &offsets {
-            put_u32(&mut buf, v);
-        }
-        for &v in &flat {
-            put_u32(&mut buf, v);
-        }
-        sections.push((section::EXACT_NODES, buf));
 
         // centroids: one node slot per tree.
         let mut buf = Vec::with_capacity(4 * tree_count);

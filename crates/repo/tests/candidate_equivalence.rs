@@ -204,17 +204,17 @@ fn positional_filter_rejects_displaced_grams_and_nothing_else() {
 #[test]
 fn auto_policy_crossover_replays_the_baseline() {
     // The crossover volume depends on the active kernel tier (the vectorized
-    // ScanCount core raises it), so size the corpus off the live threshold:
-    // "shared" appears count/5 times and spans ~8 grams, putting its posting
-    // volume well past any threshold-proportional corpus.
+    // ScanCount core raises it), so size the corpus off the live threshold.
+    // Postings are per distinct name, so the volume has to come from distinct
+    // names sharing grams: three fifths of the corpus are `recordNNNNN`
+    // spellings (six grams in common each), while the repeated "shared"
+    // collapses to a single posting per gram and stays far below it.
     let count = 5 * xsm_repo::simd::scan_count_max_volume() / 4;
     let names: Vec<String> = (0..count)
         .map(|i| match i % 5 {
-            0 => format!("record{i:04}"),
-            1 => format!("name{}", i % 37),
-            2 => format!("address{}", i % 23),
             3 => "shared".to_string(),
-            _ => format!("f{}x{}", i % 11, i % 7),
+            4 => format!("f{}x{}", i % 11, i % 7),
+            _ => format!("record{i:05}"),
         })
         .collect();
     let repo = forest_of(&names);
@@ -222,7 +222,7 @@ fn auto_policy_crossover_replays_the_baseline() {
     let mut scratch = CandidateScratch::default();
     let mut saw_scan_probe = false;
     let mut saw_scan_count = false;
-    for query in ["shared", "name3", "address7", "recard0100", "zzz"] {
+    for query in ["shared", "record00100", "recard00100", "f3x3", "zzz"] {
         for frac in [0.0, 0.4, 0.8] {
             let baseline = index.lookup_approximate_baseline(query, frac);
             let (got, stats) = index.lookup_candidates_counted(

@@ -4,11 +4,19 @@
 //!
 //! Coverage: truncation at *every* section boundary (and inside the preamble,
 //! header and footer), a flipped byte in *every* section (attributed to that
-//! section by name), magic/version mismatch, generation mismatch, and a few
+//! section by name), magic/version mismatch, generation mismatch, and
 //! malformed-but-checksummed payloads (the checksums are recomputed so only
-//! the reconstruction validation can catch them).
+//! the reconstruction validation can catch them) — among them structure-aware
+//! lies in the name-table sections of format v3: a node naming a name that
+//! does not exist, a posting doing the same, a spelling listed twice, columns
+//! that disagree about how many names there are, and a table claiming more
+//! entries than the file has bytes. A name's node list is not among them:
+//! the format does not store one (the reader derives it from the per-node
+//! name ids), so it cannot lie.
 
-use xsm_repo::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, FORMAT_VERSION};
+use xsm_repo::snapshot::{
+    SnapshotError, SnapshotHeader, SnapshotReader, SnapshotWriter, FORMAT_VERSION,
+};
 use xsm_repo::{GeneratorConfig, NameIndex, RepositoryGenerator};
 use xsm_schema::{GlobalNodeId, NodeId};
 
@@ -205,6 +213,159 @@ fn header_length_overflow_is_truncated_not_panic() {
     bytes[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
     let err = SnapshotReader::read_bytes(&bytes).unwrap_err();
     assert!(matches!(err, SnapshotError::Truncated { .. }), "{err:?}");
+}
+
+/// Rewrite one section's payload and re-stamp everything that vouches for it
+/// — the section's checksum and offsets in the header, the header length, the
+/// footer — so the file validates and only reconstruction can object.
+fn forge(bytes: &[u8], section: &str, lie: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut header: SnapshotHeader = SnapshotReader::peek_bytes(bytes).expect("intact header");
+    let start = body_start(bytes);
+    let mut payloads: Vec<Vec<u8>> = header
+        .sections
+        .iter()
+        .map(|e| bytes[start + e.offset as usize..start + (e.offset + e.len) as usize].to_vec())
+        .collect();
+    let target = header
+        .sections
+        .iter()
+        .position(|e| e.name == section)
+        .unwrap_or_else(|| panic!("no section `{section}`"));
+    lie(&mut payloads[target]);
+    let mut offset = 0u64;
+    for (entry, payload) in header.sections.iter_mut().zip(&payloads) {
+        entry.offset = offset;
+        entry.len = payload.len() as u64;
+        entry.checksum = checksum64(payload);
+        offset += entry.len;
+    }
+    let header_bytes = serde_json::to_string(&header).unwrap().into_bytes();
+    let mut out = Vec::new();
+    out.extend_from_slice(b"XSMSNAP1");
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&(header_bytes.len() as u32).to_le_bytes());
+    out.extend_from_slice(&header_bytes);
+    for payload in &payloads {
+        out.extend_from_slice(payload);
+    }
+    out.extend_from_slice(&checksum64(&header_bytes).to_le_bytes());
+    out
+}
+
+fn u32_at(payload: &[u8], word: usize) -> u32 {
+    u32::from_le_bytes(payload[word * 4..word * 4 + 4].try_into().unwrap())
+}
+
+fn set_u32(payload: &mut [u8], word: usize, value: u32) {
+    payload[word * 4..word * 4 + 4].copy_from_slice(&value.to_le_bytes());
+}
+
+/// Number of names in the snapshot: the leading count of the `names` table.
+fn name_count(bytes: &[u8]) -> u32 {
+    let mut count = 0;
+    forge(bytes, "names", |payload| count = u32_at(payload, 0));
+    count
+}
+
+fn assert_malformed(bytes: &[u8], what: &str) {
+    match SnapshotReader::read_bytes(bytes) {
+        Err(SnapshotError::Malformed { .. }) => {}
+        other => panic!("{what}: expected Malformed, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_forged_but_honest_file_still_loads() {
+    // The forging helper itself must not be what the reader objects to.
+    let bytes = snapshot_bytes();
+    let forged = forge(&bytes, "node_name_ids", |_| {});
+    assert_eq!(forged, bytes);
+    assert!(SnapshotReader::read_bytes(&forged).is_ok());
+}
+
+#[test]
+fn a_node_naming_a_missing_name_is_malformed() {
+    let bytes = snapshot_bytes();
+    let names = name_count(&bytes);
+    for bad in [names, u32::MAX] {
+        let forged = forge(&bytes, "node_name_ids", |payload| set_u32(payload, 3, bad));
+        assert_malformed(&forged, "node name id past the name table");
+    }
+    // One id too few is a column-length lie, not a panic.
+    let forged = forge(&bytes, "node_name_ids", |payload| {
+        payload.truncate(payload.len() - 4)
+    });
+    assert_malformed(&forged, "node_name_ids shorter than the node count");
+}
+
+#[test]
+fn a_posting_naming_a_missing_name_is_malformed() {
+    let bytes = snapshot_bytes();
+    let names = name_count(&bytes);
+    let forged = forge(&bytes, "index_arena", |payload| set_u32(payload, 0, names));
+    assert_malformed(&forged, "posting past the name table");
+}
+
+#[test]
+fn a_spelling_listed_twice_is_malformed() {
+    // Swap the second spelling for a copy of the first: re-encode the table
+    // (count, cumulative offsets, blob) around the changed entry.
+    let bytes = snapshot_bytes();
+    let forged = forge(&bytes, "names", |payload| {
+        let count = u32_at(payload, 0) as usize;
+        let offsets: Vec<usize> = (0..=count)
+            .map(|i| u32_at(payload, 1 + i) as usize)
+            .collect();
+        let blob = payload[4 * (count + 2)..].to_vec();
+        let mut names: Vec<Vec<u8>> = offsets
+            .windows(2)
+            .map(|w| blob[w[0]..w[1]].to_vec())
+            .collect();
+        names[1] = names[0].clone();
+        payload.clear();
+        payload.extend_from_slice(&(count as u32).to_le_bytes());
+        let mut end = 0u32;
+        payload.extend_from_slice(&end.to_le_bytes());
+        for name in &names {
+            end += name.len() as u32;
+            payload.extend_from_slice(&end.to_le_bytes());
+        }
+        for name in &names {
+            payload.extend_from_slice(name);
+        }
+    });
+    assert_malformed(&forged, "two names with one spelling");
+}
+
+#[test]
+fn columns_that_disagree_about_the_name_count_are_malformed() {
+    let bytes = snapshot_bytes();
+    // One length too few for the names listed.
+    let forged = forge(&bytes, "index_lens", |payload| {
+        payload.truncate(payload.len() - 4)
+    });
+    assert_malformed(&forged, "index_lens shorter than the name table");
+    // One name fewer than the feature columns and the node ids were written for.
+    let forged = forge(&bytes, "names", |payload| {
+        let count = u32_at(payload, 0) as usize;
+        let last_start = u32_at(payload, count) as usize;
+        let blob_start = 4 * (count + 2);
+        payload.truncate(blob_start + last_start);
+        payload.drain(4 * (count + 1)..blob_start);
+        set_u32(payload, 0, count as u32 - 1);
+    });
+    assert_malformed(&forged, "a name table one entry short");
+}
+
+#[test]
+fn a_table_claiming_more_entries_than_bytes_is_malformed_without_allocating() {
+    // A 4-billion-entry name table in a few hundred kilobytes: the reader
+    // must notice from the payload length, not by reserving for the count.
+    let bytes = snapshot_bytes();
+    for section in ["names", "gram_table", "trees"] {
+        let forged = forge(&bytes, section, |payload| set_u32(payload, 0, u32::MAX));
+        assert_malformed(&forged, section);
+    }
 }
 
 /// The snapshot checksum — four-lane word-folding FNV variant, duplicated here

@@ -11,11 +11,15 @@
 //! XSM_UPDATE_GOLDEN=1 cargo test -p xsm-repo --test snapshot_golden
 //! ```
 
-use xsm_repo::snapshot::{SnapshotReader, SnapshotWriter, FORMAT_VERSION, SNAPSHOT_MAGIC};
+use xsm_repo::snapshot::{
+    SnapshotError, SnapshotReader, SnapshotWriter, FORMAT_VERSION, SNAPSHOT_MAGIC,
+};
 use xsm_repo::{GeneratorConfig, NameIndex, RepositoryGenerator, SchemaRepository};
 use xsm_schema::{GlobalNodeId, NodeId};
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/snapshot_v2.bin");
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/snapshot_v3.bin");
+/// The golden file of the previous format, kept to pin that it is refused.
+const GOLDEN_V2_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/snapshot_v2.bin");
 const GOLDEN_GENERATION: u64 = 7;
 
 /// The deterministic corpus the golden file is built from. The centroids are
@@ -214,6 +218,22 @@ fn peek_reports_the_header_without_reconstruction() {
     assert_eq!(header.generation, GOLDEN_GENERATION);
     assert_eq!(header.tree_count as usize, repo.tree_count());
     assert_eq!(header.node_count as usize, repo.total_nodes());
-    assert_eq!(header.sections.len(), 17);
-    assert_eq!(FORMAT_VERSION, 2);
+    assert_eq!(header.sections.len(), 16);
+    assert_eq!(FORMAT_VERSION, 3);
+}
+
+#[test]
+fn the_previous_format_is_refused_with_the_version_found() {
+    // The format has never migrated: a v2 file (per-node features and
+    // postings) is rejected by its version, before any section is looked at.
+    let v2 = std::fs::read(GOLDEN_V2_PATH).expect("v2 golden snapshot present");
+    for result in [
+        SnapshotReader::read_bytes(&v2).map(|_| ()),
+        SnapshotReader::peek_bytes(&v2).map(|_| ()),
+    ] {
+        match result.unwrap_err() {
+            SnapshotError::UnsupportedVersion { found } => assert_eq!(found, 2),
+            other => panic!("{other:?}"),
+        }
+    }
 }

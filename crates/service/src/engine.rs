@@ -4,8 +4,8 @@
 //! for every run; a serving deployment cannot afford that. The engine is constructed
 //! **once** — building the [`NameIndex`] together with its
 //! [`xsm_repo::FeatureStore`] (one precomputed
-//! [`xsm_similarity::NameFeatures`] per repository node, all q-grams interned
-//! to shared `u32` ids) and the [`ClusteredMatcher`] configuration up front — and
+//! [`xsm_similarity::NameFeatures`] per distinct repository name, all q-grams
+//! interned to shared `u32` ids) and the [`ClusteredMatcher`] configuration up front — and
 //! then answers [`MatchQuery`]s from a pool of worker threads draining a bounded
 //! submission queue. Everything is `std`-only: `std::thread` workers,
 //! `mpsc::sync_channel` for the queue and per-query reply channels.
@@ -587,8 +587,8 @@ impl PendingResponse {
 
 /// A concurrent match-serving engine over one repository.
 ///
-/// Construction amortises the expensive artefacts (name index, per-node feature
-/// store, clustering configuration) across every subsequent query; serving happens
+/// Construction amortises the expensive artefacts (name index, per-name feature
+/// table, clustering configuration) across every subsequent query; serving happens
 /// on a fixed pool of worker threads behind a bounded queue, each worker owning its
 /// similarity scratch buffers. Dropping the engine shuts the pool down and joins
 /// every worker.
@@ -837,7 +837,8 @@ impl MatchEngine {
     /// LSM-style arena compaction once the dead fraction crosses
     /// [`EngineConfig::compaction_threshold`]. The batch is validated before
     /// anything mutates (atomic). One generation bump per batch; the result
-    /// cache is invalidated. Returns the number of postings tombstoned.
+    /// cache is invalidated. Returns the node-weighted posting volume removed
+    /// (each deleted node once per distinct gram of its name).
     pub fn delete_trees(&self, trees: &[TreeId]) -> ServiceResult<usize> {
         let mut state = self.write_state();
         let dropped = state.live.delete_trees(trees).map_err(live_error)?;

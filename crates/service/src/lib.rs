@@ -3,9 +3,9 @@
 //! The paper's point is making schema matching cheap enough to answer *many* personal
 //! -schema queries against one large repository. The other crates provide the
 //! algorithms; this crate provides the long-lived component that amortises the
-//! expensive artefacts — the q-gram [`xsm_repo::NameIndex`], the clustering
-//! configuration and a shared [`xsm_similarity::SimilarityCache`] — across every
-//! query, and serves them concurrently:
+//! expensive artefacts — the q-gram [`xsm_repo::NameIndex`] with its name table
+//! ([`xsm_repo::FeatureStore`]: features built once per distinct name) and the
+//! clustering configuration — across every query, and serves them concurrently:
 //!
 //! * [`engine::MatchEngine`] — built once from a repository; a `std::thread` worker
 //!   pool drains a bounded submission queue; [`engine::MatchEngine::submit_batch`]
@@ -36,9 +36,11 @@
 //!
 //! Scoring runs on the zero-allocation feature kernels of
 //! [`xsm_similarity::features`]: the engine's [`xsm_repo::NameIndex`] carries a
-//! [`xsm_repo::FeatureStore`] (per-node precomputed name features, interned gram
-//! signatures), each worker owns its [`xsm_similarity::SimScratch`], and per-pair
-//! work is bit-parallel edit distance plus integer signature merges.
+//! [`xsm_repo::FeatureStore`] (per-name precomputed features, interned gram
+//! signatures, each name's node list), each worker owns its
+//! [`xsm_similarity::SimScratch`], and a personal node is scored against each
+//! surviving *name* once — bit-parallel edit distance plus integer signature
+//! merges — with the score fanned out to the nodes that carry the name.
 //!
 //! Determinism is a hard guarantee: the result content of a query is identical
 //! whether the engine runs 1 worker or 8, and whether a cache served it — asserted by

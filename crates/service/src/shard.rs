@@ -905,8 +905,9 @@ impl ShardedEngine {
     /// delete would leave the fleet on diverged generations. Tombstoned trees
     /// stay in the tree maps (local ids are positional); each shard reclaims
     /// its arena independently once its dead fraction crosses
-    /// [`EngineConfig::compaction_threshold`]. Returns the number of postings
-    /// tombstoned fleet-wide.
+    /// [`EngineConfig::compaction_threshold`]. Returns the node-weighted
+    /// posting volume removed fleet-wide (each deleted node once per distinct
+    /// gram of its name — the single engine's number, whatever the placement).
     pub fn delete_trees(&self, trees: &[TreeId]) -> ServiceResult<usize> {
         self.require_local_engines()?;
         if trees.is_empty() {

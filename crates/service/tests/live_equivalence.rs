@@ -14,18 +14,22 @@
 //! positional placeholders.
 //!
 //! Deterministic edge-case tests cover what random draws hit rarely: deleting
-//! every tree, appending to an emptied repository, compaction idempotence and
-//! cache survival across compaction, and snapshot round trips of a mutated
-//! engine that keeps mutating after the reload.
+//! every tree, appending to an emptied repository, a name that dies with its
+//! only tree and comes back (before and after a compaction), appends that
+//! bring no new name, compaction idempotence and cache survival across
+//! compaction, and snapshot round trips of a mutated engine that keeps
+//! mutating after the reload. Every check also compares the `Auto` query plan
+//! of the live index with the rebuild's: postings are per distinct name, but
+//! the volumes a plan reads must not be.
 
 use proptest::prelude::*;
 use xsm_matcher::element::ElementMatchConfig;
 use xsm_repo::{GeneratorConfig, RepositoryGenerator, SchemaRepository, ShardPlacement};
-use xsm_schema::{SchemaTree, TreeId};
+use xsm_schema::{SchemaNode, SchemaTree, TreeBuilder, TreeId};
 use xsm_service::workload::seeded_personal_schemas;
 use xsm_service::{
-    EngineConfig, MatchEngine, MatchQuery, MatchResponse, QueryStrategy, ShardedEngine,
-    ShardedEngineConfig,
+    EngineConfig, MatchEngine, MatchQuery, MatchResponse, QueryPlanner, QueryStrategy,
+    ShardedEngine, ShardedEngineConfig,
 };
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -36,12 +40,16 @@ fn engine_config() -> EngineConfig {
         .with_element_config(ElementMatchConfig::default().with_min_similarity(0.5))
 }
 
-fn sharded_config(shards: usize, placement: ShardPlacement) -> ShardedEngineConfig {
+fn sharded_config(
+    shards: usize,
+    placement: ShardPlacement,
+    engine: EngineConfig,
+) -> ShardedEngineConfig {
     ShardedEngineConfig::default()
         .with_shards(shards)
         .with_placement(placement)
         .with_router_workers(1)
-        .with_engine_config(engine_config())
+        .with_engine_config(engine)
 }
 
 /// Full byte-level response comparison (`latency` is `#[serde(skip)]`; the
@@ -75,13 +83,26 @@ struct Harness {
 
 impl Harness {
     fn new(repo: SchemaRepository, placement: ShardPlacement) -> Self {
+        Self::with_config(repo, placement, engine_config())
+    }
+
+    fn with_config(
+        repo: SchemaRepository,
+        placement: ShardPlacement,
+        config: EngineConfig,
+    ) -> Self {
         let logical: Vec<SchemaTree> = repo.trees().map(|(_, t)| t.clone()).collect();
         let alive = (0..repo.tree_count() as u32).map(TreeId).collect();
         Harness {
-            single: MatchEngine::new(repo.clone(), engine_config()),
+            single: MatchEngine::new(repo.clone(), config.clone()),
             fleets: SHARD_COUNTS
                 .iter()
-                .map(|&shards| ShardedEngine::new(repo.clone(), sharded_config(shards, placement)))
+                .map(|&shards| {
+                    ShardedEngine::new(
+                        repo.clone(),
+                        sharded_config(shards, placement, config.clone()),
+                    )
+                })
                 .collect(),
             placement,
             logical,
@@ -145,6 +166,18 @@ impl Harness {
         if generation > 0 {
             oracle.advance_generation(generation).unwrap();
         }
+        // Same plan from the live index as from the rebuilt one: the volumes
+        // are node-weighted on both sides, however the names are posted.
+        let planner = QueryPlanner::default();
+        let plan = |index: &xsm_repo::NameIndex| {
+            let plan = planner.plan(&query.personal, QueryStrategy::Auto, index, 0.5);
+            (plan.strategy, plan.estimated_volume, plan.exhaustive_volume)
+        };
+        assert_eq!(
+            plan(&self.single.index()),
+            plan(&oracle.index()),
+            "live plan vs rebuild"
+        );
         let reference = oracle.answer_inline(query);
         let mut live = self.single.answer_inline(query);
         live.cache_hit = reference.cache_hit;
@@ -308,26 +341,135 @@ fn compaction_changes_no_answer_and_keeps_the_cache() {
     assert_eq!(engine.compact(), 0, "compaction is idempotent");
 }
 
+fn named_tree(name: &str, fields: &[&str]) -> SchemaTree {
+    let mut builder = TreeBuilder::new(name).root(SchemaNode::element(fields[0]));
+    for field in &fields[1..] {
+        builder = builder.child(SchemaNode::element(*field));
+    }
+    builder.build()
+}
+
 #[test]
 fn auto_compaction_triggers_at_the_configured_threshold() {
+    // A posting is dead once its *name* has no live node left, so what counts
+    // towards the threshold is names dying, not trees.
     let repo = base_repo(34, 150);
+    let novel = named_tree(
+        "novel",
+        &[
+            "zebraCrossingPermit",
+            "quokkaHabitatSurvey",
+            "xylophoneTuningLog",
+            "wombatBurrowDepth",
+            "yachtMooringLedger",
+            "kumquatHarvestTally",
+        ],
+    );
+    // The same mutations with compaction disabled show what the trigger sees.
+    let unmanaged = MatchEngine::new(repo.clone(), engine_config().with_compaction_threshold(1.0));
     let engine = MatchEngine::new(
         repo.clone(),
         engine_config().with_compaction_threshold(0.05),
     );
-    // Deleting a third of the forest comfortably crosses a 5% dead fraction.
-    let victims: Vec<TreeId> = (0..repo.tree_count() as u32 / 3).map(TreeId).collect();
-    engine.delete_trees(&victims).unwrap();
+    let clean_postings = engine.index().posting_count();
+    let mut copies = Vec::new();
+    for e in [&unmanaged, &engine] {
+        copies = e.append_trees(vec![novel.clone(), novel.clone()]).unwrap();
+    }
+
+    // One copy goes: every name lives on in the other, nothing is dead.
+    for e in [&unmanaged, &engine] {
+        e.delete_trees(&copies[..1]).unwrap();
+        assert_eq!(e.dead_posting_fraction(), 0.0);
+    }
+    assert!(engine.index().posting_count() > clean_postings);
+
+    // The other goes: six names die, and their postings cross 5 % of the arena.
+    for e in [&unmanaged, &engine] {
+        e.delete_trees(&copies[1..]).unwrap();
+    }
+    assert!(
+        unmanaged.dead_posting_fraction() >= 0.05,
+        "the dead names weigh {} of the arena",
+        unmanaged.dead_posting_fraction()
+    );
     assert_eq!(
         engine.dead_posting_fraction(),
         0.0,
         "delete_trees compacts once the dead fraction crosses the threshold"
     );
     assert_eq!(
+        engine.index().posting_count(),
+        clean_postings,
+        "compaction reclaimed exactly the dead names' postings"
+    );
+    assert_eq!(
         engine.tombstoned_trees(),
-        victims,
+        copies,
         "compaction reclaims postings but keeps the tombstone set"
     );
+}
+
+#[test]
+fn a_name_that_dies_and_comes_back_matches_a_rebuild() {
+    let repo = SchemaRepository::from_trees(vec![
+        named_tree("t0", &["library", "book", "title", "author"]),
+        named_tree("t1", &["person", "name", "email", "Title"]),
+        named_tree("t2", &["order", "item", "price", "uniqueField"]),
+    ]);
+    let orders = named_tree("orders", &["order", "item", "uniqueField"]);
+    let query = MatchQuery::new(named_tree("p", &["order", "itm", "uniqueFeild"]))
+        .with_top_k(5)
+        .with_threshold(0.3);
+    // Compaction only where the test asks for it.
+    let mut harness = Harness::with_config(
+        repo,
+        ShardPlacement::Contiguous,
+        engine_config().with_compaction_threshold(1.0),
+    );
+    let dead = |h: &Harness| h.single.index().dead_postings();
+    let postings = |h: &Harness| h.single.index().posting_count();
+    harness.check(&query);
+
+    // The only tree carrying "order", "item", "price" and "uniqueField" goes.
+    harness.delete(&[TreeId(2)]);
+    assert!(dead(&harness) > 0);
+    harness.check(&query);
+    assert!(harness.single.answer_inline(&query).mappings.is_empty());
+
+    // An append brings three of the names back: revived in place, nothing
+    // posted, and only "price" is still dead.
+    let before = (postings(&harness), dead(&harness));
+    harness.append(vec![orders.clone()]);
+    assert_eq!(postings(&harness), before.0);
+    assert!(dead(&harness) > 0 && dead(&harness) < before.1);
+    harness.check(&query);
+    assert!(!harness.single.answer_inline(&query).mappings.is_empty());
+
+    // Appends that introduce no new name add no posting at all.
+    harness.append(vec![
+        orders.clone(),
+        named_tree("lib", &["library", "title", "book"]),
+    ]);
+    assert_eq!(postings(&harness), before.0);
+    harness.check(&query);
+
+    // The names die again, a compaction reclaims them, an append posts them afresh.
+    harness.delete(&[TreeId(3), TreeId(4)]);
+    harness.check(&query);
+    harness.compact();
+    assert_eq!(dead(&harness), 0, "as in a from-scratch rebuild");
+    assert!(postings(&harness) < before.0);
+    harness.check(&query);
+    harness.append(vec![orders]);
+    assert_eq!(dead(&harness), 0, "as in a from-scratch rebuild");
+    harness.check(&query);
+    assert!(!harness.single.answer_inline(&query).mappings.is_empty());
+
+    // And once more through a compaction that has twin segments to merge.
+    harness.delete(&[TreeId(0)]);
+    harness.compact();
+    harness.check(&query);
 }
 
 #[test]

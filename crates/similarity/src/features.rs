@@ -235,20 +235,20 @@ pub struct NameFeatures {
     /// The original name as given, kept **only when lowercasing changed it** — the
     /// tokenizer needs the original case (camelCase boundaries vanish in
     /// [`NameFeatures::lower`]), but for the common already-lowercase corpus name
-    /// `lower` *is* the original and storing a byte-identical copy per node would
+    /// `lower` *is* the original and storing a byte-identical copy per name would
     /// only bloat repository-wide feature stores.
     original: Option<Box<str>>,
     /// Word tokens of the original name (camelCase / snake_case / digit splits),
     /// built **on first use**: the fuzzy/edit/Jaro/gram kernels never read tokens,
     /// so a fuzzy-only workload (the serving engine's default) pays nothing for
     /// them — neither at [`NameFeatures::build`] time (repository-wide feature
-    /// stores build one `NameFeatures` per node) nor per query.
+    /// stores build one `NameFeatures` per distinct name) nor per query.
     tokens: std::sync::OnceLock<Box<[TokenFeatures]>>,
     /// The gram signature and its multiplicities in one allocation: the first
     /// half holds the sorted, deduplicated interned gram ids, the second half
     /// the multiplicity of each id (same order). Feature stores hold one
-    /// `NameFeatures` per repository node, so one box instead of two parallel
-    /// ones measurably cuts allocator traffic on build and snapshot load.
+    /// `NameFeatures` per distinct repository name, so one box instead of two
+    /// parallel ones cuts allocator traffic on build and snapshot load.
     grams: Box<[u32]>,
     /// Total number of gram occurrences (`Σ gram_counts`).
     gram_total: u32,

@@ -15,8 +15,6 @@
 //! * [`synonym::SynonymTable`] — a small thesaurus matcher,
 //! * [`affix`] — common prefix/suffix similarity,
 //! * [`combine`] — strategies for aggregating several similarity values,
-//! * [`cache::SimilarityCache`] — memoization for the name-pair similarity calls that
-//!   dominate element matching,
 //! * [`features`] — precomputed per-name features ([`features::NameFeatures`]:
 //!   lowercased chars, interned q-gram signatures, Myers match vectors) and
 //!   zero-allocation kernels over them, bit-identical to the string measures but
@@ -32,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod affix;
-pub mod cache;
 pub mod combine;
 pub mod edit;
 pub mod features;
@@ -43,7 +40,6 @@ pub mod simd;
 pub mod synonym;
 pub mod token;
 
-pub use cache::SimilarityCache;
 pub use combine::CombineStrategy;
 pub use features::{GramInterner, NameFeatures, SimScratch};
 pub use fuzzy::compare_string_fuzzy;

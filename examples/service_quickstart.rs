@@ -1,5 +1,5 @@
 //! Serving queries with the `MatchEngine`: build the engine once over a repository
-//! (name index, clustering config and similarity cache are amortised up front), then
+//! (name index, per-name features and clustering config are amortised up front), then
 //! answer single and batched top-k queries concurrently and read the live metrics.
 //!
 //! Run with:
