@@ -247,6 +247,16 @@ impl CandidateSet {
         }
     }
 
+    /// The repository tree every candidate lies in: `None` for a set without
+    /// candidates or one touching several trees. One pass, no allocation — what a
+    /// consumer that only needs "is this a single-tree scope" should ask instead
+    /// of [`CandidateSet::trees`].
+    pub fn sole_tree(&self) -> Option<TreeId> {
+        let mut trees = self.iter().map(|m| m.repo.tree);
+        let first = trees.next()?;
+        trees.all(|tree| tree == first).then_some(first)
+    }
+
     /// All distinct repository trees touched by the candidates.
     pub fn trees(&self) -> Vec<TreeId> {
         let mut trees: Vec<TreeId> = self
@@ -404,6 +414,15 @@ mod tests {
         let set = sample_set();
         assert_eq!(set.trees(), vec![TreeId(0), TreeId(1)]);
         assert_eq!(set.distinct_repo_nodes(), 6);
+    }
+
+    #[test]
+    fn sole_tree_names_the_tree_of_a_single_tree_set_only() {
+        let set = sample_set();
+        assert_eq!(set.sole_tree(), None);
+        assert_eq!(set.restrict_to_tree(TreeId(1)).sole_tree(), Some(TreeId(1)));
+        assert_eq!(set.restrict(|_| false).sole_tree(), None);
+        assert_eq!(CandidateSet::new(vec![]).sole_tree(), None);
     }
 
     #[test]

@@ -10,17 +10,59 @@
 //! (mappings are "1 to 1"). Every partial assignment created is counted as a *partial
 //! mapping* — the efficiency indicator Tab. 1b reports. A branch is cut when the
 //! admissible upper bound of its best completion falls below δ.
+//!
+//! # One state, carried down and back up
+//!
+//! A partial mapping is the unit of work the paper counts, so it has to be cheap: the
+//! search never builds a [`SchemaMapping`] to score one. It keeps a single `Search`
+//! state — the partial mapping the recursion stands on — and *looks at* each
+//! extension of it by one candidate from there:
+//!
+//! * **the running similarity sum** — `sum(d+1) = sum(d) + similarity`, in assignment
+//!   order. It travels as a call argument, so backing out of a branch restores it
+//!   for free;
+//! * **`best` and `assigned`** — the highest similarity each candidate list offers,
+//!   and which lists are taken. The bound's `Δ_sim` part is the extended sum plus
+//!   `best[i]` for every list `i` still open, added in `personal_nodes` order;
+//! * **the images as a [`SteinerRing`]** — ordered by pre-order rank, with the sum
+//!   of the distances between cyclic neighbours. Adding an image replaces one term
+//!   of that sum by two, so `|E_t|` *with the candidate* is three
+//!   `TreeLabeling::distance` queries away ([`SteinerRing::edge_count_with`]),
+//!   exactly, and asking changes nothing.
+//!
+//! Most partial mappings end there: the bound cuts them, or they are complete and
+//! get their score from the same two numbers. Only to search *below* one does the
+//! state change — candidate pushed, list marked, image inserted — and change back
+//! on return. So a partial mapping costs no allocation, a constant number of LCA
+//! queries and `|N_s|` float additions, and a complete one allocates only if it is
+//! retained.
+//!
+//! # Why each float is summed in the order it is
+//!
+//! [`Objective::upper_bound`] and [`Objective::delta`] — the from-scratch
+//! formulation the other generators use, and the oracle of
+//! `tests/generator_equivalence.rs` — fold a mapping's similarities in pair order
+//! starting from zero, then add the unassigned nodes' best similarities walking
+//! `personal_nodes`. Float addition is not associative, and a bound that differs in
+//! its last bit can fall on the other side of `δ − 1e-12`: one more or one fewer
+//! pruned branch, a different partial-mapping count, in the worst case a different
+//! answer. The running sum *is* that fold's prefix (pairs are in assignment order,
+//! and `0.0 + x` is `x` for every similarity but a negative zero), and the bound loop
+//! walks the open lists in the same order, so both hand
+//! [`Objective::upper_bound_from_parts`] / [`Objective::delta_from_parts`] the same
+//! bits — and those two are the very functions the from-scratch entry points end in.
+//! `|E_t|` is an integer and needs no such care.
 
 use std::time::Instant;
 
 use crate::candidates::{CandidateSet, MappingElement};
 use crate::counters::GeneratorCounters;
 use crate::generator::{sort_mappings, GenerationOutcome, MappingGenerator};
-use crate::mapping::SchemaMapping;
+use crate::mapping::{SchemaMapping, SteinerRing};
 use crate::objective::Objective;
 use crate::problem::MatchingProblem;
 use xsm_repo::SchemaRepository;
-use xsm_schema::GlobalNodeId;
+use xsm_schema::TreeLabeling;
 
 /// Branch & Bound generator configuration.
 #[derive(Debug, Clone, Copy)]
@@ -74,43 +116,50 @@ impl MappingGenerator for BranchAndBoundGenerator {
             search_space: scope.search_space_size(),
             ..Default::default()
         };
-        let mut mappings = Vec::new();
 
-        let trees = scope.trees();
-        debug_assert!(trees.len() <= 1, "single-tree scope expected");
-        let Some(&tree_id) = trees.first() else {
+        // A scope of several trees has no one labelling to search under;
+        // `generate` splits those before they get here.
+        let tree_id = scope.sole_tree();
+        debug_assert!(
+            tree_id.is_some() || scope.total_candidates() == 0,
+            "single-tree scope expected"
+        );
+        let labeling = tree_id.and_then(|tree| repo.labeling(tree));
+        let (Some(labeling), true) = (labeling, scope.is_useful()) else {
             counters.elapsed = start.elapsed();
-            return GenerationOutcome { mappings, counters };
+            return GenerationOutcome {
+                mappings: Vec::new(),
+                counters,
+            };
         };
-        let Some(labeling) = repo.labeling(tree_id) else {
-            counters.elapsed = start.elapsed();
-            return GenerationOutcome { mappings, counters };
-        };
-        if !scope.is_useful() {
-            counters.elapsed = start.elapsed();
-            return GenerationOutcome { mappings, counters };
-        }
 
-        let objective = Objective::for_problem(problem);
         // Most-constrained-first variable order.
         let mut order: Vec<usize> = (0..scope.node_count()).collect();
         order.sort_by_key(|&i| scope.candidates_at(i).len());
 
-        let mut assignment: Vec<MappingElement> = Vec::with_capacity(scope.node_count());
-        let mut used: Vec<GlobalNodeId> = Vec::with_capacity(scope.node_count());
-        self.search(
-            problem,
+        let mut search = Search {
+            config: self.config,
+            threshold: problem.threshold,
             scope,
             labeling,
-            &objective,
-            &order,
-            0,
-            &mut assignment,
-            &mut used,
-            &mut mappings,
-            &mut counters,
-        );
+            objective: Objective::for_problem(problem),
+            order,
+            best: (0..scope.node_count())
+                .map(|i| scope.candidates_at(i).first().map_or(0.0, |m| m.similarity))
+                .collect(),
+            assigned: vec![false; scope.node_count()],
+            assignment: Vec::with_capacity(scope.node_count()),
+            images: SteinerRing::with_capacity(scope.node_count()),
+            mappings: Vec::new(),
+            counters,
+        };
+        search.descend(0, 0.0);
 
+        let Search {
+            mut mappings,
+            mut counters,
+            ..
+        } = search;
         counters.elapsed = start.elapsed();
         sort_mappings(&mut mappings);
         GenerationOutcome { mappings, counters }
@@ -121,77 +170,103 @@ impl MappingGenerator for BranchAndBoundGenerator {
     }
 }
 
-impl BranchAndBoundGenerator {
-    #[allow(clippy::too_many_arguments)]
-    fn search(
-        &self,
-        problem: &MatchingProblem,
-        scope: &CandidateSet,
-        labeling: &xsm_schema::TreeLabeling,
-        objective: &Objective,
-        order: &[usize],
-        depth: usize,
-        assignment: &mut Vec<MappingElement>,
-        used: &mut Vec<GlobalNodeId>,
-        out: &mut Vec<SchemaMapping>,
-        counters: &mut GeneratorCounters,
-    ) {
-        if counters.partial_mappings >= self.config.max_partial_mappings {
-            return;
-        }
-        if depth == order.len() {
-            // Complete mapping: evaluate Δ and retain if above threshold.
-            let mapping = SchemaMapping::new(assignment.clone());
-            let score = objective.delta(&mapping, labeling);
-            counters.complete_mappings += 1;
-            if score >= problem.threshold {
-                counters.retained_mappings += 1;
-                out.push(SchemaMapping::with_score(assignment.clone(), score));
-            }
-            return;
-        }
-        let node_index = order[depth];
-        let personal_node = scope.personal_nodes()[node_index];
+/// The search state of one single-tree scope (see the module docs): what is fixed
+/// for the whole search, and the partial mapping the recursion currently stands on.
+struct Search<'a> {
+    config: BranchAndBoundConfig,
+    threshold: f64,
+    scope: &'a CandidateSet,
+    labeling: &'a TreeLabeling,
+    objective: Objective,
+    /// Candidate-list indices in the order the search assigns them.
+    order: Vec<usize>,
+    /// `best[i]`: the highest similarity list `i` offers (lists are sorted).
+    best: Vec<f64>,
+    /// `assigned[i]`: list `i` has an element in `assignment`, or is the list whose
+    /// candidates the search is trying.
+    assigned: Vec<bool>,
+    /// The partial mapping, in assignment order.
+    assignment: Vec<MappingElement>,
+    /// The images of `assignment`, for `|E_t|`.
+    images: SteinerRing,
+    /// Complete mappings with `Δ ≥ δ`, in discovery order.
+    mappings: Vec<SchemaMapping>,
+    counters: GeneratorCounters,
+}
+
+impl Search<'_> {
+    fn capped(&self) -> bool {
+        self.counters.partial_mappings >= self.config.max_partial_mappings
+    }
+
+    /// Extend the partial mapping of `depth` elements, whose similarities sum to
+    /// `similarity_sum`, in every way the bound allows.
+    fn descend(&mut self, depth: usize, similarity_sum: f64) {
+        let scope = self.scope;
+        let node_index = self.order[depth];
+        let last = depth + 1 == self.order.len();
+        self.assigned[node_index] = true;
         for candidate in scope.candidates_at(node_index) {
-            if counters.partial_mappings >= self.config.max_partial_mappings {
-                return;
+            if self.capped() {
+                break;
             }
-            if used.contains(&candidate.repo) {
+            if self.assignment.iter().any(|m| m.repo == candidate.repo) {
                 continue;
             }
-            assignment.push(*candidate);
-            used.push(candidate.repo);
-            counters.partial_mappings += 1;
-
-            let keep = if self.config.use_bounding {
-                let partial = SchemaMapping::new(assignment.clone());
-                let bound = objective.upper_bound(&partial, labeling, scope);
-                if bound + 1e-12 < problem.threshold {
-                    counters.pruned_branches += 1;
-                    false
-                } else {
-                    true
-                }
-            } else {
-                true
-            };
-            if keep {
-                self.search(
-                    problem,
-                    scope,
-                    labeling,
-                    objective,
-                    order,
-                    depth + 1,
-                    assignment,
-                    used,
-                    out,
-                    counters,
-                );
+            // The partial mapping `assignment + candidate`, looked at from where the
+            // search stands: nothing is changed for a branch that is cut.
+            self.counters.partial_mappings += 1;
+            let similarity_sum = similarity_sum + candidate.similarity;
+            let edge_count = self
+                .images
+                .edge_count_with(self.labeling, candidate.repo.node);
+            if self.bound_is_below_threshold(similarity_sum, edge_count) {
+                self.counters.pruned_branches += 1;
+                continue;
             }
-            assignment.pop();
-            used.pop();
-            let _ = personal_node; // personal node is implied by the candidate
+            if self.capped() {
+                break;
+            }
+            if last {
+                self.complete(candidate, similarity_sum, edge_count);
+                continue;
+            }
+            self.assignment.push(*candidate);
+            self.images.insert(self.labeling, candidate.repo.node);
+            self.descend(depth + 1, similarity_sum);
+            self.images.remove(self.labeling, candidate.repo.node);
+            self.assignment.pop();
+        }
+        self.assigned[node_index] = false;
+    }
+
+    /// Is every completion of the partial mapping under examination — similarities
+    /// summing to `similarity_sum`, images spanning `edge_count` edges, the lists
+    /// marked `assigned` taken — out of δ's reach?
+    fn bound_is_below_threshold(&self, similarity_sum: f64, edge_count: u32) -> bool {
+        if !self.config.use_bounding {
+            return false;
+        }
+        let mut bound_sum = similarity_sum;
+        for (&best, &assigned) in self.best.iter().zip(&self.assigned) {
+            if !assigned {
+                bound_sum += best;
+            }
+        }
+        let bound = self.objective.upper_bound_from_parts(bound_sum, edge_count);
+        bound + 1e-12 < self.threshold
+    }
+
+    /// Score the complete mapping `assignment + last` and retain it if `Δ ≥ δ`.
+    fn complete(&mut self, last: &MappingElement, similarity_sum: f64, edge_count: u32) {
+        let score = self.objective.delta_from_parts(similarity_sum, edge_count);
+        self.counters.complete_mappings += 1;
+        if score >= self.threshold {
+            self.counters.retained_mappings += 1;
+            let mut pairs = Vec::with_capacity(self.assignment.len() + 1);
+            pairs.extend_from_slice(&self.assignment);
+            pairs.push(*last);
+            self.mappings.push(SchemaMapping::with_score(pairs, score));
         }
     }
 }

@@ -4,8 +4,9 @@
 //! enumerates schema mappings built from it, returning every mapping with
 //! `Δ(s,t) ≥ δ` plus the performance counters Tab. 1 reports. Because a schema
 //! mapping's images must all come from one repository tree (Def. 2 restricted to the
-//! forest model), every generator first splits the scope per tree and then searches
-//! each single-tree sub-scope independently.
+//! forest model), a generator searches single-tree scopes; a scope of several trees
+//! is split per tree first, each part searched independently and the results sorted
+//! once. Every cluster scope is a single-tree scope and skips the split altogether.
 //!
 //! Implementations:
 //!
@@ -39,27 +40,26 @@ pub struct GenerationOutcome {
 }
 
 impl GenerationOutcome {
-    /// Merge another outcome into this one, keeping the global score order.
-    pub fn absorb(&mut self, other: GenerationOutcome) {
-        self.mappings.extend(other.mappings);
-        self.counters = self.counters.merge(&other.counters);
-        sort_mappings(&mut self.mappings);
-    }
-
     /// The best `n` mappings.
     pub fn top(&self, n: usize) -> &[SchemaMapping] {
         &self.mappings[..n.min(self.mappings.len())]
     }
 }
 
-/// Sort mappings by descending score with a deterministic tie-break.
+/// Sort mappings by descending score with a deterministic tie-break: the image
+/// sequences, compared lexicographically. The sort is stable and finds the sorted
+/// runs already present, so sorting a concatenation of sorted lists is a merge.
 pub fn sort_mappings(mappings: &mut [SchemaMapping]) {
-    mappings.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.repo_nodes().cmp(&b.repo_nodes()))
-    });
+    mappings.sort_by(ranking);
+}
+
+/// The order of [`sort_mappings`]. The tie-break walks the two image sequences in
+/// place — a comparator runs `O(n log n)` times per sort and must not allocate.
+fn ranking(a: &SchemaMapping, b: &SchemaMapping) -> std::cmp::Ordering {
+    b.score
+        .partial_cmp(&a.score)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then_with(|| a.images().cmp(b.images()))
 }
 
 /// A schema-mapping generator.
@@ -77,23 +77,35 @@ pub trait MappingGenerator: Send + Sync {
     /// Short name used in reports.
     fn name(&self) -> &'static str;
 
-    /// Enumerate mappings within an arbitrary scope by splitting it per repository
-    /// tree, skipping non-useful sub-scopes ("clusters which cannot deliver schema
-    /// mappings"), and merging the results.
+    /// Enumerate mappings within an arbitrary scope. A scope within one repository
+    /// tree — every cluster scope, every per-tree baseline scope — goes to
+    /// [`MappingGenerator::generate_single_tree`] as it is. A scope of several trees
+    /// is split per tree in one pass, non-useful parts are skipped ("clusters which
+    /// cannot deliver schema mappings"), and the parts' results, each sorted, are
+    /// sorted together once.
     fn generate(
         &self,
         problem: &MatchingProblem,
         repo: &SchemaRepository,
         scope: &CandidateSet,
     ) -> GenerationOutcome {
+        // No part of a non-useful scope is useful.
+        if !scope.is_useful() {
+            return GenerationOutcome::default();
+        }
+        if scope.sole_tree().is_some() {
+            return self.generate_single_tree(problem, repo, scope);
+        }
         let mut outcome = GenerationOutcome::default();
-        for tree in scope.trees() {
-            let sub = scope.restrict_to_tree(tree);
-            if !sub.is_useful() {
+        for (_, part) in scope.split_by_tree() {
+            if !part.is_useful() {
                 continue;
             }
-            outcome.absorb(self.generate_single_tree(problem, repo, &sub));
+            let found = self.generate_single_tree(problem, repo, &part);
+            outcome.counters = outcome.counters.merge(&found.counters);
+            outcome.mappings.extend(found.mappings);
         }
+        sort_mappings(&mut outcome.mappings);
         outcome
     }
 }
@@ -105,43 +117,14 @@ mod tests {
     use xsm_schema::{GlobalNodeId, NodeId, TreeId};
 
     #[test]
-    fn outcome_absorb_merges_and_sorts() {
-        let m1 = SchemaMapping::with_score(
-            vec![MappingElement::new(
-                NodeId(0),
-                GlobalNodeId::new(TreeId(0), NodeId(1)),
-                1.0,
-            )],
-            0.8,
-        );
-        let m2 = SchemaMapping::with_score(
-            vec![MappingElement::new(
-                NodeId(0),
-                GlobalNodeId::new(TreeId(1), NodeId(2)),
-                1.0,
-            )],
-            0.9,
-        );
-        let mut a = GenerationOutcome {
-            mappings: vec![m1],
-            counters: GeneratorCounters {
-                partial_mappings: 3,
-                ..Default::default()
-            },
+    fn top_is_a_prefix_clamped_to_the_list() {
+        let mapping = |score: f64| SchemaMapping::with_score(Vec::new(), score);
+        let outcome = GenerationOutcome {
+            mappings: vec![mapping(0.9), mapping(0.8)],
+            ..Default::default()
         };
-        let b = GenerationOutcome {
-            mappings: vec![m2],
-            counters: GeneratorCounters {
-                partial_mappings: 4,
-                ..Default::default()
-            },
-        };
-        a.absorb(b);
-        assert_eq!(a.mappings.len(), 2);
-        assert_eq!(a.counters.partial_mappings, 7);
-        assert!(a.mappings[0].score >= a.mappings[1].score);
-        assert_eq!(a.top(1).len(), 1);
-        assert_eq!(a.top(10).len(), 2);
+        assert_eq!(outcome.top(1).len(), 1);
+        assert_eq!(outcome.top(10).len(), 2);
     }
 
     #[test]

@@ -68,9 +68,14 @@ impl SchemaMapping {
         self.pairs.first().map(|p| p.repo.tree)
     }
 
+    /// The repository nodes used as images, in pair order.
+    pub fn images(&self) -> impl Iterator<Item = GlobalNodeId> + '_ {
+        self.pairs.iter().map(|p| p.repo)
+    }
+
     /// All repository nodes used as images.
     pub fn repo_nodes(&self) -> Vec<GlobalNodeId> {
-        self.pairs.iter().map(|p| p.repo).collect()
+        self.images().collect()
     }
 
     /// Average element similarity over the assigned pairs (the `Δ_sim` numerator
@@ -123,6 +128,107 @@ pub fn steiner_edge_count(labeling: &TreeLabeling, nodes: &[xsm_schema::NodeId])
         total += labeling.distance(a, b).unwrap_or(0);
     }
     total / 2
+}
+
+/// The images of a growing and shrinking partial mapping, kept so that `|E_t|` is
+/// known after every change without looking at the whole set again.
+///
+/// [`steiner_edge_count`] orders the nodes by pre-order rank, sums the distances
+/// of cyclically consecutive nodes and halves. The ring keeps that order and that
+/// sum: inserting `v` between its neighbours `pred` and `succ` replaces the term
+/// `d(pred, succ)` by `d(pred, v) + d(v, succ)`, and removing it puts the term back —
+/// three [`TreeLabeling::distance`] queries either way, however many images there
+/// are — and [`SteinerRing::edge_count_with`] answers "what if `v` were added" for
+/// the same three queries without touching the ring. The sum is an integer, so [`SteinerRing::edge_count`] *equals*
+/// `steiner_edge_count` of the nodes held, after any sequence of changes; nodes the
+/// labelling does not know sort last and are at distance 0 from everything, as
+/// there.
+#[derive(Debug, Clone)]
+pub struct SteinerRing {
+    /// `(pre-order rank, node)`, ascending.
+    ring: Vec<(u32, NodeId)>,
+    /// Sum of the distances between cyclically consecutive ring nodes (`2·|E_t|`).
+    cycle: u32,
+}
+
+impl SteinerRing {
+    /// An empty ring with room for `capacity` nodes.
+    pub fn with_capacity(capacity: usize) -> Self {
+        SteinerRing {
+            ring: Vec::with_capacity(capacity),
+            cycle: 0,
+        }
+    }
+
+    /// `|E_t|`: the edge count of the minimal subtree spanning the nodes held.
+    pub fn edge_count(&self) -> u32 {
+        self.cycle / 2
+    }
+
+    /// `|E_t|` were `node` added — the ring itself is left as it is, so a caller can
+    /// look at an extension before (or without) committing to it.
+    pub fn edge_count_with(&self, labeling: &TreeLabeling, node: NodeId) -> u32 {
+        match self.place(labeling, node) {
+            Some((_, cycle)) => cycle / 2,
+            None => self.edge_count(),
+        }
+    }
+
+    /// Add a node; `false` (and no change) when it is already held.
+    pub fn insert(&mut self, labeling: &TreeLabeling, node: NodeId) -> bool {
+        let Some((at, cycle)) = self.place(labeling, node) else {
+            return false;
+        };
+        self.ring.insert(at, ring_key(labeling, node));
+        self.cycle = cycle;
+        true
+    }
+
+    /// Where `node` would enter the ring and the cycle sum it would leave; `None`
+    /// when it is already held.
+    fn place(&self, labeling: &TreeLabeling, node: NodeId) -> Option<(usize, u32)> {
+        let at = self.ring.binary_search(&ring_key(labeling, node)).err()?;
+        let mut cycle = self.cycle;
+        if let Some((pred, succ)) = self.neighbours(at) {
+            cycle += ring_distance(labeling, pred, node) + ring_distance(labeling, node, succ);
+            cycle -= ring_distance(labeling, pred, succ);
+        }
+        Some((at, cycle))
+    }
+
+    /// Take a node out; `false` (and no change) when it is not held.
+    pub fn remove(&mut self, labeling: &TreeLabeling, node: NodeId) -> bool {
+        let Ok(at) = self.ring.binary_search(&ring_key(labeling, node)) else {
+            return false;
+        };
+        self.ring.remove(at);
+        if let Some((pred, succ)) = self.neighbours(at) {
+            self.cycle += ring_distance(labeling, pred, succ);
+            self.cycle -= ring_distance(labeling, pred, node) + ring_distance(labeling, node, succ);
+        }
+        true
+    }
+
+    /// The ring nodes just before position `at` and at it, cyclically: the two a
+    /// node entering at `at` comes between, or one that left `at` came from between.
+    /// `None` for an empty ring.
+    fn neighbours(&self, at: usize) -> Option<(NodeId, NodeId)> {
+        let n = self.ring.len();
+        if n == 0 {
+            return None;
+        }
+        Some((self.ring[(at + n - 1) % n].1, self.ring[at % n].1))
+    }
+}
+
+/// The ring's sort key: [`steiner_edge_count`]'s order (rank, then node id).
+fn ring_key(labeling: &TreeLabeling, node: NodeId) -> (u32, NodeId) {
+    (labeling.preorder_rank(node).unwrap_or(u32::MAX), node)
+}
+
+/// Distance as [`steiner_edge_count`] reads it: 0 when the labelling has none.
+fn ring_distance(labeling: &TreeLabeling, a: NodeId, b: NodeId) -> u32 {
+    labeling.distance(a, b).unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -10,6 +10,22 @@
 //! generator prunes with: for a partial mapping the remaining `Δ_sim` contribution is
 //! bounded by each unassigned node's best available candidate, and `Δ_path` can only
 //! decrease as the spanned subtree grows.
+//!
+//! # Two ways in, one computation
+//!
+//! A score is a function of two numbers: a **similarity sum** and the **edge count**
+//! `|E_t|`. The mapping-taking entry points ([`Objective::delta`],
+//! [`Objective::upper_bound`]) derive the two from a [`SchemaMapping`] — a fold over
+//! its pairs, a [`steiner_edge_count`] over its images — and are what the generators
+//! that hold many partial states at once (beam, A*, exhaustive) call. The
+//! parts-taking entry points ([`Objective::delta_from_parts`],
+//! [`Objective::upper_bound_from_parts`]) take the two numbers from a caller that
+//! maintains them incrementally, as the Branch & Bound search does. The first kind
+//! is written in terms of the second, so equal parts give equal *bits*: the division
+//! by `|N_s|`, the `Δ_path` formula and the α-blend each exist once. What a caller
+//! of the second kind owes is the summation order of the first: the assigned
+//! similarities in pair order, then — for a bound — each unassigned node's best
+//! similarity in [`CandidateSet::personal_nodes`] order.
 
 use serde::{Deserialize, Serialize};
 use xsm_schema::TreeLabeling;
@@ -92,19 +108,22 @@ impl Objective {
     /// `Δ_sim` (Eq. 1): sum of element similarities over *all* personal nodes divided
     /// by `|N_s|`; unassigned nodes contribute 0.
     pub fn delta_sim(&self, mapping: &SchemaMapping) -> f64 {
+        self.delta_sim_from_sum(mapping.assigned_similarity_sum())
+    }
+
+    /// `Δ_sim` from a precomputed similarity sum (0 for an empty personal schema).
+    fn delta_sim_from_sum(&self, similarity_sum: f64) -> f64 {
         if self.personal_node_count == 0 {
             return 0.0;
         }
-        mapping.assigned_similarity_sum() / self.personal_node_count as f64
+        similarity_sum / self.personal_node_count as f64
     }
 
     /// `Δ_path` (Eq. 2) for a mapping whose images live in the tree labelled by
     /// `labeling`. For mappings spanning fewer than two nodes the subtree has no edges
     /// and the term evaluates to its maximum, 1.0.
     pub fn delta_path(&self, mapping: &SchemaMapping, labeling: &TreeLabeling) -> f64 {
-        let nodes: Vec<xsm_schema::NodeId> = mapping.pairs().iter().map(|p| p.repo.node).collect();
-        let et = steiner_edge_count(labeling, &nodes) as f64;
-        self.delta_path_from_edges(et)
+        self.delta_path_from_edges(mapping_edge_count(mapping, labeling) as f64)
     }
 
     /// `Δ_path` from a precomputed `|E_t|`.
@@ -120,9 +139,19 @@ impl Objective {
 
     /// `Δ` (Eq. 3) for a complete or partial mapping.
     pub fn delta(&self, mapping: &SchemaMapping, labeling: &TreeLabeling) -> f64 {
-        let sim = self.delta_sim(mapping);
-        let path = self.delta_path(mapping, labeling);
-        self.combine(sim, path)
+        self.delta_from_parts(
+            mapping.assigned_similarity_sum(),
+            mapping_edge_count(mapping, labeling),
+        )
+    }
+
+    /// `Δ` from the two numbers it depends on: the sum of the assigned similarities
+    /// and the edge count `|E_t|` of the subtree spanning the images.
+    pub fn delta_from_parts(&self, similarity_sum: f64, edge_count: u32) -> f64 {
+        self.combine(
+            self.delta_sim_from_sum(similarity_sum),
+            self.delta_path_from_edges(edge_count as f64),
+        )
     }
 
     /// Combine precomputed `Δ_sim` and `Δ_path`.
@@ -144,9 +173,6 @@ impl Objective {
         labeling: &TreeLabeling,
         scope: &CandidateSet,
     ) -> f64 {
-        if self.personal_node_count == 0 {
-            return 0.0;
-        }
         let mut sim_sum = partial.assigned_similarity_sum();
         for &pnode in scope.personal_nodes() {
             if partial.image_of(pnode).is_none() {
@@ -158,10 +184,26 @@ impl Objective {
                 sim_sum += best;
             }
         }
-        let sim_bound = sim_sum / self.personal_node_count as f64;
-        let path_bound = self.delta_path(partial, labeling);
-        self.combine(sim_bound, path_bound)
+        self.upper_bound_from_parts(sim_sum, mapping_edge_count(partial, labeling))
     }
+
+    /// The bound of [`Objective::upper_bound`] from its two numbers:
+    /// `bound_similarity_sum` is the assigned similarities summed in pair order plus,
+    /// in [`CandidateSet::personal_nodes`] order, the best similarity on offer for
+    /// every unassigned node; `edge_count` is `|E_t|` of the partial mapping. An empty
+    /// personal schema bounds at 0.
+    pub fn upper_bound_from_parts(&self, bound_similarity_sum: f64, edge_count: u32) -> f64 {
+        if self.personal_node_count == 0 {
+            return 0.0;
+        }
+        self.delta_from_parts(bound_similarity_sum, edge_count)
+    }
+}
+
+/// `|E_t|` of a mapping: the edges of the minimal subtree spanning its images.
+fn mapping_edge_count(mapping: &SchemaMapping, labeling: &TreeLabeling) -> u32 {
+    let nodes: Vec<xsm_schema::NodeId> = mapping.pairs().iter().map(|p| p.repo.node).collect();
+    steiner_edge_count(labeling, &nodes)
 }
 
 #[cfg(test)]

@@ -167,13 +167,12 @@ impl TreeLabeling {
         self.depth.get(id.index()).copied()
     }
 
-    /// Lowest common ancestor in `O(1)`.
+    /// Lowest common ancestor in `O(1)`. `None` for a node the labelling does not
+    /// cover or the tour never entered (its first occurrence is the `u32::MAX`
+    /// sentinel, past the end of any tour, so the range query declines it).
     pub fn lca(&self, a: NodeId, b: NodeId) -> Option<NodeId> {
         let fa = *self.first_occurrence.get(a.index())? as usize;
         let fb = *self.first_occurrence.get(b.index())? as usize;
-        if fa == usize::from(u16::MAX) && self.euler.is_empty() {
-            return None;
-        }
         let (lo, hi) = if fa <= fb { (fa, fb) } else { (fb, fa) };
         let idx = self.range_min(lo, hi)?;
         Some(NodeId(self.euler[idx]))
@@ -273,6 +272,26 @@ mod tests {
         assert!(l.is_empty());
         assert_eq!(l.distance(NodeId(0), NodeId(1)), None);
         assert_eq!(l.lca(NodeId(0), NodeId(0)), None);
+    }
+
+    #[test]
+    fn a_node_the_tour_never_entered_has_no_lca() {
+        // Node 1 is covered by the label arrays but carries the "no first
+        // occurrence" sentinel, as a node unreachable from the root would.
+        let l = TreeLabeling::from_raw_parts(
+            vec![0, 1],
+            vec![0, u32::MAX],
+            vec![0],
+            vec![0, 1],
+            vec![0, 1],
+        );
+        for (a, b) in [(0, 1), (1, 0), (1, 1)] {
+            assert_eq!(l.lca(NodeId(a), NodeId(b)), None);
+            assert_eq!(l.distance(NodeId(a), NodeId(b)), None);
+        }
+        assert_eq!(l.lca(NodeId(0), NodeId(0)), Some(NodeId(0)));
+        // The same holds before and after the sparse table exists.
+        assert_eq!(l.lca(NodeId(0), NodeId(1)), None);
     }
 
     #[test]
