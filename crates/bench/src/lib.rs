@@ -22,18 +22,3 @@ pub mod experiments;
 pub mod workload;
 
 pub use workload::{ExperimentConfig, Workload};
-
-/// The host's core count as every bench JSON records it — throughput numbers
-/// are meaningless without knowing the parallelism they were measured on.
-pub fn cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Whether a row ran with more worker threads than the host has cores: its
-/// scaling numbers measure oversubscription, not the engine. Benches flag such
-/// rows `"underprovisioned": true` instead of silently reporting them.
-pub fn underprovisioned(workers: usize) -> bool {
-    workers > cores()
-}
