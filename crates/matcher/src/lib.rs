@@ -13,8 +13,9 @@
 //! 3. **Schema-mapping generation** ([`generator`]): enumerate combinations of mapping
 //!    elements into [`mapping::SchemaMapping`]s and keep those with `Δ ≥ δ`. The
 //!    paper's generator is Branch & Bound
-//!    ([`generator::branch_and_bound::BranchAndBoundGenerator`]); exhaustive, beam
-//!    (iMap-style) and A* (LSD-style) generators are provided as baselines.
+//!    ([`generator::branch_and_bound::BranchAndBoundGenerator`]); exhaustive
+//!    enumeration ([`generator::exhaustive::ExhaustiveGenerator`]) is the paper's
+//!    yardstick for it.
 //! 4. **Counters** ([`counters`]): the search-space size and partial-mapping counts
 //!    that Tab. 1 of the paper reports.
 //!

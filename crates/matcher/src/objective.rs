@@ -16,8 +16,8 @@
 //! A score is a function of two numbers: a **similarity sum** and the **edge count**
 //! `|E_t|`. The mapping-taking entry points ([`Objective::delta`],
 //! [`Objective::upper_bound`]) derive the two from a [`SchemaMapping`] — a fold over
-//! its pairs, a [`steiner_edge_count`] over its images — and are what the generators
-//! that hold many partial states at once (beam, A*, exhaustive) call. The
+//! its pairs, a [`steiner_edge_count`] over its images — and are what exhaustive
+//! enumeration and the clone-and-recompute test oracle call. The
 //! parts-taking entry points ([`Objective::delta_from_parts`],
 //! [`Objective::upper_bound_from_parts`]) take the two numbers from a caller that
 //! maintains them incrementally, as the Branch & Bound search does. The first kind

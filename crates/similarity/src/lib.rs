@@ -13,7 +13,6 @@
 //! * [`token`] — element-name tokenization (camelCase, snake_case, digits) and
 //!   token-set similarity,
 //! * [`synonym::SynonymTable`] — a small thesaurus matcher,
-//! * [`affix`] — common prefix/suffix similarity,
 //! * [`combine`] — strategies for aggregating several similarity values,
 //! * [`features`] — precomputed per-name features ([`features::NameFeatures`]:
 //!   lowercased chars, interned q-gram signatures, Myers match vectors) and
@@ -29,7 +28,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod affix;
 pub mod combine;
 pub mod edit;
 pub mod features;
