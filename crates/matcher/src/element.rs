@@ -226,8 +226,8 @@ pub fn match_elements(
 /// only the repository nodes surfaced by the exact and approximate (q-gram) lookups
 /// are scored, instead of scanning the whole forest.
 ///
-/// `min_overlap` is the q-gram overlap fraction passed to
-/// [`NameIndex::lookup_approximate`]; the count filter is conservative for moderate
+/// `min_overlap` is the q-gram overlap fraction of the index's count filter
+/// ([`NameIndex::lookup_candidates_resolved`]); it is conservative for moderate
 /// similarity floors, but a very low floor combined with a high `min_overlap` can
 /// prune pairs the exhaustive scan would keep — which is exactly the recall/latency
 /// trade a serving layer plans per query.
@@ -240,10 +240,11 @@ pub fn match_elements_with_index(
     min_overlap: f64,
 ) -> CandidateSet {
     let mut set = CandidateSet::new(personal.preorder());
+    let mut scratch = CandidateScratch::default();
     for i in 0..set.node_count() {
         let pnode = set.personal_nodes()[i];
         let pdata = personal.node(pnode).expect("preorder yields valid ids");
-        for rid in index_candidates(index, &pdata.name, min_overlap) {
+        for rid in index_candidates(index, &pdata.name, min_overlap, &mut scratch) {
             let rdata = repo.node(rid).expect("index ids are valid");
             let sim = matcher.compare(pdata, rdata);
             if sim >= config.min_similarity && sim > 0.0 {
@@ -255,16 +256,27 @@ pub fn match_elements_with_index(
     cap(set, config)
 }
 
-/// Candidate retrieval of the string reference path: approximate (q-gram) plus
-/// exact lookups, deduplicated, in canonical id order. The feature path retrieves
-/// *names* through [`NameIndex::lookup_names_resolved`] instead — a *pre-scoring*
-/// subset shaped by the length window — but both paths apply the same
+/// Candidate retrieval of the string reference path: the unwindowed count filter
+/// plus exact lookups, deduplicated, in canonical id order. The feature path
+/// retrieves *names* through [`NameIndex::lookup_names_resolved`] under a length
+/// window instead — a *pre-scoring* subset — but both paths apply the same
 /// `min_similarity` floor after scoring, and the window only drops pairs whose
 /// length difference already caps them below that floor, so the **scored**
 /// candidate sets (and therefore the byte-identical replay guarantee) are
 /// unchanged.
-fn index_candidates(index: &NameIndex, name: &str, min_overlap: f64) -> Vec<GlobalNodeId> {
-    let mut candidates = index.lookup_approximate(name, min_overlap);
+fn index_candidates(
+    index: &NameIndex,
+    name: &str,
+    min_overlap: f64,
+    scratch: &mut CandidateScratch,
+) -> Vec<GlobalNodeId> {
+    let (mut candidates, _) = index.lookup_candidates_resolved(
+        &index.resolve_query(name),
+        min_overlap,
+        LengthWindow::Infinite,
+        MergePolicy::Auto,
+        scratch,
+    );
     candidates.extend_from_slice(index.lookup_exact(name));
     candidates.sort();
     candidates.dedup();
@@ -364,34 +376,6 @@ pub fn match_elements_features(
     cap(set, config)
 }
 
-/// Index-pruned element matching through the [`FeatureStore`]: the zero-allocation
-/// fast path of [`match_elements_with_index`] for the paper's fuzzy name kernel.
-/// Candidate retrieval runs the filter–verify pipeline (length-bucketed postings,
-/// count-threshold merging over `candidates` scratch) with the length window
-/// derived from `config.min_similarity`; scoring runs on interned ids and
-/// precomputed features. Results are byte-identical to the string path with
-/// [`NameElementMatcher`]: the window only skips pairs the similarity floor would
-/// reject after scoring anyway.
-pub fn match_elements_with_index_features(
-    personal: &SchemaTree,
-    index: &NameIndex,
-    config: &ElementMatchConfig,
-    min_overlap: f64,
-    scratch: &mut SimScratch,
-    candidates: &mut CandidateScratch,
-) -> CandidateSet {
-    let resolved = resolve_personal_queries(personal, index);
-    match_elements_with_index_features_resolved(
-        personal,
-        index,
-        config,
-        min_overlap,
-        &resolved,
-        scratch,
-        candidates,
-    )
-}
-
 /// Resolve every personal name against `index`, in the tree's pre-order — the
 /// slice [`match_elements_with_index_features_resolved`] consumes. Exposed so a
 /// serving engine can resolve once and share the result with its query planner
@@ -408,10 +392,19 @@ pub fn resolve_personal_queries(personal: &SchemaTree, index: &NameIndex) -> Vec
         .collect()
 }
 
-/// [`match_elements_with_index_features`] with the per-node query resolutions
-/// supplied by the caller (`resolved` parallel to `personal.preorder()`), so a
-/// pipeline that already resolved the names for planning never re-walks their
-/// grams here.
+/// Index-pruned element matching through the [`FeatureStore`]: the zero-allocation
+/// fast path of [`match_elements_with_index`] for the paper's fuzzy name kernel.
+/// Candidate retrieval runs the filter–verify pipeline (length-bucketed postings,
+/// count-threshold merging over `candidates` scratch) with the length window
+/// derived from `config.min_similarity`; scoring runs on interned ids and
+/// precomputed features. Results are byte-identical to the string path with
+/// [`NameElementMatcher`]: the window only skips pairs the similarity floor would
+/// reject after scoring anyway.
+///
+/// The per-node query resolutions come from the caller
+/// ([`resolve_personal_queries`], `resolved` parallel to `personal.preorder()`),
+/// so a pipeline that already resolved the names for planning never re-walks
+/// their grams here.
 ///
 /// Per personal node: one name-level filter lookup
 /// ([`NameIndex::lookup_names_resolved`]), the exact-name spellings added
@@ -657,11 +650,12 @@ mod tests {
                 &config,
                 0.3,
             );
-            let features_idx = match_elements_with_index_features(
+            let features_idx = match_elements_with_index_features_resolved(
                 &personal,
                 &index,
                 &config,
                 0.3,
+                &resolve_personal_queries(&personal, &index),
                 &mut scratch,
                 &mut candidates,
             );

@@ -15,7 +15,8 @@
 use proptest::prelude::*;
 use xsm_matcher::element::{
     match_elements, match_elements_features, match_elements_with_index,
-    match_elements_with_index_features, ElementMatchConfig, NameElementMatcher,
+    match_elements_with_index_features_resolved, resolve_personal_queries, ElementMatchConfig,
+    NameElementMatcher,
 };
 use xsm_matcher::CandidateSet;
 use xsm_repo::{CandidateScratch, LiveRepository, NameIndex, SchemaRepository};
@@ -108,6 +109,7 @@ fn assert_sets_identical(reference: &CandidateSet, got: &CandidateSet, context: 
 fn assert_paths_agree(personal: &SchemaTree, repo: &SchemaRepository, index: &NameIndex) {
     let mut sim = SimScratch::default();
     let mut scratch = CandidateScratch::default();
+    let resolved = resolve_personal_queries(personal, index);
     for floor in [0.0, 0.4, 0.75] {
         for cap in [None, Some(3)] {
             let mut config = ElementMatchConfig::default().with_min_similarity(floor);
@@ -128,11 +130,12 @@ fn assert_paths_agree(personal: &SchemaTree, repo: &SchemaRepository, index: &Na
                         &config,
                         min_overlap,
                     ),
-                    &match_elements_with_index_features(
+                    &match_elements_with_index_features_resolved(
                         personal,
                         index,
                         &config,
                         min_overlap,
+                        &resolved,
                         &mut sim,
                         &mut scratch,
                     ),

@@ -409,21 +409,14 @@ impl FeatureStore {
         NameFeatures::build_query(name, &self.interner)
     }
 
-    /// The interned-id signature of a query name for index lookups: the sorted,
-    /// deduplicated ids of its grams **known to the interner**, plus the count of
-    /// distinct grams overall (known + unknown — the denominator a count filter
-    /// needs, since unknown grams can never match a posting but still dilute the
-    /// overlap fraction).
-    pub fn query_signature(&self, name: &str) -> (Vec<u32>, usize) {
-        let (known, _, distinct, _) = self.query_profile(name);
-        (known, distinct)
-    }
-
-    /// [`FeatureStore::query_signature`] plus per-gram positions and the query's
-    /// character length — the **one** interner resolution every index-side
-    /// consumer (candidate lookup, volume estimation, the query planner) shares,
-    /// so no call site re-walks the query's grams. Returns `(known ids, packed
-    /// first/last positions parallel to them, distinct gram count, char length)`.
+    /// The **one** interner resolution of a query name every index-side consumer
+    /// (candidate lookup, volume estimation, the query planner) shares, so no
+    /// call site re-walks the query's grams. Returns `(known ids, packed
+    /// first/last positions parallel to them, distinct gram count, char length)`:
+    /// the sorted, deduplicated ids of the grams **known to the interner**, and
+    /// the count of distinct grams overall (known + unknown — the denominator a
+    /// count filter needs, since unknown grams can never match a posting but
+    /// still dilute the overlap fraction).
     /// Positions are packed `first << 16 | last` (clamped to `u16`) in the
     /// padded gram stream, matching `NameFeatures::gram_positions`; they feed
     /// the positional q-gram filter.
@@ -570,11 +563,11 @@ mod tests {
         let repo = repo();
         let store = FeatureStore::build(&repo, 3);
         // A name made of grams the corpus cannot contain.
-        let (known, distinct) = store.query_signature("qqq");
+        let (known, _, distinct, _) = store.query_profile("qqq");
         assert!(known.is_empty());
         assert!(distinct > 0, "unknown grams still count as distinct");
         // A corpus name resolves every gram.
-        let (known, distinct) = store.query_signature("person");
+        let (known, _, distinct, _) = store.query_profile("person");
         assert_eq!(known.len(), distinct);
         assert!(known.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
     }

@@ -52,9 +52,10 @@
 //!   name id); steady-state name-level generation allocates nothing.
 //!
 //! Under an infinite window the result is **exactly** the classic merge-everything
-//! count filter ([`NameIndex::lookup_approximate_baseline`], kept as the reference
-//! and bench baseline): same ids, same order — proven by the property suite in
-//! `tests/candidate_equivalence.rs`; `tests/name_table_equivalence.rs` checks
+//! count filter: same ids, same order. The reference lives in test code
+//! (`tests/oracle/mod.rs`, a brute-force count over every live name that never
+//! reads the arena) and the property suite in `tests/candidate_equivalence.rs`
+//! holds every merge policy to it; `tests/name_table_equivalence.rs` checks
 //! both against a brute-force pass over the repository's nodes.
 //!
 //! ## Live mutation
@@ -133,36 +134,6 @@ impl LengthWindow {
     }
 }
 
-/// One approximate-candidate request against a [`NameIndex`]: the query name, the
-/// T-occurrence overlap requirement, and the length filter.
-#[derive(Debug, Clone, Copy)]
-pub struct CandidateQuery<'a> {
-    /// The query name (matched case-insensitively, like every kernel).
-    pub name: &'a str,
-    /// Minimum fraction of the query's distinct q-grams a candidate must share.
-    pub min_overlap_fraction: f64,
-    /// Which candidate name lengths are admitted at all.
-    pub length_window: LengthWindow,
-}
-
-impl<'a> CandidateQuery<'a> {
-    /// A query with an infinite length window (exact superset of the classic
-    /// lookup's behaviour).
-    pub fn new(name: &'a str, min_overlap_fraction: f64) -> Self {
-        CandidateQuery {
-            name,
-            min_overlap_fraction,
-            length_window: LengthWindow::Infinite,
-        }
-    }
-
-    /// Builder-style length-window override.
-    pub fn with_length_window(mut self, window: LengthWindow) -> Self {
-        self.length_window = window;
-        self
-    }
-}
-
 /// A query name resolved against one index's interner **once**: the sorted ids of
 /// its known grams, the distinct-gram denominator of the count filter, and the
 /// query's character length (the length-window anchor). Candidate lookup, volume
@@ -196,7 +167,7 @@ impl ResolvedQuery {
     }
 }
 
-/// Which merge algorithm [`NameIndex::lookup_candidates_counted`] runs.
+/// Which merge algorithm [`NameIndex::lookup_names_resolved`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MergePolicy {
     /// Choose from the in-window posting volume (the serving default):
@@ -258,7 +229,7 @@ impl CandidateScratch {
     }
 }
 
-/// Work accounting of one candidate lookup (reported by the `candidates` bench).
+/// Work accounting of one candidate lookup.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CandidateStats {
     /// Distinct **names** whose occurrence count was actually examined
@@ -896,52 +867,6 @@ impl NameIndex {
         }
     }
 
-    /// Candidate nodes whose name shares at least `min_overlap_fraction` of the query
-    /// name's q-grams (a conservative pre-filter: every node with fuzzy similarity
-    /// above a moderate threshold shares a large q-gram fraction, so the exact kernel
-    /// only has to be run on the returned candidates).
-    ///
-    /// Compatibility entry point running the classic merge
-    /// ([`NameIndex::lookup_approximate_baseline`] — byte-identical results by the
-    /// equivalence suite, and its working memory scales with the candidates
-    /// touched rather than the corpus, which suits one-shot callers). Hot paths
-    /// hold a [`CandidateScratch`] per worker and call
-    /// [`NameIndex::lookup_names_resolved`] instead.
-    pub fn lookup_approximate(&self, name: &str, min_overlap_fraction: f64) -> Vec<GlobalNodeId> {
-        self.lookup_approximate_baseline(name, min_overlap_fraction)
-    }
-
-    /// The filter–verify candidate lookup (see the module docs): length segments
-    /// outside the window are skipped wholesale, the survivors are merged with a
-    /// T-occurrence count filter (ScanCount or ScanProbe, chosen from the
-    /// in-window volume). Returns candidate ids ascending.
-    pub fn lookup_candidates(
-        &self,
-        query: &CandidateQuery<'_>,
-        scratch: &mut CandidateScratch,
-    ) -> Vec<GlobalNodeId> {
-        self.lookup_candidates_counted(query, MergePolicy::Auto, scratch)
-            .0
-    }
-
-    /// [`NameIndex::lookup_candidates`] with an explicit merge policy, also
-    /// returning the work accounting (bench and test instrumentation).
-    pub fn lookup_candidates_counted(
-        &self,
-        query: &CandidateQuery<'_>,
-        policy: MergePolicy,
-        scratch: &mut CandidateScratch,
-    ) -> (Vec<GlobalNodeId>, CandidateStats) {
-        let resolved = self.resolve_query(query.name);
-        self.lookup_candidates_resolved(
-            &resolved,
-            query.min_overlap_fraction,
-            query.length_window,
-            policy,
-            scratch,
-        )
-    }
-
     /// The node-level form of the resolved lookup:
     /// [`NameIndex::lookup_names_resolved`] fanned out over the surviving
     /// names' node lists, ascending. The matcher scores names, not nodes, and
@@ -1318,52 +1243,6 @@ impl NameIndex {
         }
     }
 
-    /// The classic pre-filter–verify lookup, kept as the equivalence
-    /// reference and bench baseline: merge **every** posting of the query's grams
-    /// through a per-query hash map, then apply the count filter and fan the
-    /// surviving names out. Returns the candidate nodes ascending plus the
-    /// number of distinct names examined.
-    pub fn lookup_approximate_baseline_counted(
-        &self,
-        name: &str,
-        min_overlap_fraction: f64,
-    ) -> (Vec<GlobalNodeId>, usize) {
-        let (known, distinct) = self.store.query_signature(name);
-        if distinct == 0 {
-            return (Vec::new(), 0);
-        }
-        let mut counts: HashMap<NameId, usize> = HashMap::new();
-        for &gram_id in &known {
-            let (seg_start, seg_end) = self.segment_range(gram_id);
-            for seg in &self.segments[seg_start..seg_end] {
-                for &posted in &self.arena[seg.start as usize..seg.end as usize] {
-                    if !self.is_dead(posted) {
-                        *counts.entry(posted).or_default() += 1;
-                    }
-                }
-            }
-        }
-        let needed = (min_overlap_fraction * distinct as f64).ceil() as usize;
-        let needed = needed.max(1);
-        let examined = counts.len();
-        let names: Vec<NameId> = counts
-            .into_iter()
-            .filter(|&(_, c)| c >= needed)
-            .map(|(name, _)| name)
-            .collect();
-        (self.fan_out(&names), examined)
-    }
-
-    /// [`NameIndex::lookup_approximate_baseline_counted`] without the accounting.
-    pub fn lookup_approximate_baseline(
-        &self,
-        name: &str,
-        min_overlap_fraction: f64,
-    ) -> Vec<GlobalNodeId> {
-        self.lookup_approximate_baseline_counted(name, min_overlap_fraction)
-            .0
-    }
-
     /// The q used when the index was built.
     pub fn q(&self) -> usize {
         self.q
@@ -1406,7 +1285,7 @@ impl NameIndex {
             .unwrap_or(0)
     }
 
-    /// Upper bound on the work of [`NameIndex::lookup_approximate`] for `name`: the
+    /// Upper bound on the work of an unwindowed candidate lookup for `name`: the
     /// summed posting-list lengths of the query's distinct q-grams. Query planners use
     /// this to decide between index-pruned and exhaustive candidate generation without
     /// materialising the candidates. Pure integer work: grams are resolved to interned
@@ -1523,6 +1402,19 @@ mod tests {
         SchemaRepository::from_trees(vec![paper_repository_fragment(), other])
     }
 
+    /// The node-level lookup under the serving merge policy.
+    fn lookup(idx: &NameIndex, name: &str, frac: f64, window: LengthWindow) -> Vec<GlobalNodeId> {
+        let mut scratch = CandidateScratch::default();
+        idx.lookup_candidates_resolved(
+            &idx.resolve_query(name),
+            frac,
+            window,
+            MergePolicy::Auto,
+            &mut scratch,
+        )
+        .0
+    }
+
     #[test]
     fn exact_lookup_is_case_insensitive() {
         let repo = small_repo();
@@ -1537,14 +1429,14 @@ mod tests {
     fn approximate_lookup_finds_related_names() {
         let repo = small_repo();
         let idx = NameIndex::build(&repo);
-        let candidates = idx.lookup_approximate("email", 0.3);
+        let candidates = lookup(&idx, "email", 0.3, LengthWindow::Infinite);
         let names: Vec<&str> = candidates.iter().map(|&id| repo.name_of(id)).collect();
         assert!(
             names.contains(&"emailAddress"),
             "expected emailAddress among {names:?}"
         );
         // A strict overlap requirement excludes loosely related names.
-        let strict = idx.lookup_approximate("email", 0.99);
+        let strict = lookup(&idx, "email", 0.99, LengthWindow::Infinite);
         assert!(strict.len() <= candidates.len());
     }
 
@@ -1552,7 +1444,7 @@ mod tests {
     fn approximate_lookup_of_exact_name_contains_it() {
         let repo = small_repo();
         let idx = NameIndex::build(&repo);
-        let candidates = idx.lookup_approximate("address", 0.9);
+        let candidates = lookup(&idx, "address", 0.9, LengthWindow::Infinite);
         let names: Vec<&str> = candidates.iter().map(|&id| repo.name_of(id)).collect();
         assert!(names.iter().filter(|&&n| n == "address").count() >= 2);
     }
@@ -1562,7 +1454,7 @@ mod tests {
         let repo = small_repo();
         let idx = NameIndex::build(&repo);
         // q-gram padding means even "" produces grams, but sanity: tiny queries work.
-        let v = idx.lookup_approximate("x", 0.5);
+        let v = lookup(&idx, "x", 0.5, LengthWindow::Infinite);
         // No name contains 'x' grams in this repo.
         assert!(v.is_empty() || v.iter().all(|&id| repo.name_of(id).contains('x')));
     }
@@ -1588,7 +1480,7 @@ mod tests {
         // The estimate sums posting lists, so it bounds the ids touched by the
         // approximate lookup with the loosest overlap requirement.
         for name in ["address", "email", "person", "qqqq"] {
-            let touched: usize = idx.lookup_approximate(name, 0.0).len();
+            let touched: usize = lookup(&idx, name, 0.0, LengthWindow::Infinite).len();
             assert!(
                 idx.estimate_candidate_volume(name) >= touched,
                 "estimate below actual candidates for {name}"
@@ -1628,44 +1520,16 @@ mod tests {
     }
 
     #[test]
-    fn filter_verify_matches_the_baseline_on_the_small_repo() {
-        let repo = small_repo();
-        let idx = NameIndex::build(&repo);
-        let mut scratch = CandidateScratch::default();
-        for name in ["address", "email", "person", "authorName", "x", ""] {
-            for frac in [0.0, 0.3, 0.5, 0.99] {
-                let baseline = idx.lookup_approximate_baseline(name, frac);
-                for policy in [
-                    MergePolicy::Auto,
-                    MergePolicy::ScanCount,
-                    MergePolicy::MergeSkip,
-                    MergePolicy::ScanProbe,
-                ] {
-                    let (got, _) = idx.lookup_candidates_counted(
-                        &CandidateQuery::new(name, frac),
-                        policy,
-                        &mut scratch,
-                    );
-                    assert_eq!(got, baseline, "{name} frac={frac} policy={policy:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn length_window_drops_only_sub_floor_candidates() {
         let repo = small_repo();
         let idx = NameIndex::build(&repo);
-        let mut scratch = CandidateScratch::default();
         for (name, floor) in [("email", 0.5), ("address", 0.7), ("person", 0.9)] {
-            let baseline = idx.lookup_approximate_baseline(name, 0.2);
-            let query =
-                CandidateQuery::new(name, 0.2).with_length_window(LengthWindow::fuzzy_floor(floor));
-            let windowed = idx.lookup_candidates(&query, &mut scratch);
-            // Subset of the baseline…
-            assert!(windowed.iter().all(|id| baseline.contains(id)));
+            let unwindowed = lookup(&idx, name, 0.2, LengthWindow::Infinite);
+            let windowed = lookup(&idx, name, 0.2, LengthWindow::fuzzy_floor(floor));
+            // Subset of the unwindowed lookup…
+            assert!(windowed.iter().all(|id| unwindowed.contains(id)));
             // …and nothing that clears the fuzzy floor was dropped.
-            for &id in &baseline {
+            for &id in &unwindowed {
                 let sim = xsm_similarity::compare_string_fuzzy(name, repo.name_of(id));
                 if sim >= floor {
                     assert!(
@@ -1685,14 +1549,15 @@ mod tests {
         let mut scratch = CandidateScratch::default();
         // "emailx" has grams unknown to the corpus; a 0.99 fraction of its distinct
         // grams exceeds the known-gram count, so no candidate can qualify.
-        let (got, stats) = idx.lookup_candidates_counted(
-            &CandidateQuery::new("emailxyzq", 0.99),
+        let (got, stats) = idx.lookup_candidates_resolved(
+            &idx.resolve_query("emailxyzq"),
+            0.99,
+            LengthWindow::Infinite,
             MergePolicy::Auto,
             &mut scratch,
         );
         assert!(got.is_empty());
         assert_eq!(stats.candidates_examined, 0);
-        assert_eq!(got, idx.lookup_approximate_baseline("emailxyzq", 0.99));
     }
 
     #[test]
@@ -1702,11 +1567,14 @@ mod tests {
         let mut scratch = CandidateScratch::default();
         for _ in 0..3 {
             for name in ["address", "email", "person"] {
-                let fresh = idx.lookup_candidates(
-                    &CandidateQuery::new(name, 0.3),
-                    &mut CandidateScratch::default(),
+                let fresh = lookup(&idx, name, 0.3, LengthWindow::Infinite);
+                let (reused, _) = idx.lookup_candidates_resolved(
+                    &idx.resolve_query(name),
+                    0.3,
+                    LengthWindow::Infinite,
+                    MergePolicy::Auto,
+                    &mut scratch,
                 );
-                let reused = idx.lookup_candidates(&CandidateQuery::new(name, 0.3), &mut scratch);
                 assert_eq!(fresh, reused, "dirty scratch changed {name}");
             }
         }

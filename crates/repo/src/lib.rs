@@ -41,8 +41,8 @@ pub mod snapshot;
 pub use features::{FeatureStore, NameId};
 pub use generator::{GeneratorConfig, RepositoryGenerator};
 pub use index::{
-    CandidateQuery, CandidateScratch, CandidateStats, LengthWindow, MergeAlgorithm, MergePolicy,
-    NameIndex, ResolvedQuery,
+    CandidateScratch, CandidateStats, LengthWindow, MergeAlgorithm, MergePolicy, NameIndex,
+    ResolvedQuery,
 };
 pub use live::{IngestLog, IngestOp, IngestRecord, LiveError, LiveRepository};
 pub use partition::{tree_hash_shard, RepositoryPartition, ShardPlacement};

@@ -317,8 +317,7 @@ impl LiveRepository {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::CandidateQuery;
-    use crate::CandidateScratch;
+    use crate::{CandidateScratch, LengthWindow, MergePolicy};
     use xsm_schema::{SchemaNode, TreeBuilder};
 
     fn tree(name: &str, fields: &[&str]) -> SchemaTree {
@@ -365,9 +364,18 @@ mod tests {
                 oracle.lookup_exact(name),
                 "exact lookup diverged for {name:?}"
             );
-            let q = CandidateQuery::new(name, 0.5);
-            let got = live.index().lookup_candidates(&q, &mut scratch);
-            let want = oracle.lookup_candidates(&q, &mut scratch);
+            let mut candidates = |index: &NameIndex| {
+                index
+                    .lookup_candidates_resolved(
+                        &index.resolve_query(name),
+                        0.5,
+                        LengthWindow::Infinite,
+                        MergePolicy::Auto,
+                        &mut scratch,
+                    )
+                    .0
+            };
+            let (got, want) = (candidates(live.index()), candidates(&oracle));
             assert_eq!(got, want, "candidates diverged for {name:?}");
             assert_eq!(
                 live.index().estimate_candidate_volume(name),

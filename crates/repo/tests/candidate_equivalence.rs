@@ -1,22 +1,25 @@
 //! Property suite: the filter–verify candidate lookup is a pure optimisation.
 //!
-//! Under an **infinite** length window, `NameIndex::lookup_candidates` must return
-//! exactly the classic merge-everything count filter's candidate set
-//! (`lookup_approximate_baseline`): same ids, same (ascending) order — for every
-//! merge policy, every q, and overlap fractions across the whole range. Under a
-//! **finite** window the result is a subset of the baseline that never drops a
-//! node whose fuzzy similarity clears the window's floor (the length-difference
-//! bound is conservative with respect to the kernel's own normalization).
+//! Under an **infinite** length window, `NameIndex::lookup_candidates_resolved`
+//! must return exactly the classic merge-everything count filter's candidate set
+//! (`oracle::count_filter`, a brute-force count over every live name): same ids,
+//! same (ascending) order — for every merge policy, every q, and overlap
+//! fractions across the whole range. Under a **finite** window the result is a
+//! subset of the oracle's that never drops a node whose fuzzy similarity clears
+//! the window's floor (the length-difference bound is conservative with respect
+//! to the kernel's own normalization).
 //!
 //! Corpora are random forests over a small alphabet (maximising shared grams and
 //! count-filter collisions) mixed with schema-ish names; queries include corpus
 //! names, near-misses and corpus-unrelated strings.
 
+mod oracle;
+
+use oracle::{count_filter, lookup, POLICIES};
 use proptest::prelude::*;
 use xsm_repo::index::MergeAlgorithm;
-use xsm_repo::{
-    CandidateQuery, CandidateScratch, LengthWindow, MergePolicy, NameIndex, SchemaRepository,
-};
+use xsm_repo::{CandidateScratch, LengthWindow, MergePolicy, NameIndex, SchemaRepository};
+use xsm_schema::tree::paper_repository_fragment;
 use xsm_schema::{SchemaNode, TreeBuilder};
 use xsm_similarity::compare_string_fuzzy;
 
@@ -50,15 +53,13 @@ proptest! {
             let mut scratch = CandidateScratch::default();
             for query in &queries {
                 for frac in FRACTIONS {
-                    let baseline = index.lookup_approximate_baseline(query, frac);
-                    for policy in [
-                        MergePolicy::Auto,
-                        MergePolicy::ScanCount,
-                        MergePolicy::MergeSkip,
-                        MergePolicy::ScanProbe,
-                    ] {
-                        let (got, _) = index.lookup_candidates_counted(
-                            &CandidateQuery::new(query, frac),
+                    let baseline = count_filter(&index, query, frac);
+                    for policy in POLICIES {
+                        let (got, _) = lookup(
+                            &index,
+                            query,
+                            frac,
+                            LengthWindow::Infinite,
                             policy,
                             &mut scratch,
                         );
@@ -68,8 +69,6 @@ proptest! {
                             q, query, frac, policy, got, baseline
                         );
                     }
-                    // The compatibility wrapper is the same path.
-                    prop_assert_eq!(index.lookup_approximate(query, frac), baseline);
                 }
             }
         }
@@ -87,18 +86,12 @@ proptest! {
         let mut scratch = CandidateScratch::default();
         for query in &queries {
             for frac in FRACTIONS {
-                let baseline = index.lookup_approximate_baseline(query, frac);
+                let baseline = count_filter(&index, query, frac);
                 for floor in FLOORS {
-                    let cq = CandidateQuery::new(query, frac)
-                        .with_length_window(LengthWindow::fuzzy_floor(floor));
-                    for policy in [
-                        MergePolicy::Auto,
-                        MergePolicy::ScanCount,
-                        MergePolicy::MergeSkip,
-                        MergePolicy::ScanProbe,
-                    ] {
+                    let window = LengthWindow::fuzzy_floor(floor);
+                    for policy in POLICIES {
                         let (windowed, _) =
-                            index.lookup_candidates_counted(&cq, policy, &mut scratch);
+                            lookup(&index, query, frac, window, policy, &mut scratch);
                         // Subset, order preserved: every windowed id appears in the
                         // baseline, and the sequence stays ascending.
                         prop_assert!(windowed.windows(2).all(|w| w[0] < w[1]));
@@ -141,12 +134,17 @@ proptest! {
         for (i, query) in queries.iter().enumerate() {
             let frac = FRACTIONS[i % FRACTIONS.len()];
             let floor = FLOORS[i % FLOORS.len()];
-            let cq = CandidateQuery::new(query, frac)
-                .with_length_window(LengthWindow::fuzzy_floor(floor));
+            let window = LengthWindow::fuzzy_floor(floor);
             let policy = if i % 2 == 0 { MergePolicy::ScanCount } else { MergePolicy::MergeSkip };
-            let (dirty, _) = index.lookup_candidates_counted(&cq, policy, &mut reused);
-            let (fresh, _) =
-                index.lookup_candidates_counted(&cq, policy, &mut CandidateScratch::default());
+            let (dirty, _) = lookup(&index, query, frac, window, policy, &mut reused);
+            let (fresh, _) = lookup(
+                &index,
+                query,
+                frac,
+                window,
+                policy,
+                &mut CandidateScratch::default(),
+            );
             prop_assert!(
                 dirty == fresh,
                 "query {:?} diverged on reused scratch",
@@ -175,11 +173,15 @@ fn positional_filter_rejects_displaced_grams_and_nothing_else() {
     let query = "abcdefghijkl";
     let mut fired = false;
     for floor in [0.6, 0.75, 0.9] {
-        let cq =
-            CandidateQuery::new(query, 0.0).with_length_window(LengthWindow::fuzzy_floor(floor));
-        let baseline = index.lookup_approximate_baseline(query, 0.0);
-        let (got, stats) =
-            index.lookup_candidates_counted(&cq, MergePolicy::ScanCount, &mut scratch);
+        let baseline = count_filter(&index, query, 0.0);
+        let (got, stats) = lookup(
+            &index,
+            query,
+            0.0,
+            LengthWindow::fuzzy_floor(floor),
+            MergePolicy::ScanCount,
+            &mut scratch,
+        );
         fired |= stats.positional_rejections > 0;
         for &id in &baseline {
             let sim = compare_string_fuzzy(query, repo.name_of(id));
@@ -200,7 +202,7 @@ fn positional_filter_rejects_displaced_grams_and_nothing_else() {
 
 /// Deterministic large-ish corpus crossing the ScanCount/ScanProbe auto boundary:
 /// common grams produce posting volumes past the crossover so the Auto policy
-/// takes the probing merge, and the result must still replay the baseline.
+/// takes the probing merge, and the result must still replay the oracle.
 #[test]
 fn auto_policy_crossover_replays_the_baseline() {
     // The crossover volume depends on the active kernel tier (the vectorized
@@ -224,9 +226,12 @@ fn auto_policy_crossover_replays_the_baseline() {
     let mut saw_scan_count = false;
     for query in ["shared", "record00100", "recard00100", "f3x3", "zzz"] {
         for frac in [0.0, 0.4, 0.8] {
-            let baseline = index.lookup_approximate_baseline(query, frac);
-            let (got, stats) = index.lookup_candidates_counted(
-                &CandidateQuery::new(query, frac),
+            let baseline = count_filter(&index, query, frac);
+            let (got, stats) = lookup(
+                &index,
+                query,
+                frac,
+                LengthWindow::Infinite,
                 MergePolicy::Auto,
                 &mut scratch,
             );
@@ -238,4 +243,45 @@ fn auto_policy_crossover_replays_the_baseline() {
     }
     assert!(saw_scan_probe, "no query crossed into ScanProbe");
     assert!(saw_scan_count, "no query stayed on ScanCount");
+}
+
+/// The paper's Fig. 1 fragment plus a contacts tree: every policy replays the
+/// oracle, and a bound no candidate can reach (most of `emailxyzq`'s grams are
+/// unknown to the corpus) is empty on both sides.
+#[test]
+fn filter_verify_matches_the_baseline_on_the_small_repo() {
+    let contacts = TreeBuilder::new("contacts")
+        .root(SchemaNode::element("person"))
+        .child(SchemaNode::element("name"))
+        .sibling(SchemaNode::element("emailAddress"))
+        .sibling(SchemaNode::element("address"))
+        .build();
+    let repo = SchemaRepository::from_trees(vec![paper_repository_fragment(), contacts]);
+    let index = NameIndex::build(&repo);
+    let mut scratch = CandidateScratch::default();
+    for name in [
+        "address",
+        "email",
+        "person",
+        "authorName",
+        "x",
+        "",
+        "emailxyzq",
+    ] {
+        for frac in [0.0, 0.3, 0.5, 0.99] {
+            let baseline = count_filter(&index, name, frac);
+            for policy in POLICIES {
+                let (got, _) = lookup(
+                    &index,
+                    name,
+                    frac,
+                    LengthWindow::Infinite,
+                    policy,
+                    &mut scratch,
+                );
+                assert_eq!(got, baseline, "{name} frac={frac} policy={policy:?}");
+            }
+        }
+    }
+    assert!(count_filter(&index, "emailxyzq", 0.99).is_empty());
 }

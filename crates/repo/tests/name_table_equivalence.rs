@@ -4,10 +4,13 @@
 //! The oracle here knows nothing of the index. It walks `repo.nodes()`, cuts
 //! every name into q-grams **on strings** and counts the distinct grams a node
 //! shares with the query — the per-node definition of the T-occurrence count
-//! filter. The suites check, over forests that repeat names heavily and mix
-//! case variants of one name (`Name` / `name` / `NAME`), empty names, names
-//! past 64 characters (the blocked edit-distance kernels) and a query with
-//! more than 255 known grams (past the `u8` counters):
+//! filter. The name-table oracle of `oracle/mod.rs` (a brute-force count over
+//! interned gram signatures) is held to it as well, so the suites that compare
+//! against that one stand on strings too. The suites check, over forests that
+//! repeat names heavily and mix case variants of one name (`Name` / `name` /
+//! `NAME`), empty names, names past 64 characters (the blocked edit-distance
+//! kernels) and a query with more than 255 known grams (past the `u8`
+//! counters):
 //!
 //! * the name-level lookup plus fan-out equals the oracle under an infinite
 //!   window, for every merge policy, and under a finite window keeps every
@@ -20,12 +23,14 @@
 //! * the work a lookup does is bounded by the number of distinct names, not
 //!   nodes, and an append of known spellings adds no posting.
 
+mod oracle;
+
 use std::collections::BTreeSet;
 
+use oracle::{count_filter, lookup, POLICIES};
 use proptest::prelude::*;
 use xsm_repo::{
-    CandidateQuery, CandidateScratch, LengthWindow, LiveRepository, MergePolicy, NameIndex,
-    SchemaRepository,
+    CandidateScratch, LengthWindow, LiveRepository, MergePolicy, NameIndex, SchemaRepository,
 };
 use xsm_schema::{GlobalNodeId, SchemaNode, SchemaTree, TreeBuilder, TreeId};
 use xsm_similarity::compare_string_fuzzy;
@@ -178,12 +183,6 @@ impl Oracle {
     }
 }
 
-const POLICIES: [MergePolicy; 4] = [
-    MergePolicy::Auto,
-    MergePolicy::ScanCount,
-    MergePolicy::MergeSkip,
-    MergePolicy::ScanProbe,
-];
 const FRACTIONS: [f64; 3] = [0.0, 0.5, 0.99];
 const FLOORS: [f64; 2] = [0.5, 0.9];
 
@@ -236,13 +235,16 @@ fn assert_index_matches_oracle(index: &NameIndex, logical: &SchemaRepository, qu
         for frac in FRACTIONS {
             let expected = oracle.candidates(query, &shared, frac, LengthWindow::Infinite);
             assert_eq!(
-                index.lookup_approximate_baseline(query, frac),
+                count_filter(index, query, frac),
                 expected,
-                "baseline of {query:?} frac={frac}"
+                "name-table oracle of {query:?} frac={frac}"
             );
             for policy in POLICIES {
-                let (got, stats) = index.lookup_candidates_counted(
-                    &CandidateQuery::new(query, frac),
+                let (got, stats) = lookup(
+                    index,
+                    query,
+                    frac,
+                    LengthWindow::Infinite,
                     policy,
                     &mut scratch,
                 );
@@ -268,11 +270,7 @@ fn assert_index_matches_oracle(index: &NameIndex, logical: &SchemaRepository, qu
                 for floor in FLOORS {
                     let window = LengthWindow::fuzzy_floor(floor);
                     let in_window = oracle.candidates(query, &shared, frac, window);
-                    let (windowed, _) = index.lookup_candidates_counted(
-                        &CandidateQuery::new(query, frac).with_length_window(window),
-                        policy,
-                        &mut scratch,
-                    );
+                    let (windowed, _) = lookup(index, query, frac, window, policy, &mut scratch);
                     assert!(windowed.windows(2).all(|pair| pair[0] < pair[1]));
                     for id in &windowed {
                         assert!(
@@ -402,8 +400,11 @@ fn the_pool_reaches_the_kernel_and_counter_edges() {
         index.resolve_query(&huge).known_grams().len() > u8::MAX as usize,
         "the long query must overflow the u8 counters"
     );
-    let (got, stats) = index.lookup_candidates_counted(
-        &CandidateQuery::new(&huge, 0.5),
+    let (got, stats) = lookup(
+        &index,
+        &huge,
+        0.5,
+        LengthWindow::Infinite,
         MergePolicy::Auto,
         &mut CandidateScratch::default(),
     );
@@ -505,11 +506,7 @@ fn work_is_bounded_by_distinct_names_not_nodes() {
     for query in ["customer", "custmer", "field3", "customerName", "x", ""] {
         for policy in POLICIES {
             for window in [LengthWindow::Infinite, LengthWindow::fuzzy_floor(0.5)] {
-                let (got, stats) = live.index().lookup_candidates_counted(
-                    &CandidateQuery::new(query, 0.3).with_length_window(window),
-                    policy,
-                    &mut scratch,
-                );
+                let (got, stats) = lookup(live.index(), query, 0.3, window, policy, &mut scratch);
                 assert!(
                     stats.candidates_examined <= names,
                     "{query:?} {policy:?}: examined {} of {names} names",

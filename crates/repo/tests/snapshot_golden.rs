@@ -11,6 +11,8 @@
 //! XSM_UPDATE_GOLDEN=1 cargo test -p xsm-repo --test snapshot_golden
 //! ```
 
+mod oracle;
+
 use xsm_repo::snapshot::{
     SnapshotError, SnapshotReader, SnapshotWriter, FORMAT_VERSION, SNAPSHOT_MAGIC,
 };
@@ -147,8 +149,8 @@ fn wide_gram_counts_round_trip() {
 
 #[test]
 fn tombstoned_snapshot_round_trips_and_stays_out_of_clean_snapshots() {
-    use xsm_repo::index::CandidateQuery;
-    use xsm_repo::{CandidateScratch, LiveRepository};
+    use oracle::{count_filter, lookup};
+    use xsm_repo::{CandidateScratch, LengthWindow, LiveRepository, MergePolicy};
 
     let repo =
         RepositoryGenerator::new(GeneratorConfig::small(23).with_target_elements(400)).generate();
@@ -189,13 +191,25 @@ fn tombstoned_snapshot_round_trips_and_stays_out_of_clean_snapshots() {
     let mut scratch = CandidateScratch::default();
     for (_, tree) in repo.trees().take(5) {
         for (_, node) in tree.nodes().take(4) {
-            let q = CandidateQuery::new(&node.name, 0.5);
+            let mut candidates = |index: &NameIndex| {
+                lookup(
+                    index,
+                    &node.name,
+                    0.5,
+                    LengthWindow::Infinite,
+                    MergePolicy::Auto,
+                    &mut scratch,
+                )
+                .0
+            };
+            let loaded = candidates(&snapshot.index);
             assert_eq!(
-                snapshot.index.lookup_candidates(&q, &mut scratch),
-                live.index().lookup_candidates(&q, &mut scratch),
+                loaded,
+                candidates(live.index()),
                 "candidates diverged after round trip for {:?}",
                 node.name
             );
+            assert_eq!(loaded, count_filter(&snapshot.index, &node.name, 0.5));
             assert_eq!(
                 snapshot.index.lookup_exact(&node.name),
                 live.index().lookup_exact(&node.name)

@@ -12,7 +12,7 @@ use bellflower::clustering::{ClusteredMatcher, ClusteringVariant};
 use bellflower::matcher::element::{ElementMatchConfig, NameElementMatcher};
 use bellflower::matcher::{BranchAndBoundGenerator, MatchingProblem, ObjectiveConfig};
 use bellflower::repo::corpus::{load_directory, load_documents};
-use bellflower::repo::NameIndex;
+use bellflower::repo::{CandidateScratch, LengthWindow, MergePolicy, NameIndex};
 use bellflower::schema::{SchemaNode, TreeBuilder};
 use std::path::Path;
 
@@ -84,8 +84,15 @@ fn main() {
 
     // 2. The name index gives exact and approximate lookups over the whole forest.
     let index = NameIndex::build(&repository);
+    let mut scratch = CandidateScratch::default();
     for query in ["email", "address", "name"] {
-        let approx = index.lookup_approximate(query, 0.4);
+        let (approx, _) = index.lookup_candidates_resolved(
+            &index.resolve_query(query),
+            0.4,
+            LengthWindow::Infinite,
+            MergePolicy::Auto,
+            &mut scratch,
+        );
         println!(
             "index lookup '{query}': {} exact, {} approximate candidates",
             index.lookup_exact(query).len(),
