@@ -6,7 +6,7 @@
 //! heavily, so everything derived from a name lives here **once per distinct
 //! spelling**, not once per node: a stable [`NameId`], the [`NameFeatures`]
 //! the similarity kernels score against (lowercased characters, Myers match
-//! vectors, interned q-gram signature; word tokens on first use), and the
+//! vectors, interned q-gram signature), and the
 //! ascending list of live nodes that carry the spelling. A node keeps only
 //! its name id. The [`crate::NameIndex`] posts name ids, the matcher scores
 //! each surviving name once and fans the score out over the name's node list,
@@ -15,8 +15,8 @@
 //! Names are keyed on the **exact spelling** (`Name` and `name` are two
 //! entries with equal lowercased forms), so the features reachable through
 //! [`FeatureStore::features_of`] are field for field what
-//! [`NameFeatures::build`] gives for that node's own name — the tokenizer
-//! needs the original case. The store and the index share one
+//! [`NameFeatures::build`] gives for that node's own name, original case
+//! included. The store and the index share one
 //! [`GramInterner`], which is what lets the index keep its posting lists in a
 //! dense `Vec` keyed by gram id and lets candidate scoring intersect
 //! signatures by integer merge.
@@ -515,7 +515,7 @@ mod tests {
             .nodes_of_name(lower)
             .windows(2)
             .all(|pair| pair[0] < pair[1]));
-        // Same lowercased form, but the original case survives for the tokenizer.
+        // Same lowercased form, but each spelling keeps its original case.
         assert_eq!(store.name_features(lower).original(), None);
         assert_eq!(store.name_features(upper).original(), Some("Name"));
         // Every node of a spelling shares one features slot.
@@ -570,34 +570,6 @@ mod tests {
         let (known, _, distinct, _) = store.query_profile("person");
         assert_eq!(known.len(), distinct);
         assert!(known.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
-    }
-
-    #[test]
-    fn store_build_skips_token_features() {
-        // Tokens are only read by the token-set kernel; the engine's fuzzy
-        // pipeline never touches them, so building the store must not pay for
-        // tokenizing every repository name (ROADMAP "lazy token features").
-        let repo = repo();
-        let store = FeatureStore::build(&repo, 3);
-        let mut scratch = SimScratch::default();
-        let q = store.query_features("emailAdress");
-        for (id, f) in store.iter() {
-            let s = fuzzy_features(&q, f, &mut scratch);
-            assert_eq!(
-                s.to_bits(),
-                xsm_similarity::compare_string_fuzzy("emailAdress", repo.name_of(id)).to_bits()
-            );
-        }
-        assert!(
-            store.iter().all(|(_, f)| !f.tokens_built()),
-            "a fuzzy-only workload materialised token features"
-        );
-        // Token features still work when asked for, on demand.
-        let (id, _) = repo
-            .nodes()
-            .find(|(_, n)| n.name == "emailAddress")
-            .expect("node exists");
-        assert_eq!(store.features_of(id).unwrap().tokens().len(), 2);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Everything the serving engine builds at startup — the name table (every
 //! distinct spelling once, with its
 //! [`xsm_similarity::features::NameFeatures`]: gram signatures, Myers match
-//! vectors; word tokens stay lazy), the length-segmented posting arena of the
+//! vectors), the length-segmented posting arena of the
 //! [`crate::NameIndex`] over name ids with its gram and length-segment
 //! directories, the [`xsm_similarity::features::GramInterner`] table,
 //! per-tree centroids and the repository's tree/node tables — is deterministic

@@ -337,10 +337,6 @@ proptest! {
                 prop_assert_eq!(shared.gram_total(), own.gram_total());
                 prop_assert_eq!(shared.gram_positions(), own.gram_positions());
                 prop_assert_eq!(shared.peq_pairs(), own.peq_pairs());
-                let tokens = |f: &NameFeatures| -> Vec<Vec<char>> {
-                    f.tokens().iter().map(|t| t.chars().to_vec()).collect()
-                };
-                prop_assert_eq!(tokens(shared), tokens(&own));
             }
             prop_assert_eq!(interner.len(), index.features().interner().len());
         }

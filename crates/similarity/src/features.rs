@@ -1,37 +1,29 @@
 //! Precomputed name features and zero-allocation similarity kernels.
 //!
-//! The string-taking measures in this crate ([`crate::fuzzy`], [`crate::jaro`],
-//! [`crate::ngram`], [`crate::token`]) re-derive everything on every call: they
-//! lowercase both inputs, collect `Vec<char>`s, allocate one `String` per q-gram and
-//! hash gram multisets into fresh maps. Repository element names are immutable after
-//! index construction, so all of that is compute-once data. This module splits each
-//! measure into
+//! The string-taking measures in this crate re-derive everything on every call:
+//! they lowercase both inputs, collect `Vec<char>`s and allocate one `String` per
+//! q-gram. Repository element names are immutable after index construction, so all
+//! of that is compute-once data. This module splits the paper's measure
+//! ([`crate::fuzzy::compare_string_fuzzy`]) into
 //!
 //! 1. a **feature build** ([`NameFeatures::build`]) that runs once per name and
-//!    precomputes the lowercased text, its `char`s, the Myers bit-parallel match
-//!    vectors and an interned, sorted q-gram signature (the per-word token
-//!    features only the token-set kernel reads are derived lazily, on first use —
-//!    fuzzy-only workloads never build them), and
-//! 2. a **kernel** ([`fuzzy_features`], [`levenshtein_features`], [`dice_features`],
-//!    [`jaccard_features`], [`token_set_features`], …) that scores two feature sets
-//!    without allocating: gram signatures are intersected by linear merge over `u32`
-//!    ids instead of hashing, and edit distances for names of ≤ 64 characters run the
-//!    bit-parallel Myers / Hyyrö algorithms in a handful of `u64` operations per text
-//!    character (longer names fall back to the classic DP over caller-provided
-//!    scratch rows).
+//!    precomputes the lowercased text, its `char`s, the bit-parallel match vectors
+//!    and the interned, sorted q-gram signature an inverted index posts, and
+//! 2. a **kernel** ([`fuzzy_features`] over [`damerau_features`]) that scores two
+//!    feature sets without allocating: the edit distance of names of ≤ 64
+//!    characters runs Hyyrö's bit-parallel algorithm in a handful of `u64`
+//!    operations per text character, longer names run its blocked form (the
+//!    classic DP over caller-provided scratch rows under `XSM_FORCE_SCALAR`).
 //!
-//! Every kernel is *bit-identical* to its string-path counterpart evaluated on the
+//! The kernel is *bit-identical* to its string-path counterpart evaluated on the
 //! lowercased inputs — asserted by the property suite in
 //! `tests/feature_equivalence.rs` — so swapping a pipeline onto the feature path
 //! cannot change any result, only its cost.
 
 use std::collections::HashMap;
 
-use crate::edit::{
-    damerau_levenshtein_chars_scratch, levenshtein_chars_scratch, normalized_similarity,
-};
+use crate::edit::{damerau_levenshtein_chars_scratch, normalized_similarity};
 use crate::simd::{BlockPeq, BlockScratch};
-use crate::token::tokenize;
 
 /// Maximum pattern length (in characters) served by the bit-parallel edit-distance
 /// fast path; longer names fall back to the classic dynamic program.
@@ -183,40 +175,10 @@ fn peq_lookup(peq: &[(char, u64)], c: char) -> u64 {
     }
 }
 
-/// One word token of a compound name, with its bit-parallel match vectors.
-/// Tokens come from [`crate::token::tokenize`] and are always lowercase and
-/// non-empty.
-#[derive(Debug, Clone)]
-pub struct TokenFeatures {
-    chars: Box<[char]>,
-    peq: Box<[(char, u64)]>,
-    /// Blocked match table for tokens past [`BITPARALLEL_MAX_CHARS`], built on
-    /// first use by the blocked Hyyrö kernel (rare: most tokens are short).
-    block_peq: std::sync::OnceLock<BlockPeq>,
-}
-
-impl TokenFeatures {
-    fn new(token: &str) -> Self {
-        let chars: Box<[char]> = token.chars().collect();
-        let peq = build_peq(&chars);
-        TokenFeatures {
-            chars,
-            peq,
-            block_peq: std::sync::OnceLock::new(),
-        }
-    }
-
-    /// The token's characters (lowercase).
-    pub fn chars(&self) -> &[char] {
-        &self.chars
-    }
-}
-
 /// Everything the similarity kernels need about one name, computed once.
 ///
 /// Gram signatures are sorted, deduplicated `u32` ids from a shared
-/// [`GramInterner`], with the per-gram multiplicities kept in a parallel array so
-/// the Dice kernel can score the exact multiset overlap the string path computes.
+/// [`GramInterner`], with the per-gram multiplicities kept in a parallel array.
 #[derive(Debug, Clone)]
 pub struct NameFeatures {
     /// The lowercased name (`String::to_lowercase`, matching every kernel's
@@ -232,18 +194,12 @@ pub struct NameFeatures {
     /// Character count of [`NameFeatures::lower`] (cheap, always available —
     /// length filters must not force the lazy `chars`).
     char_len: u32,
-    /// The original name as given, kept **only when lowercasing changed it** — the
-    /// tokenizer needs the original case (camelCase boundaries vanish in
-    /// [`NameFeatures::lower`]), but for the common already-lowercase corpus name
-    /// `lower` *is* the original and storing a byte-identical copy per name would
-    /// only bloat repository-wide feature stores.
+    /// The original name as given, kept **only when lowercasing changed it** — a
+    /// name table identifies a name by its exact spelling, but for the common
+    /// already-lowercase corpus name `lower` *is* the original and storing a
+    /// byte-identical copy per name would only bloat repository-wide feature
+    /// stores.
     original: Option<Box<str>>,
-    /// Word tokens of the original name (camelCase / snake_case / digit splits),
-    /// built **on first use**: the fuzzy/edit/Jaro/gram kernels never read tokens,
-    /// so a fuzzy-only workload (the serving engine's default) pays nothing for
-    /// them — neither at [`NameFeatures::build`] time (repository-wide feature
-    /// stores build one `NameFeatures` per distinct name) nor per query.
-    tokens: std::sync::OnceLock<Box<[TokenFeatures]>>,
     /// The gram signature and its multiplicities in one allocation: the first
     /// half holds the sorted, deduplicated interned gram ids, the second half
     /// the multiplicity of each id (same order). Feature stores hold one
@@ -336,33 +292,12 @@ impl NameFeatures {
             lower: lower.into_boxed_str(),
             char_len: chars.len() as u32,
             chars: std::sync::OnceLock::from(chars),
-            tokens: std::sync::OnceLock::new(),
             grams: sig.into_boxed_slice(),
             gram_total: occurrences.len() as u32,
             peq,
             gram_pos: gram_pos.into_boxed_slice(),
             block_peq: std::sync::OnceLock::new(),
         }
-    }
-
-    /// The word tokens of the original name, tokenizing on first call (thread-safe;
-    /// concurrent first calls race benignly on one `OnceLock`). Token features are
-    /// identical whether they were built lazily here or would have been built
-    /// eagerly at construction — the tokenizer sees the same original name.
-    pub fn tokens(&self) -> &[TokenFeatures] {
-        self.tokens.get_or_init(|| {
-            let original = self.original.as_deref().unwrap_or(&self.lower);
-            tokenize(original)
-                .iter()
-                .map(|t| TokenFeatures::new(t))
-                .collect()
-        })
-    }
-
-    /// Whether the token features have been materialised yet (observability for
-    /// tests pinning the lazy-build contract).
-    pub fn tokens_built(&self) -> bool {
-        self.tokens.get().is_some()
     }
 
     /// Number of characters of the (lowercased) name.
@@ -372,7 +307,7 @@ impl NameFeatures {
 
     /// Unicode scalar values of [`NameFeatures::lower`], materialising them on
     /// first call (thread-safe; concurrent first calls race benignly on one
-    /// `OnceLock`, exactly like [`NameFeatures::tokens`]).
+    /// `OnceLock`).
     pub fn chars(&self) -> &[char] {
         self.chars.get_or_init(|| {
             // `bytes()` knows its exact length, so the ASCII path allocates the
@@ -435,9 +370,9 @@ impl NameFeatures {
     /// sorted, deduplicated gram signature and its parallel multiplicities
     /// ([`NameFeatures::gram_sig`] then [`NameFeatures::gram_counts`]), `peq`
     /// exactly the dump of [`NameFeatures::peq_pairs`]. Cheap derived fields
-    /// (`char_len`, `gram_total`) are recomputed here; `chars` and tokens stay
-    /// lazy — the match vectors arrive in `peq`, so nothing needs the char
-    /// slice until a character-level kernel runs.
+    /// (`char_len`, `gram_total`) are recomputed here; `chars` stays lazy — the
+    /// match vectors arrive in `peq`, so nothing needs the char slice until a
+    /// character-level kernel runs.
     pub fn from_parts(
         lower: Box<str>,
         original: Option<Box<str>>,
@@ -456,7 +391,6 @@ impl NameFeatures {
             char_len,
             chars: std::sync::OnceLock::new(),
             original,
-            tokens: std::sync::OnceLock::new(),
             grams,
             gram_total,
             peq,
@@ -467,47 +401,20 @@ impl NameFeatures {
 }
 
 /// Reusable scratch buffers for the kernels that need per-call working memory (the
-/// DP fallback rows and the Jaro matched flags). One instance per worker thread
-/// makes steady-state scoring allocation-free.
+/// DP fallback rows and the blocked kernel's per-block state). One instance per
+/// worker thread makes steady-state scoring allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct SimScratch {
     row0: Vec<usize>,
     row1: Vec<usize>,
     row2: Vec<usize>,
-    a_matched: Vec<bool>,
-    b_matched: Vec<bool>,
     blocks: BlockScratch,
 }
 
-/// Myers' 1999 bit-parallel Levenshtein distance: pattern of `m <= 64` characters
-/// (as match vectors `peq`), text streamed char by char. `O(|text|)` words of work.
-fn myers_levenshtein(peq: &[(char, u64)], m: usize, text: &[char]) -> usize {
-    debug_assert!((1..=BITPARALLEL_MAX_CHARS).contains(&m));
-    let mut pv: u64 = !0;
-    let mut mv: u64 = 0;
-    let mut score = m;
-    let last = 1u64 << (m - 1);
-    for &c in text {
-        let eq = peq_lookup(peq, c);
-        let xv = eq | mv;
-        let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
-        let ph = mv | !(xh | pv);
-        let mh = pv & xh;
-        if ph & last != 0 {
-            score += 1;
-        }
-        if mh & last != 0 {
-            score -= 1;
-        }
-        let ph = (ph << 1) | 1;
-        pv = (mh << 1) | !(xv | ph);
-        mv = ph & xv;
-    }
-    score
-}
-
-/// Hyyrö's 2003 bit-parallel Damerau–Levenshtein (OSA) distance: Myers plus a
-/// transposition vector carried between text positions.
+/// Hyyrö's 2003 bit-parallel Damerau–Levenshtein (OSA) distance: Myers' 1999
+/// Levenshtein recurrence plus a transposition vector carried between text
+/// positions. Pattern of `m <= 64` characters (as match vectors `peq`), text
+/// streamed char by char: `O(|text|)` words of work.
 fn hyyro_osa(peq: &[(char, u64)], m: usize, text: &[char]) -> usize {
     debug_assert!((1..=BITPARALLEL_MAX_CHARS).contains(&m));
     let mut pv: u64 = !0;
@@ -537,11 +444,13 @@ fn hyyro_osa(peq: &[(char, u64)], m: usize, text: &[char]) -> usize {
     score
 }
 
-/// Levenshtein distance over precomputed features (lowercased characters):
-/// bit-parallel when either name fits in [`BITPARALLEL_MAX_CHARS`] characters,
-/// classic DP over the scratch rows otherwise. Equals
-/// `edit::levenshtein(a.lower, b.lower)`.
-pub fn levenshtein_features(a: &NameFeatures, b: &NameFeatures, scratch: &mut SimScratch) -> usize {
+/// Damerau–Levenshtein (OSA) distance over precomputed features (lowercased
+/// characters): Hyyrö bit-parallel when either name fits in
+/// [`BITPARALLEL_MAX_CHARS`] characters (the distance is symmetric, so either side
+/// may serve as the pattern), blocked Hyyrö beyond — the classic DP over the
+/// scratch rows under `XSM_FORCE_SCALAR`. Equals
+/// `edit::damerau_levenshtein(a.lower, b.lower)`.
+pub fn damerau_features(a: &NameFeatures, b: &NameFeatures, scratch: &mut SimScratch) -> usize {
     if a.char_len == 0 {
         return b.char_len();
     }
@@ -549,87 +458,27 @@ pub fn levenshtein_features(a: &NameFeatures, b: &NameFeatures, scratch: &mut Si
         return a.char_len();
     }
     if a.char_len() <= BITPARALLEL_MAX_CHARS {
-        myers_levenshtein(&a.peq, a.char_len(), b.chars())
+        hyyro_osa(&a.peq, a.char_len(), b.chars())
     } else if b.char_len() <= BITPARALLEL_MAX_CHARS {
-        myers_levenshtein(&b.peq, b.char_len(), a.chars())
+        hyyro_osa(&b.peq, b.char_len(), a.chars())
     } else if !crate::simd::force_scalar() {
-        // Both sides past the single-word limit: blocked Myers, with the
+        // Both sides past the single-word limit: blocked Hyyrö, with the
         // shorter side as the pattern (fewer blocks per text character).
         let (p, t) = if a.char_len() <= b.char_len() {
             (a, b)
         } else {
             (b, a)
         };
-        crate::simd::myers_levenshtein_blocked(
-            p.block_peq(),
-            p.char_len(),
-            t.chars(),
-            &mut scratch.blocks,
-        )
-    } else {
-        levenshtein_chars_scratch(a.chars(), b.chars(), &mut scratch.row0, &mut scratch.row1)
-    }
-}
-
-/// The Damerau dispatch shared by the whole-name and per-token kernels: Hyyrö
-/// bit-parallel when either side's pattern fits [`BITPARALLEL_MAX_CHARS`]
-/// (distance is symmetric, so either side may serve as the pattern), classic DP
-/// over the scratch rows otherwise. One policy, so a fast-path change can never
-/// silently diverge names from tokens.
-#[allow(clippy::too_many_arguments)]
-fn damerau_dispatch(
-    a_chars: &[char],
-    a_peq: &[(char, u64)],
-    a_block: &std::sync::OnceLock<BlockPeq>,
-    b_chars: &[char],
-    b_peq: &[(char, u64)],
-    b_block: &std::sync::OnceLock<BlockPeq>,
-    scratch: &mut SimScratch,
-) -> usize {
-    if a_chars.is_empty() {
-        return b_chars.len();
-    }
-    if b_chars.is_empty() {
-        return a_chars.len();
-    }
-    if a_chars.len() <= BITPARALLEL_MAX_CHARS {
-        hyyro_osa(a_peq, a_chars.len(), b_chars)
-    } else if b_chars.len() <= BITPARALLEL_MAX_CHARS {
-        hyyro_osa(b_peq, b_chars.len(), a_chars)
-    } else if !crate::simd::force_scalar() {
-        // Both sides past the single-word limit: blocked Hyyrö, shorter side
-        // as the pattern.
-        let (pc, pb, tc) = if a_chars.len() <= b_chars.len() {
-            (a_chars, a_block, b_chars)
-        } else {
-            (b_chars, b_block, a_chars)
-        };
-        let peq = pb.get_or_init(|| BlockPeq::build(pc));
-        crate::simd::hyyro_osa_blocked(peq, pc.len(), tc, &mut scratch.blocks)
+        crate::simd::hyyro_osa_blocked(p.block_peq(), p.char_len(), t.chars(), &mut scratch.blocks)
     } else {
         damerau_levenshtein_chars_scratch(
-            a_chars,
-            b_chars,
+            a.chars(),
+            b.chars(),
             &mut scratch.row0,
             &mut scratch.row1,
             &mut scratch.row2,
         )
     }
-}
-
-/// Damerau–Levenshtein (OSA) distance over precomputed features; bit-parallel fast
-/// path as in [`levenshtein_features`]. Equals
-/// `edit::damerau_levenshtein(a.lower, b.lower)`.
-pub fn damerau_features(a: &NameFeatures, b: &NameFeatures, scratch: &mut SimScratch) -> usize {
-    damerau_dispatch(
-        a.chars(),
-        &a.peq,
-        &a.block_peq,
-        b.chars(),
-        &b.peq,
-        &b.block_peq,
-        scratch,
-    )
 }
 
 /// The paper's kernel over features: normalized Damerau–Levenshtein, bit-identical
@@ -645,178 +494,11 @@ pub fn fuzzy_features(a: &NameFeatures, b: &NameFeatures, scratch: &mut SimScrat
     normalized_similarity(d, a.char_len(), b.char_len())
 }
 
-fn fuzzy_tokens(a: &TokenFeatures, b: &TokenFeatures, scratch: &mut SimScratch) -> f64 {
-    if a.chars == b.chars {
-        return 1.0;
-    }
-    let d = damerau_dispatch(
-        &a.chars,
-        &a.peq,
-        &a.block_peq,
-        &b.chars,
-        &b.peq,
-        &b.block_peq,
-        scratch,
-    );
-    normalized_similarity(d, a.chars.len(), b.chars.len())
-}
-
-/// Token-set similarity over features, bit-identical to
-/// [`crate::token::token_set_similarity`] on the original names: greedy best-match
-/// average of per-token fuzzy similarities, symmetrised over both directions.
-pub fn token_set_features(a: &NameFeatures, b: &NameFeatures, scratch: &mut SimScratch) -> f64 {
-    let (a_tokens, b_tokens) = (a.tokens(), b.tokens());
-    if a_tokens.is_empty() && b_tokens.is_empty() {
-        return 1.0;
-    }
-    if a_tokens.is_empty() || b_tokens.is_empty() {
-        return 0.0;
-    }
-    let mut dir = |from: &[TokenFeatures], to: &[TokenFeatures]| -> f64 {
-        from.iter()
-            .map(|x| {
-                to.iter()
-                    .map(|y| fuzzy_tokens(x, y, scratch))
-                    .fold(0.0, f64::max)
-            })
-            .sum::<f64>()
-            / from.len() as f64
-    };
-    (dir(a_tokens, b_tokens) + dir(b_tokens, a_tokens)) / 2.0
-}
-
-/// Jaro similarity over features, bit-identical to [`crate::jaro::jaro`] on the
-/// original names. The matched flags live in the scratch buffers.
-pub fn jaro_features(a: &NameFeatures, b: &NameFeatures, scratch: &mut SimScratch) -> f64 {
-    let (la, lb) = (a.char_len(), b.char_len());
-    if la == 0 && lb == 0 {
-        return 1.0;
-    }
-    if la == 0 || lb == 0 {
-        return 0.0;
-    }
-    let (a_chars, b_chars) = (a.chars(), b.chars());
-    let match_window = (la.max(lb) / 2).saturating_sub(1);
-    scratch.a_matched.clear();
-    scratch.a_matched.resize(la, false);
-    scratch.b_matched.clear();
-    scratch.b_matched.resize(lb, false);
-    let mut matches = 0usize;
-    for (i, &ca) in a_chars.iter().enumerate() {
-        let lo = i.saturating_sub(match_window);
-        let hi = (i + match_window + 1).min(lb);
-        for (j, &cb) in b_chars.iter().enumerate().take(hi).skip(lo) {
-            if !scratch.b_matched[j] && cb == ca {
-                scratch.a_matched[i] = true;
-                scratch.b_matched[j] = true;
-                matches += 1;
-                break;
-            }
-        }
-    }
-    if matches == 0 {
-        return 0.0;
-    }
-    let mut transpositions = 0usize;
-    let mut k = 0usize;
-    for (i, &ca) in a_chars.iter().enumerate() {
-        if scratch.a_matched[i] {
-            while !scratch.b_matched[k] {
-                k += 1;
-            }
-            if ca != b_chars[k] {
-                transpositions += 1;
-            }
-            k += 1;
-        }
-    }
-    let m = matches as f64;
-    let t = transpositions as f64 / 2.0;
-    (m / la as f64 + m / lb as f64 + (m - t) / m) / 3.0
-}
-
-/// Jaro–Winkler over features, bit-identical to [`crate::jaro::jaro_winkler`] on the
-/// original names (prefix bonus 0.1, prefix capped at 4 characters).
-pub fn jaro_winkler_features(a: &NameFeatures, b: &NameFeatures, scratch: &mut SimScratch) -> f64 {
-    let j = jaro_features(a, b, scratch);
-    if j == 0.0 {
-        return 0.0;
-    }
-    let prefix = a
-        .chars()
-        .iter()
-        .zip(b.chars().iter())
-        .take(4)
-        .take_while(|(x, y)| x == y)
-        .count() as f64;
-    (j + prefix * 0.1 * (1.0 - j)).min(1.0)
-}
-
-/// Dice-coefficient q-gram similarity over interned signatures, bit-identical to
-/// [`crate::ngram::ngram_similarity`] with the interner's `q`: the multiset overlap
-/// comes from a linear merge of the two sorted signatures (`min` of the parallel
-/// multiplicities), no hashing and no allocation.
-pub fn dice_features(a: &NameFeatures, b: &NameFeatures) -> f64 {
-    if a.lower.is_empty() && b.lower.is_empty() {
-        return 1.0;
-    }
-    if a.gram_total == 0 || b.gram_total == 0 {
-        return 0.0;
-    }
-    let (a_sig, a_counts) = (a.gram_sig(), a.gram_counts());
-    let (b_sig, b_counts) = (b.gram_sig(), b.gram_counts());
-    let mut overlap = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a_sig.len() && j < b_sig.len() {
-        match a_sig[i].cmp(&b_sig[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                overlap += a_counts[i].min(b_counts[j]) as usize;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    2.0 * overlap as f64 / (a.gram_total as usize + b.gram_total as usize) as f64
-}
-
-/// Jaccard q-gram *set* similarity over interned signatures, bit-identical to
-/// [`crate::ngram::qgram_jaccard`] with the interner's `q`. Linear merge over the
-/// deduplicated signatures.
-pub fn jaccard_features(a: &NameFeatures, b: &NameFeatures) -> f64 {
-    if a.lower.is_empty() && b.lower.is_empty() {
-        return 1.0;
-    }
-    let (a_sig, b_sig) = (a.gram_sig(), b.gram_sig());
-    if a_sig.is_empty() || b_sig.is_empty() {
-        return 0.0;
-    }
-    let mut inter = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a_sig.len() && j < b_sig.len() {
-        match a_sig[i].cmp(&b_sig[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                inter += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    let union = a_sig.len() + b_sig.len() - inter;
-    inter as f64 / union as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edit::{damerau_levenshtein, levenshtein};
+    use crate::edit::damerau_levenshtein;
     use crate::fuzzy::compare_string_fuzzy;
-    use crate::jaro::{jaro, jaro_winkler};
-    use crate::ngram::{ngram_similarity, qgram_jaccard};
-    use crate::token::token_set_similarity;
 
     fn pair(a: &str, b: &str, q: usize) -> (NameFeatures, NameFeatures) {
         let mut interner = GramInterner::new(q);
@@ -851,11 +533,7 @@ mod tests {
         let f = NameFeatures::build("AuthorName", &mut interner);
         assert_eq!(&*f.lower, "authorname");
         assert_eq!(f.char_len(), 10);
-        // Tokens are lazy: nothing is materialised until a token kernel asks.
-        assert!(!f.tokens_built());
-        assert_eq!(f.tokens().len(), 2);
-        assert!(f.tokens_built());
-        assert_eq!(f.tokens()[0].chars().iter().collect::<String>(), "author");
+        assert_eq!(f.original(), Some("AuthorName"));
         // "authorname" padded with ## on both sides → 12 grams of length 3.
         assert_eq!(f.gram_total(), 12);
         assert!(
@@ -880,11 +558,6 @@ mod tests {
             let (fa, fb) = pair(a, b, 3);
             let (la, lb) = (a.to_lowercase(), b.to_lowercase());
             assert_eq!(
-                levenshtein_features(&fa, &fb, &mut scratch),
-                levenshtein(&la, &lb),
-                "levenshtein {a} {b}"
-            );
-            assert_eq!(
                 damerau_features(&fa, &fb, &mut scratch),
                 damerau_levenshtein(&la, &lb),
                 "damerau {a} {b}"
@@ -893,31 +566,6 @@ mod tests {
                 fuzzy_features(&fa, &fb, &mut scratch).to_bits(),
                 compare_string_fuzzy(a, b).to_bits(),
                 "fuzzy {a} {b}"
-            );
-            assert_eq!(
-                jaro_features(&fa, &fb, &mut scratch).to_bits(),
-                jaro(a, b).to_bits(),
-                "jaro {a} {b}"
-            );
-            assert_eq!(
-                jaro_winkler_features(&fa, &fb, &mut scratch).to_bits(),
-                jaro_winkler(a, b).to_bits(),
-                "jaro-winkler {a} {b}"
-            );
-            assert_eq!(
-                dice_features(&fa, &fb).to_bits(),
-                ngram_similarity(a, b, 3).to_bits(),
-                "dice {a} {b}"
-            );
-            assert_eq!(
-                jaccard_features(&fa, &fb).to_bits(),
-                qgram_jaccard(a, b, 3).to_bits(),
-                "jaccard {a} {b}"
-            );
-            assert_eq!(
-                token_set_features(&fa, &fb, &mut scratch).to_bits(),
-                token_set_similarity(a, b).to_bits(),
-                "token-set {a} {b}"
             );
         }
     }
@@ -929,18 +577,19 @@ mod tests {
         let (fa, fb) = pair(&long_a, &long_b, 3);
         let mut scratch = SimScratch::default();
         assert_eq!(
-            levenshtein_features(&fa, &fb, &mut scratch),
-            levenshtein(&long_a, &long_b)
-        );
-        assert_eq!(
             damerau_features(&fa, &fb, &mut scratch),
             damerau_levenshtein(&long_a, &long_b)
         );
-        // Mixed: one short, one long still takes the bit-parallel path.
+        // Mixed: one short, one long still takes the bit-parallel path, with
+        // the short side as the pattern whichever argument it is.
         let (fs, fl) = pair("short", &long_a, 3);
         assert_eq!(
-            levenshtein_features(&fs, &fl, &mut scratch),
-            levenshtein("short", &long_a)
+            damerau_features(&fs, &fl, &mut scratch),
+            damerau_levenshtein("short", &long_a)
+        );
+        assert_eq!(
+            damerau_features(&fl, &fs, &mut scratch),
+            damerau_levenshtein(&long_a, "short")
         );
     }
 
@@ -953,59 +602,9 @@ mod tests {
         let mut scratch = SimScratch::default();
         assert_eq!(fa.char_len(), 64);
         assert_eq!(
-            levenshtein_features(&fa, &fb, &mut scratch),
-            levenshtein(&a64, &b64.to_lowercase())
-        );
-        assert_eq!(
             damerau_features(&fa, &fb, &mut scratch),
             damerau_levenshtein(&a64, &b64.to_lowercase())
         );
-    }
-
-    #[test]
-    fn lazy_tokens_change_no_score_and_build_only_on_demand() {
-        let mut scratch = SimScratch::default();
-        for (a, b) in [
-            ("authorName", "author_name"),
-            ("firstName", "nameFirst"),
-            ("Book", "bOOK"),
-            ("", "x1y2"),
-        ] {
-            let (fa, fb) = pair(a, b, 3);
-            // The fuzzy/edit/Jaro/gram kernels must not trigger tokenization…
-            let fuzzy = fuzzy_features(&fa, &fb, &mut scratch);
-            let _ = levenshtein_features(&fa, &fb, &mut scratch);
-            let _ = jaro_winkler_features(&fa, &fb, &mut scratch);
-            let _ = dice_features(&fa, &fb);
-            let _ = jaccard_features(&fa, &fb);
-            assert!(!fa.tokens_built(), "{a}: fuzzy workload built tokens");
-            assert!(!fb.tokens_built(), "{b}: fuzzy workload built tokens");
-            // …and their scores are pinned to the string paths regardless.
-            assert_eq!(fuzzy.to_bits(), compare_string_fuzzy(a, b).to_bits());
-            // The token kernel materialises tokens and still matches the string
-            // path bit-for-bit (the lazy build sees the same original name).
-            let ts = token_set_features(&fa, &fb, &mut scratch);
-            assert!(fa.tokens_built() && fb.tokens_built());
-            assert_eq!(ts.to_bits(), token_set_similarity(a, b).to_bits());
-            // Idempotent: a second call reuses the materialised tokens.
-            assert_eq!(
-                token_set_features(&fa, &fb, &mut scratch).to_bits(),
-                ts.to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn cloning_preserves_lazy_and_materialised_tokens() {
-        let mut interner = GramInterner::new(3);
-        let f = NameFeatures::build("authorName", &mut interner);
-        let cloned_lazy = f.clone();
-        assert!(!cloned_lazy.tokens_built());
-        assert_eq!(f.tokens().len(), 2);
-        let cloned_built = f.clone();
-        assert!(cloned_built.tokens_built());
-        assert_eq!(cloned_built.tokens().len(), 2);
-        assert_eq!(cloned_lazy.tokens().len(), 2);
     }
 
     #[test]
@@ -1015,19 +614,18 @@ mod tests {
             .iter()
             .map(|n| NameFeatures::build(n, &mut interner))
             .collect();
-        // "authorNameX" has grams the interner never saw; they must not collide.
+        // "authorNameX" has grams the interner never saw; they get private ids
+        // past the corpus id space.
         let q = NameFeatures::build_query("authorNameX", &interner);
+        let unseen = q
+            .gram_sig()
+            .iter()
+            .filter(|&&id| id as usize >= interner.len())
+            .count();
+        assert_eq!(unseen, 3, "meX, eX#, X##");
         let mut scratch = SimScratch::default();
         for f in &corpus {
             let name: String = f.lower.to_string();
-            assert_eq!(
-                dice_features(&q, f).to_bits(),
-                ngram_similarity("authorNameX", &name, 3).to_bits()
-            );
-            assert_eq!(
-                jaccard_features(&q, f).to_bits(),
-                qgram_jaccard("authorNameX", &name, 3).to_bits()
-            );
             assert_eq!(
                 fuzzy_features(&q, f, &mut scratch).to_bits(),
                 compare_string_fuzzy("authorNameX", &name).to_bits()

@@ -8,12 +8,11 @@
 //!
 //! Three kernel families live here:
 //!
-//! 1. **Blocked Myers / Hyyrö** ([`myers_levenshtein_blocked`],
-//!    [`hyyro_osa_blocked`]): multi-word extensions of the single-`u64`
-//!    bit-parallel edit-distance kernels in `features.rs`. The pattern is
-//!    split into ⌈m/64⌉ blocks; each text character propagates a horizontal
-//!    carry `hin ∈ {-1, 0, +1}` bottom-up through the blocks (the vertical
-//!    layout of Myers 1999 §4 / Hyyrö 2003). Names longer than
+//! 1. **Blocked Hyyrö** ([`hyyro_osa_blocked`]): the multi-word extension of
+//!    the single-`u64` bit-parallel edit-distance kernel in `features.rs`. The
+//!    pattern is split into ⌈m/64⌉ blocks; each text character propagates a
+//!    horizontal carry `hin ∈ {-1, 0, +1}` bottom-up through the blocks (the
+//!    vertical layout of Myers 1999 §4 / Hyyrö 2003). Names longer than
 //!    `BITPARALLEL_MAX_CHARS` stay word-parallel instead of falling back to
 //!    the O(m·n) scalar DP.
 //! 2. **ScanCount accumulation** ([`accumulate_run`]): the dense `u8`
@@ -145,72 +144,16 @@ pub struct BlockScratch {
     pmp: Vec<u64>,
 }
 
-/// Levenshtein distance via the blocked Myers algorithm.
+/// Damerau (OSA, adjacent-transposition) distance via the blocked Hyyrö
+/// algorithm.
 ///
 /// `peq` must be built from the pattern, `m` is the pattern length in chars
 /// (must be ≥ 1 and match the table), `text` is the other string. Vertical
 /// layout: each text character walks the blocks bottom-up, carrying the
 /// horizontal delta `hin`; the running score is maintained at the last row
-/// of the last block. Bit-identical to `edit::levenshtein_chars_scratch`.
-pub fn myers_levenshtein_blocked(
-    peq: &BlockPeq,
-    m: usize,
-    text: &[char],
-    scratch: &mut BlockScratch,
-) -> usize {
-    debug_assert!(m >= 1);
-    let blocks = peq.blocks;
-    scratch.pv.clear();
-    scratch.pv.resize(blocks, !0u64);
-    scratch.mv.clear();
-    scratch.mv.resize(blocks, 0u64);
-    let last = 1u64 << ((m - 1) % 64);
-    let mut score = m as isize;
-    for &tc in text {
-        let rows = peq.lookup(tc);
-        let mut hin: i64 = 1;
-        for b in 0..blocks {
-            let mut eq = rows.map_or(0, |r| r[b]);
-            let pv0 = scratch.pv[b];
-            let mv0 = scratch.mv[b];
-            let xv = eq | mv0;
-            if hin < 0 {
-                eq |= 1;
-            }
-            let xh = (((eq & pv0).wrapping_add(pv0)) ^ pv0) | eq;
-            let mut ph = mv0 | !(xh | pv0);
-            let mut mh = pv0 & xh;
-            let hout: i64 = if b + 1 == blocks {
-                if ph & last != 0 {
-                    1
-                } else if mh & last != 0 {
-                    -1
-                } else {
-                    0
-                }
-            } else {
-                ((ph >> 63) as i64) - ((mh >> 63) as i64)
-            };
-            ph <<= 1;
-            mh <<= 1;
-            if hin > 0 {
-                ph |= 1;
-            } else if hin < 0 {
-                mh |= 1;
-            }
-            scratch.pv[b] = mh | !(xv | ph);
-            scratch.mv[b] = ph & xv;
-            hin = hout;
-        }
-        score += hin as isize;
-    }
-    score as usize
-}
-
-/// Damerau (OSA, adjacent-transposition) distance via the blocked Hyyrö
-/// algorithm: the blocked Myers shell plus per-block carried `d0` and
-/// previous-column `pm` vectors, with the transposition term crossing block
-/// boundaries through `tr_carry`. Bit-identical to
+/// of the last block. On top of that blocked Myers shell each block carries
+/// its `d0` and previous-column `pm` vectors, with the transposition term
+/// crossing block boundaries through `tr_carry`. Bit-identical to
 /// `edit::damerau_levenshtein_chars_scratch`.
 pub fn hyyro_osa_blocked(
     peq: &BlockPeq,
@@ -579,7 +522,7 @@ fn lower_token(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edit::{damerau_levenshtein, levenshtein};
+    use crate::edit::damerau_levenshtein;
 
     fn chars(s: &str) -> Vec<char> {
         s.chars().collect()
@@ -608,31 +551,6 @@ mod tests {
             classify_bytes(slice, &mut got);
             let expect: Vec<u8> = slice.iter().map(|&b| classify(b)).collect();
             assert_eq!(got, expect, "offset {start}");
-        }
-    }
-
-    #[test]
-    fn blocked_myers_matches_dp_across_block_widths() {
-        let cases = [
-            ("kitten", "sitting"),
-            ("a", ""),
-            ("", ""),
-            (
-                "the quick brown fox jumps over the lazy dog repeatedly and often",
-                "the quick brown fox jumped over a lazy dog repeatedly and often!",
-            ),
-        ];
-        let long_a = "abcdefghij".repeat(13); // 130 chars: 3 blocks
-        let long_b = "abcdefghijx".repeat(12);
-        let mut scratch = BlockScratch::default();
-        for (a, b) in cases.iter().copied().chain([(&*long_a, &*long_b)]) {
-            if a.is_empty() {
-                continue;
-            }
-            let ac = chars(a);
-            let peq = BlockPeq::build(&ac);
-            let got = myers_levenshtein_blocked(&peq, ac.len(), &chars(b), &mut scratch);
-            assert_eq!(got, levenshtein(a, b), "{a} vs {b}");
         }
     }
 

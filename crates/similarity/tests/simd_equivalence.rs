@@ -7,22 +7,10 @@
 //! fallback and the fast path compute the same answers on any host.
 
 use proptest::prelude::*;
-use xsm_similarity::edit::{damerau_levenshtein, levenshtein};
+use xsm_similarity::edit::damerau_levenshtein;
 use xsm_similarity::simd::{
-    accumulate_run, accumulate_run_scalar, hyyro_osa_blocked, lowercase, myers_levenshtein_blocked,
-    BlockPeq, BlockScratch,
+    accumulate_run, accumulate_run_scalar, hyyro_osa_blocked, lowercase, BlockPeq, BlockScratch,
 };
-
-fn blocked_lev(a: &str, b: &str) -> Option<usize> {
-    let ac: Vec<char> = a.chars().collect();
-    if ac.is_empty() {
-        return None;
-    }
-    let peq = BlockPeq::build(&ac);
-    let bc: Vec<char> = b.chars().collect();
-    let mut scratch = BlockScratch::default();
-    Some(myers_levenshtein_blocked(&peq, ac.len(), &bc, &mut scratch))
-}
 
 fn blocked_osa(a: &str, b: &str) -> Option<usize> {
     let ac: Vec<char> = a.chars().collect();
@@ -43,20 +31,6 @@ const MULTIBLOCK: &str = "[a-d ]{0,150}";
 const TRANSPOSY: &str = "[ab]{0,140}";
 
 proptest! {
-    #[test]
-    fn blocked_myers_equals_dp(a in NAMEISH, b in NAMEISH) {
-        if let Some(got) = blocked_lev(&a, &b) {
-            prop_assert_eq!(got, levenshtein(&a, &b));
-        }
-    }
-
-    #[test]
-    fn blocked_myers_equals_dp_multiblock(a in MULTIBLOCK, b in MULTIBLOCK) {
-        if let Some(got) = blocked_lev(&a, &b) {
-            prop_assert_eq!(got, levenshtein(&a, &b));
-        }
-    }
-
     #[test]
     fn blocked_osa_equals_dp(a in NAMEISH, b in NAMEISH) {
         if let Some(got) = blocked_osa(&a, &b) {
@@ -120,7 +94,6 @@ fn blocked_kernels_handle_degenerate_shapes() {
     for m in [1usize, 63, 64, 65, 127, 128, 129, 200] {
         let a = "x".repeat(m);
         for b in ["", "x", &"x".repeat(m), &"y".repeat(m), &"x".repeat(m + 64)] {
-            assert_eq!(blocked_lev(&a, b).unwrap(), levenshtein(&a, b), "m={m}");
             assert_eq!(
                 blocked_osa(&a, b).unwrap(),
                 damerau_levenshtein(&a, b),
