@@ -798,11 +798,7 @@ impl MatchEngine {
     /// invalidated precisely (old responses carry the old generation).
     /// Returns the consecutive [`TreeId`]s the trees received.
     pub fn append_trees(&self, trees: Vec<SchemaTree>) -> ServiceResult<Vec<TreeId>> {
-        let mut state = self.write_state();
-        let ids = state.live.append_trees(trees).map_err(live_error)?;
-        state.extend_centroids(&ids);
-        self.core.results.clear();
-        Ok(ids)
+        self.append(trees, None)
     }
 
     /// [`MatchEngine::append_trees`] landing on an explicit target generation
@@ -813,23 +809,15 @@ impl MatchEngine {
         trees: Vec<SchemaTree>,
         generation: u64,
     ) -> ServiceResult<Vec<TreeId>> {
-        let mut state = self.write_state();
-        if generation <= state.live.generation() {
-            return Err(live_error(LiveError::StaleGeneration {
-                current: state.live.generation(),
-                requested: generation,
-            }));
-        }
-        let ids = state.live.append_trees(trees).map_err(live_error)?;
-        if state.live.generation() < generation {
-            state
-                .live
-                .advance_generation(generation)
-                .expect("target was validated above");
-        }
-        state.extend_centroids(&ids);
-        self.core.results.clear();
-        Ok(ids)
+        self.append(trees, Some(generation))
+    }
+
+    fn append(&self, trees: Vec<SchemaTree>, target: Option<u64>) -> ServiceResult<Vec<TreeId>> {
+        self.mutate(
+            target,
+            |live| live.append_trees(trees),
+            |state, ids| state.extend_centroids(ids),
+        )
     }
 
     /// Tombstone a batch of trees without a rebuild: their postings are
@@ -840,33 +828,54 @@ impl MatchEngine {
     /// cache is invalidated. Returns the node-weighted posting volume removed
     /// (each deleted node once per distinct gram of its name).
     pub fn delete_trees(&self, trees: &[TreeId]) -> ServiceResult<usize> {
-        let mut state = self.write_state();
-        let dropped = state.live.delete_trees(trees).map_err(live_error)?;
-        state.live.maybe_compact(self.core.compaction_threshold);
-        self.core.results.clear();
-        Ok(dropped)
+        self.delete(trees, None)
     }
 
     /// [`MatchEngine::delete_trees`] landing on an explicit target generation
     /// (`> current`); see [`MatchEngine::append_trees_at`].
     pub fn delete_trees_at(&self, trees: &[TreeId], generation: u64) -> ServiceResult<usize> {
+        self.delete(trees, Some(generation))
+    }
+
+    fn delete(&self, trees: &[TreeId], target: Option<u64>) -> ServiceResult<usize> {
+        let threshold = self.core.compaction_threshold;
+        self.mutate(
+            target,
+            |live| live.delete_trees(trees),
+            |state, _| {
+                state.live.maybe_compact(threshold);
+            },
+        )
+    }
+
+    /// The one shape of a content mutation, under the write lock: refuse a
+    /// stale `target` generation before anything mutates, apply `change`, land
+    /// on the target, let `settle` bring the derived state along (centroid
+    /// table, arena compaction) and invalidate the result cache.
+    fn mutate<T>(
+        &self,
+        target: Option<u64>,
+        change: impl FnOnce(&mut LiveRepository) -> Result<T, LiveError>,
+        settle: impl FnOnce(&mut EngineState, &T),
+    ) -> ServiceResult<T> {
         let mut state = self.write_state();
-        if generation <= state.live.generation() {
+        let current = state.live.generation();
+        if let Some(requested) = target.filter(|&requested| requested <= current) {
             return Err(live_error(LiveError::StaleGeneration {
-                current: state.live.generation(),
-                requested: generation,
+                current,
+                requested,
             }));
         }
-        let dropped = state.live.delete_trees(trees).map_err(live_error)?;
-        if state.live.generation() < generation {
+        let outcome = change(&mut state.live).map_err(live_error)?;
+        if let Some(generation) = target.filter(|&target| state.live.generation() < target) {
             state
                 .live
                 .advance_generation(generation)
                 .expect("target was validated above");
         }
-        state.live.maybe_compact(self.core.compaction_threshold);
+        settle(&mut state, &outcome);
         self.core.results.clear();
-        Ok(dropped)
+        Ok(outcome)
     }
 
     /// Force the arena compaction [`MatchEngine::delete_trees`] would trigger
