@@ -1,6 +1,9 @@
-//! # xsm-bench — experiment harness
+//! # xsm-bench — the paper's experiments, and bellbench
 //!
-//! Reproduces every table and figure of the paper's evaluation (Sec. 5):
+//! The library and four of the binaries reproduce every table and figure of the
+//! paper's evaluation (Sec. 5); the fifth binary, `bellbench`
+//! (`src/bin/bellbench/`, its README is the manual), is the repository's one
+//! benchmark of the served match path and does not use this library.
 //!
 //! | Experiment | Binary | Library entry point |
 //! |---|---|---|

@@ -8,7 +8,12 @@
 //!
 //! [`match_elements`] runs the matchers over personal × repository and produces the
 //! [`CandidateSet`] of mapping elements — the input to both the clusterer and the
-//! mapping generators.
+//! mapping generators. It and [`match_elements_with_index`] are the string
+//! reference paths (any matcher, one kernel call per node pair);
+//! [`match_elements_features`] and [`match_elements_with_index_features_resolved`]
+//! are what a serving engine runs for the paper's fuzzy name matcher: one kernel
+//! call per distinct repository name over precomputed features, byte-identical
+//! results.
 
 use serde::{Deserialize, Serialize};
 use xsm_schema::{GlobalNodeId, NodeId, SchemaNode, SchemaTree};

@@ -15,10 +15,11 @@
 //! * [`synonym::SynonymTable`] — a small thesaurus matcher,
 //! * [`combine`] — strategies for aggregating several similarity values,
 //! * [`features`] — precomputed per-name features ([`features::NameFeatures`]:
-//!   lowercased chars, interned q-gram signatures, Myers match vectors) and
-//!   zero-allocation kernels over them, bit-identical to the string measures but
-//!   built for the serving hot path where every repository name is scored millions
-//!   of times.
+//!   lowercased chars, interned q-gram signatures, bit-parallel match vectors)
+//!   and the zero-allocation form of the paper's kernel over them
+//!   ([`features::fuzzy_features`]), bit-identical to the string measure but built
+//!   for the serving hot path where every repository name is scored millions of
+//!   times.
 //!
 //! All functions return values in `[0,1]`, are symmetric in their arguments, and are
 //! case-insensitive unless documented otherwise.
