@@ -10,7 +10,7 @@
 //! substitution 1); the scale and the personal schema are the paper's.
 
 use serde::{Deserialize, Serialize};
-use xsm_matcher::element::{match_elements, ElementMatchConfig, NameElementMatcher};
+use xsm_matcher::element::{match_elements, ElementMatchConfig};
 use xsm_matcher::{CandidateSet, MatchingProblem, ObjectiveConfig};
 use xsm_repo::{GeneratorConfig, RepositoryGenerator, SchemaRepository};
 
@@ -106,7 +106,6 @@ impl Workload {
         let candidates = match_elements(
             &problem.personal,
             &repository,
-            &NameElementMatcher,
             &ElementMatchConfig::default().with_min_similarity(config.min_similarity),
         );
         Workload {

@@ -166,7 +166,7 @@ impl KMeansClusterer {
 mod tests {
     use super::*;
     use crate::config::ReclusterStrategy;
-    use xsm_matcher::element::{match_elements, ElementMatchConfig, NameElementMatcher};
+    use xsm_matcher::element::{match_elements, ElementMatchConfig};
     use xsm_matcher::MatchingProblem;
     use xsm_repo::{GeneratorConfig, RepositoryGenerator};
     use xsm_schema::GlobalNodeId;
@@ -179,7 +179,6 @@ mod tests {
         let candidates = match_elements(
             &problem.personal,
             &repo,
-            &NameElementMatcher,
             &ElementMatchConfig::default().with_min_similarity(0.5),
         );
         (problem, repo, candidates)
@@ -351,7 +350,6 @@ mod tests {
         let candidates = match_elements(
             &personal,
             &repo,
-            &NameElementMatcher,
             &ElementMatchConfig::default().with_min_similarity(0.5),
         );
         assert_eq!(

@@ -98,7 +98,7 @@ mod tests {
     use super::*;
     use crate::config::ClusteringConfig;
     use crate::kmeans::KMeansClusterer;
-    use xsm_matcher::element::{match_elements, ElementMatchConfig, NameElementMatcher};
+    use xsm_matcher::element::{match_elements, ElementMatchConfig};
     use xsm_matcher::generator::branch_and_bound::BranchAndBoundGenerator;
     use xsm_matcher::{MappingGenerator, MatchingProblem};
     use xsm_repo::{GeneratorConfig, RepositoryGenerator, SchemaRepository};
@@ -109,7 +109,6 @@ mod tests {
         let candidates = match_elements(
             &problem.personal,
             &repo,
-            &NameElementMatcher,
             &ElementMatchConfig::default().with_min_similarity(0.4),
         );
         let (set, _) =

@@ -15,9 +15,7 @@
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
-use xsm_matcher::element::{
-    match_elements, ElementMatchConfig, ElementMatcher, NameElementMatcher,
-};
+use xsm_matcher::element::{match_elements, ElementMatchConfig};
 use xsm_matcher::generator::{sort_mappings, MappingGenerator};
 use xsm_matcher::{CandidateSet, GeneratorCounters, MatchingProblem, SchemaMapping};
 use xsm_repo::SchemaRepository;
@@ -139,33 +137,7 @@ impl ClusteredMatcher {
         generator: &dyn MappingGenerator,
     ) -> ClusteredMatchReport {
         let start = Instant::now();
-        let candidates = match_elements(
-            &problem.personal,
-            repo,
-            &NameElementMatcher,
-            &self.element_config,
-        );
-        let element_matching_time = start.elapsed();
-        let mut report = self.run_on_candidates(problem, repo, &candidates, generator);
-        report.element_matching_time = element_matching_time;
-        report
-    }
-
-    /// Run the full pipeline with a custom element matcher.
-    pub fn run_with_matcher(
-        &self,
-        problem: &MatchingProblem,
-        repo: &SchemaRepository,
-        element_matcher: &dyn ElementMatcher,
-        generator: &dyn MappingGenerator,
-    ) -> ClusteredMatchReport {
-        let start = Instant::now();
-        let candidates = match_elements(
-            &problem.personal,
-            repo,
-            element_matcher,
-            &self.element_config,
-        );
+        let candidates = match_elements(&problem.personal, repo, &self.element_config);
         let element_matching_time = start.elapsed();
         let mut report = self.run_on_candidates(problem, repo, &candidates, generator);
         report.element_matching_time = element_matching_time;
@@ -267,7 +239,6 @@ mod tests {
         let candidates = match_elements(
             &problem.personal,
             &repo,
-            &NameElementMatcher,
             &ElementMatchConfig::default().with_min_similarity(0.5),
         );
         (problem, repo, candidates)
@@ -439,17 +410,12 @@ mod tests {
     }
 
     #[test]
-    fn custom_label_and_matcher() {
+    fn custom_label_names_the_report() {
         let (problem, repo, _) = scenario();
         let generator = BranchAndBoundGenerator::new();
         let report = ClusteredMatcher::baseline()
             .with_label("my-baseline")
-            .run_with_matcher(
-                &problem,
-                &repo,
-                &xsm_matcher::element::NameElementMatcher,
-                &generator,
-            );
+            .run(&problem, &repo, &generator);
         assert_eq!(report.label, "my-baseline");
     }
 }

@@ -1,23 +1,20 @@
-//! Element matchers (step ② of the paper's architecture).
+//! Element matching (step ② of the paper's architecture).
 //!
-//! An [`ElementMatcher`] compares one personal-schema node with one repository node and
-//! returns a similarity in `[0,1]`. Bellflower uses a single *localized* matcher, the
-//! fuzzy name matcher; COMA-style systems combine several. Both styles are supported:
-//! [`NameElementMatcher`] is the paper's configuration, [`CompositeElementMatcher`]
-//! aggregates any number of matchers with a [`CombineStrategy`].
+//! Bellflower uses a single *localized* matcher: the fuzzy name similarity
+//! [`compare_string_fuzzy`] of a personal-schema node and a repository node, a
+//! value in `[0,1]`.
 //!
-//! [`match_elements`] runs the matchers over personal × repository and produces the
+//! [`match_elements`] runs it over personal × repository and produces the
 //! [`CandidateSet`] of mapping elements — the input to both the clusterer and the
 //! mapping generators. It and [`match_elements_with_index`] are the string
-//! reference paths (any matcher, one kernel call per node pair);
+//! reference paths (one kernel call per node pair);
 //! [`match_elements_features`] and [`match_elements_with_index_features_resolved`]
-//! are what a serving engine runs for the paper's fuzzy name matcher: one kernel
-//! call per distinct repository name over precomputed features, byte-identical
-//! results.
+//! are what a serving engine runs: one kernel call per distinct repository name
+//! over precomputed features, byte-identical results.
 
 use serde::{Deserialize, Serialize};
-use xsm_schema::{GlobalNodeId, NodeId, SchemaNode, SchemaTree};
-use xsm_similarity::{compare_string_fuzzy, CombineStrategy, StringSimilarity, SynonymTable};
+use xsm_schema::{GlobalNodeId, NodeId, SchemaTree};
+use xsm_similarity::compare_string_fuzzy;
 
 use crate::candidates::{CandidateSet, MappingElement};
 use xsm_repo::{
@@ -25,141 +22,6 @@ use xsm_repo::{
     SchemaRepository,
 };
 use xsm_similarity::features::{fuzzy_features, NameFeatures, SimScratch};
-
-/// Compares a personal node with a repository node.
-pub trait ElementMatcher: Send + Sync {
-    /// Similarity of the two nodes in `[0,1]`.
-    fn compare(&self, personal: &SchemaNode, repo: &SchemaNode) -> f64;
-    /// Short name used in reports.
-    fn name(&self) -> &'static str;
-}
-
-/// The paper's matcher: fuzzy name similarity (`CompareStringFuzzy`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NameElementMatcher;
-
-impl ElementMatcher for NameElementMatcher {
-    fn compare(&self, personal: &SchemaNode, repo: &SchemaNode) -> f64 {
-        compare_string_fuzzy(&personal.name, &repo.name)
-    }
-    fn name(&self) -> &'static str {
-        "name(fuzzy)"
-    }
-}
-
-/// A name matcher parameterised by any string kernel from `xsm-similarity`.
-pub struct KernelNameMatcher<K: StringSimilarity> {
-    kernel: K,
-}
-
-impl<K: StringSimilarity> KernelNameMatcher<K> {
-    /// Wrap a string kernel as an element matcher.
-    pub fn new(kernel: K) -> Self {
-        KernelNameMatcher { kernel }
-    }
-}
-
-impl<K: StringSimilarity> ElementMatcher for KernelNameMatcher<K> {
-    fn compare(&self, personal: &SchemaNode, repo: &SchemaNode) -> f64 {
-        self.kernel.similarity(&personal.name, &repo.name)
-    }
-    fn name(&self) -> &'static str {
-        "name(kernel)"
-    }
-}
-
-/// Datatype compatibility matcher (COMA's "type" matcher). Nodes without a declared
-/// type score a neutral 0.5 against anything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DatatypeElementMatcher;
-
-impl ElementMatcher for DatatypeElementMatcher {
-    fn compare(&self, personal: &SchemaNode, repo: &SchemaNode) -> f64 {
-        match (personal.datatype, repo.datatype) {
-            (Some(a), Some(b)) => a.compatibility(b),
-            _ => 0.5,
-        }
-    }
-    fn name(&self) -> &'static str {
-        "datatype"
-    }
-}
-
-/// Synonym matcher: full marks for names the thesaurus declares synonymous, otherwise
-/// falls back to the fuzzy kernel.
-pub struct SynonymElementMatcher {
-    table: SynonymTable,
-}
-
-impl SynonymElementMatcher {
-    /// Use the built-in thesaurus.
-    pub fn builtin() -> Self {
-        SynonymElementMatcher {
-            table: SynonymTable::builtin(),
-        }
-    }
-
-    /// Use a custom thesaurus.
-    pub fn new(table: SynonymTable) -> Self {
-        SynonymElementMatcher { table }
-    }
-}
-
-impl ElementMatcher for SynonymElementMatcher {
-    fn compare(&self, personal: &SchemaNode, repo: &SchemaNode) -> f64 {
-        match self.table.similarity(&personal.name, &repo.name) {
-            Some(s) => s,
-            None => compare_string_fuzzy(&personal.name, &repo.name),
-        }
-    }
-    fn name(&self) -> &'static str {
-        "synonym"
-    }
-}
-
-/// Weighted combination of several element matchers.
-pub struct CompositeElementMatcher {
-    matchers: Vec<(f64, Box<dyn ElementMatcher>)>,
-    strategy: CombineStrategy,
-}
-
-impl CompositeElementMatcher {
-    /// Create an empty composite using the given combination strategy.
-    pub fn new(strategy: CombineStrategy) -> Self {
-        CompositeElementMatcher {
-            matchers: Vec::new(),
-            strategy,
-        }
-    }
-
-    /// Add a matcher with a weight (weights matter only for weighted averaging).
-    pub fn add(mut self, weight: f64, matcher: Box<dyn ElementMatcher>) -> Self {
-        self.matchers.push((weight, matcher));
-        self
-    }
-
-    /// A COMA-flavoured default: fuzzy name (weight 0.6), synonyms (0.25), datatype (0.15).
-    pub fn coma_like() -> Self {
-        CompositeElementMatcher::new(CombineStrategy::WeightedAverage)
-            .add(0.6, Box::new(NameElementMatcher))
-            .add(0.25, Box::new(SynonymElementMatcher::builtin()))
-            .add(0.15, Box::new(DatatypeElementMatcher))
-    }
-}
-
-impl ElementMatcher for CompositeElementMatcher {
-    fn compare(&self, personal: &SchemaNode, repo: &SchemaNode) -> f64 {
-        let values: Vec<(f64, f64)> = self
-            .matchers
-            .iter()
-            .map(|(w, m)| (*w, m.compare(personal, repo)))
-            .collect();
-        self.strategy.combine(&values)
-    }
-    fn name(&self) -> &'static str {
-        "composite"
-    }
-}
 
 /// Configuration of the element-matching pass.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -209,7 +71,6 @@ impl ElementMatchConfig {
 pub fn match_elements(
     personal: &SchemaTree,
     repo: &SchemaRepository,
-    matcher: &dyn ElementMatcher,
     config: &ElementMatchConfig,
 ) -> CandidateSet {
     let mut set = CandidateSet::new(personal.preorder());
@@ -217,7 +78,7 @@ pub fn match_elements(
         let pnode = set.personal_nodes()[i];
         let pdata = personal.node(pnode).expect("preorder yields valid ids");
         for (rid, rdata) in repo.nodes() {
-            let sim = matcher.compare(pdata, rdata);
+            let sim = compare_string_fuzzy(&pdata.name, &rdata.name);
             if sim >= config.min_similarity && sim > 0.0 {
                 set.push_at(i, MappingElement::new(pnode, rid, sim));
             }
@@ -240,7 +101,6 @@ pub fn match_elements_with_index(
     personal: &SchemaTree,
     repo: &SchemaRepository,
     index: &NameIndex,
-    matcher: &dyn ElementMatcher,
     config: &ElementMatchConfig,
     min_overlap: f64,
 ) -> CandidateSet {
@@ -251,7 +111,7 @@ pub fn match_elements_with_index(
         let pdata = personal.node(pnode).expect("preorder yields valid ids");
         for rid in index_candidates(index, &pdata.name, min_overlap, &mut scratch) {
             let rdata = repo.node(rid).expect("index ids are valid");
-            let sim = matcher.compare(pdata, rdata);
+            let sim = compare_string_fuzzy(&pdata.name, &rdata.name);
             if sim >= config.min_similarity && sim > 0.0 {
                 set.push_at(i, MappingElement::new(pnode, rid, sim));
             }
@@ -347,15 +207,15 @@ impl NameHits {
 }
 
 /// Element matching through the repository's [`FeatureStore`]: the zero-allocation
-/// fast path of [`match_elements`] for the paper's fuzzy name kernel.
+/// fast path of [`match_elements`].
 ///
 /// The matcher is localized — a pair's score depends on the two names only —
 /// so the pass runs over **names**: query-side [`xsm_similarity::NameFeatures`]
 /// are built once per personal node, each live repository name is scored once
 /// by [`fuzzy_features`] (bit-identical to [`compare_string_fuzzy`] on the
 /// names), and the score is fanned out to every node that carries the name.
-/// This produces byte-identical candidate sets to
-/// `match_elements(…, &NameElementMatcher, …)` in `|N_s| · distinct names`
+/// This produces byte-identical candidate sets to [`match_elements`] in
+/// `|N_s| · distinct names`
 /// kernel calls instead of `|N_s| · |N_R|`, with no allocation and no hashing
 /// in the inner loop (bit-parallel edit distance for names of ≤ 64 characters,
 /// blocked beyond).
@@ -402,9 +262,9 @@ pub fn resolve_personal_queries(personal: &SchemaTree, index: &NameIndex) -> Vec
 /// Candidate retrieval runs the filter–verify pipeline (length-bucketed postings,
 /// count-threshold merging over `candidates` scratch) with the length window
 /// derived from `config.min_similarity`; scoring runs on interned ids and
-/// precomputed features. Results are byte-identical to the string path with
-/// [`NameElementMatcher`]: the window only skips pairs the similarity floor would
-/// reject after scoring anyway.
+/// precomputed features. Results are byte-identical to the string path: the
+/// window only skips pairs the similarity floor would reject after scoring
+/// anyway.
 ///
 /// The per-node query resolutions come from the caller
 /// ([`resolve_personal_queries`], `resolved` parallel to `personal.preorder()`),
@@ -473,74 +333,32 @@ fn cap(mut set: CandidateSet, config: &ElementMatchConfig) -> CandidateSet {
 mod tests {
     use super::*;
     use xsm_schema::tree::{paper_personal_schema, paper_repository_fragment};
-    use xsm_schema::XsdType;
 
     fn fig1_repo() -> SchemaRepository {
         SchemaRepository::from_trees(vec![paper_repository_fragment()])
     }
 
     #[test]
-    fn name_matcher_is_the_fuzzy_kernel() {
-        let m = NameElementMatcher;
-        let a = SchemaNode::element("author");
-        let b = SchemaNode::element("authorName");
-        assert_eq!(
-            m.compare(&a, &b),
-            compare_string_fuzzy("author", "authorName")
-        );
-        assert_eq!(m.name(), "name(fuzzy)");
-    }
-
-    #[test]
-    fn datatype_matcher_neutral_without_types() {
-        let m = DatatypeElementMatcher;
-        let untyped = SchemaNode::element("x");
-        let typed = SchemaNode::element("y").with_datatype(XsdType::Int);
-        assert_eq!(m.compare(&untyped, &typed), 0.5);
-        let typed2 = SchemaNode::element("z").with_datatype(XsdType::Long);
-        assert_eq!(m.compare(&typed, &typed2), 0.9);
-    }
-
-    #[test]
-    fn synonym_matcher_overrides_string_distance() {
-        let m = SynonymElementMatcher::builtin();
-        let a = SchemaNode::element("email");
-        let b = SchemaNode::element("mail");
-        assert_eq!(m.compare(&a, &b), 1.0);
-        // Unknown pair falls back to fuzzy.
-        let c = SchemaNode::element("shelf");
-        assert_eq!(m.compare(&a, &c), compare_string_fuzzy("email", "shelf"));
-    }
-
-    #[test]
-    fn composite_matcher_combines() {
-        let m = CompositeElementMatcher::coma_like();
-        let a = SchemaNode::element("email").with_datatype(XsdType::String);
-        let b = SchemaNode::element("mail").with_datatype(XsdType::String);
-        let s = m.compare(&a, &b);
-        // Name fuzzy(email,mail)=~0.8 * 0.6 + synonym 1.0*0.25 + type 1.0*0.15.
-        assert!(s > 0.75 && s <= 1.0, "{s}");
-        assert_eq!(m.name(), "composite");
-    }
-
-    #[test]
-    fn kernel_name_matcher_wraps_any_kernel() {
-        let m = KernelNameMatcher::new(xsm_similarity::TokenSetSimilarity);
-        let a = SchemaNode::element("firstName");
-        let b = SchemaNode::element("name_first");
-        assert_eq!(m.compare(&a, &b), 1.0);
+    fn match_elements_scores_with_the_fuzzy_kernel() {
+        let personal = paper_personal_schema();
+        let repo = fig1_repo();
+        let config = ElementMatchConfig::default().with_min_similarity(0.0);
+        let set = match_elements(&personal, &repo, &config);
+        assert!(set.total_candidates() > 0);
+        for m in set.iter() {
+            let pname = &personal.node(m.personal).unwrap().name;
+            assert_eq!(
+                m.similarity.to_bits(),
+                compare_string_fuzzy(pname, repo.name_of(m.repo)).to_bits()
+            );
+        }
     }
 
     #[test]
     fn match_elements_on_fig1() {
         let personal = paper_personal_schema();
         let repo = fig1_repo();
-        let set = match_elements(
-            &personal,
-            &repo,
-            &NameElementMatcher,
-            &ElementMatchConfig::default(),
-        );
+        let set = match_elements(&personal, &repo, &ElementMatchConfig::default());
         // Personal node "book" must find repository node "book", "title" finds "title",
         // "author" finds "authorName".
         let book = personal.find_by_name("book").unwrap();
@@ -567,13 +385,11 @@ mod tests {
         let lenient = match_elements(
             &personal,
             &repo,
-            &NameElementMatcher,
             &ElementMatchConfig::default().with_min_similarity(0.1),
         );
         let strict = match_elements(
             &personal,
             &repo,
-            &NameElementMatcher,
             &ElementMatchConfig::default().with_min_similarity(0.9),
         );
         assert!(lenient.total_candidates() > strict.total_candidates());
@@ -587,7 +403,6 @@ mod tests {
         let capped = match_elements(
             &personal,
             &repo,
-            &NameElementMatcher,
             &ElementMatchConfig::default()
                 .with_min_similarity(0.0)
                 .with_max_candidates(2),
@@ -603,9 +418,8 @@ mod tests {
         let repo = fig1_repo();
         let index = NameIndex::build(&repo);
         let config = ElementMatchConfig::default().with_min_similarity(0.5);
-        let exhaustive = match_elements(&personal, &repo, &NameElementMatcher, &config);
-        let indexed =
-            match_elements_with_index(&personal, &repo, &index, &NameElementMatcher, &config, 0.3);
+        let exhaustive = match_elements(&personal, &repo, &config);
+        let indexed = match_elements_with_index(&personal, &repo, &index, &config, 0.3);
         // Index pruning is a subset of the exhaustive scan with identical scores.
         assert!(indexed.total_candidates() <= exhaustive.total_candidates());
         for m in indexed.iter() {
@@ -642,19 +456,12 @@ mod tests {
         let mut candidates = CandidateScratch::default();
         for floor in [0.0, 0.4, 0.8] {
             let config = ElementMatchConfig::default().with_min_similarity(floor);
-            let strings = match_elements(&personal, &repo, &NameElementMatcher, &config);
+            let strings = match_elements(&personal, &repo, &config);
             let features =
                 match_elements_features(&personal, index.features(), &config, &mut scratch);
             assert_sets_identical(&strings, &features);
 
-            let strings_idx = match_elements_with_index(
-                &personal,
-                &repo,
-                &index,
-                &NameElementMatcher,
-                &config,
-                0.3,
-            );
+            let strings_idx = match_elements_with_index(&personal, &repo, &index, &config, 0.3);
             let features_idx = match_elements_with_index_features_resolved(
                 &personal,
                 &index,
@@ -681,7 +488,7 @@ mod tests {
         for &n in capped.personal_nodes() {
             assert!(capped.candidates_for(n).len() <= 2);
         }
-        let reference = match_elements(&personal, &repo, &NameElementMatcher, &config);
+        let reference = match_elements(&personal, &repo, &config);
         assert_sets_identical(&reference, &capped);
     }
 

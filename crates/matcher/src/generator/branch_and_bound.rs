@@ -274,7 +274,7 @@ impl Search<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::{match_elements, ElementMatchConfig, NameElementMatcher};
+    use crate::element::{match_elements, ElementMatchConfig};
     use crate::generator::exhaustive::ExhaustiveGenerator;
     use xsm_schema::tree::paper_repository_fragment;
     use xsm_schema::{SchemaNode, TreeBuilder};
@@ -285,7 +285,6 @@ mod tests {
         let scope = match_elements(
             &problem.personal,
             &repo,
-            &NameElementMatcher,
             &ElementMatchConfig::default().with_min_similarity(0.3),
         );
         (problem, repo, scope)
@@ -384,7 +383,6 @@ mod tests {
         let scope = match_elements(
             &problem.personal,
             &repo,
-            &NameElementMatcher,
             &ElementMatchConfig::default().with_min_similarity(0.2),
         );
         let outcome = BranchAndBoundGenerator::new().generate(&problem, &repo, &scope);

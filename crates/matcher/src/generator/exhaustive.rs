@@ -153,7 +153,7 @@ impl ExhaustiveGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::{match_elements, ElementMatchConfig, NameElementMatcher};
+    use crate::element::{match_elements, ElementMatchConfig};
     use xsm_schema::tree::paper_repository_fragment;
 
     #[test]
@@ -167,7 +167,6 @@ mod tests {
         let scope = match_elements(
             &problem.personal,
             &repo,
-            &NameElementMatcher,
             &ElementMatchConfig::default().with_min_similarity(0.0),
         );
         let outcome = ExhaustiveGenerator::new().generate(&problem, &repo, &scope);
@@ -204,7 +203,6 @@ mod tests {
         let scope = match_elements(
             &problem.personal,
             &repo,
-            &NameElementMatcher,
             &ElementMatchConfig::default().with_min_similarity(0.0),
         );
         let outcome = ExhaustiveGenerator::with_cap(10).generate(&problem, &repo, &scope);
@@ -222,7 +220,6 @@ mod tests {
         let scope = match_elements(
             &problem.personal,
             &repo,
-            &NameElementMatcher,
             &ElementMatchConfig::default().with_min_similarity(0.0),
         );
         let outcome = ExhaustiveGenerator::new().generate(&problem, &repo, &scope);

@@ -4,8 +4,8 @@
 //! Fig. 2, i.e. everything *except* the clusterer (which lives in `xsm-core`):
 //!
 //! 1. **Element matching** ([`element`]): every personal-schema element is compared to
-//!    every repository element with one or more [`element::ElementMatcher`]s; pairs
-//!    whose combined similarity reaches the configured floor become *mapping elements*
+//!    every repository element with the paper's fuzzy name kernel; pairs whose
+//!    similarity reaches the configured floor become *mapping elements*
 //!    ([`candidates::MappingElement`], grouped per personal node in
 //!    [`candidates::CandidateSet`]).
 //! 2. **Objective function** ([`objective`]): `Δ(s,t) = α·Δ_sim + (1−α)·Δ_path`
@@ -36,7 +36,7 @@ pub mod problem;
 
 pub use candidates::{CandidateSet, MappingElement};
 pub use counters::GeneratorCounters;
-pub use element::{ElementMatchConfig, ElementMatcher, NameElementMatcher};
+pub use element::ElementMatchConfig;
 pub use generator::branch_and_bound::BranchAndBoundGenerator;
 pub use generator::{GenerationOutcome, MappingGenerator};
 pub use mapping::SchemaMapping;

@@ -3,10 +3,10 @@
 //! Both feature paths of element matching run over the repository's name
 //! table: one kernel call per distinct spelling, the score copied to every
 //! node that carries it, each per-node list emitted already in canonical
-//! order. The string paths — `match_elements` and `match_elements_with_index`
-//! with [`NameElementMatcher`] — still score every (personal node, repository
-//! node) pair on the names themselves and sort afterwards, so they serve as
-//! the reference: the candidate sets must be **byte-identical** (same pairs,
+//! order. The string paths — `match_elements` and `match_elements_with_index` —
+//! still score every (personal node, repository node) pair with
+//! `compare_string_fuzzy` on the names themselves and sort afterwards, so they
+//! serve as the reference: the candidate sets must be **byte-identical** (same pairs,
 //! same similarity bits, same order), over forests that repeat names heavily
 //! and mix case variants, empty names, names past 64 characters and a name
 //! with more than 255 grams, with and without a per-node cap, and on a live
@@ -16,7 +16,6 @@ use proptest::prelude::*;
 use xsm_matcher::element::{
     match_elements, match_elements_features, match_elements_with_index,
     match_elements_with_index_features_resolved, resolve_personal_queries, ElementMatchConfig,
-    NameElementMatcher,
 };
 use xsm_matcher::CandidateSet;
 use xsm_repo::{CandidateScratch, LiveRepository, NameIndex, SchemaRepository};
@@ -116,20 +115,13 @@ fn assert_paths_agree(personal: &SchemaTree, repo: &SchemaRepository, index: &Na
             config.max_candidates_per_node = cap;
             let context = format!("floor {floor} cap {cap:?}");
             assert_sets_identical(
-                &match_elements(personal, repo, &NameElementMatcher, &config),
+                &match_elements(personal, repo, &config),
                 &match_elements_features(personal, index.features(), &config, &mut sim),
                 &format!("exhaustive, {context}"),
             );
             for min_overlap in [0.0, 0.3, 0.6] {
                 assert_sets_identical(
-                    &match_elements_with_index(
-                        personal,
-                        repo,
-                        index,
-                        &NameElementMatcher,
-                        &config,
-                        min_overlap,
-                    ),
+                    &match_elements_with_index(personal, repo, index, &config, min_overlap),
                     &match_elements_with_index_features_resolved(
                         personal,
                         index,

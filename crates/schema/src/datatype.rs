@@ -1,9 +1,7 @@
-//! XSD built-in datatypes and a datatype compatibility measure.
+//! XSD built-in datatypes.
 //!
-//! COMA-style matchers combine name similarity with datatype similarity; the paper's
-//! Bellflower system uses only name similarity, but the datatype matcher is part of
-//! the generic architecture (Fig. 2 step ②) and is exercised by the extended element
-//! matchers in `xsm-matcher`.
+//! The paper's Bellflower matcher compares names only; datatypes are parsed from
+//! DTD/XSD documents, carried on schema nodes and stored in repository snapshots.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -46,44 +44,7 @@ pub enum XsdType {
     AnyType,
 }
 
-/// Broad categories used for cross-type compatibility scoring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TypeCategory {
-    /// Free text and tokens.
-    Text,
-    /// Whole numbers.
-    Integer,
-    /// Real numbers.
-    Real,
-    /// Truth values.
-    Boolean,
-    /// Dates, times and durations.
-    Temporal,
-    /// References, identifiers, URIs and QNames.
-    Reference,
-    /// Binary blobs.
-    Binary,
-    /// The wildcard `anyType`.
-    Any,
-}
-
 impl XsdType {
-    /// The category the type belongs to.
-    pub fn category(self) -> TypeCategory {
-        use XsdType::*;
-        match self {
-            String | NormalizedString | Token | Enumeration => TypeCategory::Text,
-            Integer | NonNegativeInteger | PositiveInteger | Long | Int | Short | Byte
-            | UnsignedInt => TypeCategory::Integer,
-            Decimal | Float | Double => TypeCategory::Real,
-            Boolean => TypeCategory::Boolean,
-            Date | Time | DateTime | Duration | GYear | GMonth | GDay => TypeCategory::Temporal,
-            AnyUri | QName | Id | IdRef => TypeCategory::Reference,
-            Base64Binary | HexBinary => TypeCategory::Binary,
-            AnyType => TypeCategory::Any,
-        }
-    }
-
     /// The canonical `xs:` local name of the type.
     pub fn xsd_name(self) -> &'static str {
         use XsdType::*;
@@ -119,39 +80,6 @@ impl XsdType {
             HexBinary => "hexBinary",
             AnyType => "anyType",
         }
-    }
-
-    /// Datatype compatibility in `[0,1]`.
-    ///
-    /// 1.0 for identical types, 0.9 within the same category for numeric widening,
-    /// 0.7 for same category otherwise, 0.5 when either side is text or `anyType`
-    /// (everything serialises to text in XML), 0.1 across incompatible categories.
-    pub fn compatibility(self, other: XsdType) -> f64 {
-        if self == other {
-            return 1.0;
-        }
-        let (a, b) = (self.category(), other.category());
-        if a == TypeCategory::Any || b == TypeCategory::Any {
-            return 0.5;
-        }
-        if a == b {
-            return match a {
-                TypeCategory::Integer | TypeCategory::Real | TypeCategory::Temporal => 0.9,
-                _ => 0.7,
-            };
-        }
-        // Integer and Real are mutually promotable.
-        if matches!(
-            (a, b),
-            (TypeCategory::Integer, TypeCategory::Real)
-                | (TypeCategory::Real, TypeCategory::Integer)
-        ) {
-            return 0.8;
-        }
-        if a == TypeCategory::Text || b == TypeCategory::Text {
-            return 0.5;
-        }
-        0.1
     }
 
     /// All type variants (useful for the synthetic generator and property tests).
@@ -253,48 +181,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn identical_types_are_fully_compatible() {
-        for &t in XsdType::all() {
-            assert_eq!(t.compatibility(t), 1.0, "{t}");
-        }
-    }
-
-    #[test]
-    fn compatibility_is_symmetric() {
-        for &a in XsdType::all() {
-            for &b in XsdType::all() {
-                assert_eq!(a.compatibility(b), b.compatibility(a), "{a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn compatibility_within_bounds() {
-        for &a in XsdType::all() {
-            for &b in XsdType::all() {
-                let c = a.compatibility(b);
-                assert!((0.0..=1.0).contains(&c));
-                assert!(c >= 0.1, "compatibility never fully zero: {a} vs {b} = {c}");
-            }
-        }
-    }
-
-    #[test]
-    fn numeric_widening_scores_high() {
-        assert_eq!(XsdType::Int.compatibility(XsdType::Long), 0.9);
-        assert_eq!(XsdType::Int.compatibility(XsdType::Double), 0.8);
-        assert_eq!(XsdType::Date.compatibility(XsdType::DateTime), 0.9);
-        assert!(XsdType::Boolean.compatibility(XsdType::DateTime) < 0.5);
-    }
-
-    #[test]
-    fn text_is_a_universal_sink() {
-        assert_eq!(XsdType::String.compatibility(XsdType::Int), 0.5);
-        assert_eq!(XsdType::Token.compatibility(XsdType::Date), 0.5);
-        assert_eq!(XsdType::AnyType.compatibility(XsdType::HexBinary), 0.5);
-    }
-
-    #[test]
     fn parse_with_and_without_prefix() {
         assert_eq!("xs:string".parse::<XsdType>().unwrap(), XsdType::String);
         assert_eq!(
@@ -311,16 +197,5 @@ mod tests {
     fn display_uses_xs_prefix() {
         assert_eq!(XsdType::PositiveInteger.to_string(), "xs:positiveInteger");
         assert_eq!(XsdType::AnyUri.to_string(), "xs:anyURI");
-    }
-
-    #[test]
-    fn categories_cover_expected_members() {
-        assert_eq!(XsdType::Token.category(), TypeCategory::Text);
-        assert_eq!(XsdType::UnsignedInt.category(), TypeCategory::Integer);
-        assert_eq!(XsdType::Double.category(), TypeCategory::Real);
-        assert_eq!(XsdType::GDay.category(), TypeCategory::Temporal);
-        assert_eq!(XsdType::Id.category(), TypeCategory::Reference);
-        assert_eq!(XsdType::HexBinary.category(), TypeCategory::Binary);
-        assert_eq!(XsdType::AnyType.category(), TypeCategory::Any);
     }
 }

@@ -13,7 +13,7 @@
 //!   any two nodes in constant time after a linear-time preprocessing pass,
 //! * [`parser`] — hand-written parsers for a pragmatic subset of DTD and XML Schema
 //!   (XSD), plus the minimal XML tokenizer they share,
-//! * [`datatype`] — the XSD built-in datatype lattice and a compatibility measure.
+//! * [`datatype`] — the XSD built-in datatypes a node may declare.
 //!
 //! The crate has no I/O besides the parsers taking `&str` input; loading files is the
 //! responsibility of `xsm-repo`.

@@ -1,8 +1,8 @@
 //! Kernel-swap replay: the engine (which scores through the precomputed feature
 //! store and the bit-parallel kernels) must produce responses **byte-identical** to
 //! the pre-refactor pipeline, reconstructed here with the original string-path
-//! element matcher (`match_elements` / `match_elements_with_index` over
-//! `NameElementMatcher`, i.e. `compare_string_fuzzy` per pair).
+//! element matching (`match_elements` / `match_elements_with_index`, i.e.
+//! `compare_string_fuzzy` per pair).
 //!
 //! This is the end-to-end counterpart of the per-kernel property suite in
 //! `xsm-similarity/tests/feature_equivalence.rs`: scores, candidate counts, ranked
@@ -10,9 +10,7 @@
 //! is a pure optimisation.
 
 use xsm_core::{ClusteredMatcher, ClusteringVariant};
-use xsm_matcher::element::{
-    match_elements, match_elements_with_index, ElementMatchConfig, NameElementMatcher,
-};
+use xsm_matcher::element::{match_elements, match_elements_with_index, ElementMatchConfig};
 use xsm_matcher::generator::branch_and_bound::BranchAndBoundGenerator;
 use xsm_matcher::{MatchingProblem, ObjectiveConfig};
 use xsm_repo::{GeneratorConfig, NameIndex, RepositoryGenerator, SchemaRepository};
@@ -54,16 +52,12 @@ fn string_path_digest(
             &problem.personal,
             repo,
             index,
-            &NameElementMatcher,
             matcher.element_config(),
             planner.config().min_overlap,
         ),
-        PlannedStrategy::Exhaustive => match_elements(
-            &problem.personal,
-            repo,
-            &NameElementMatcher,
-            matcher.element_config(),
-        ),
+        PlannedStrategy::Exhaustive => {
+            match_elements(&problem.personal, repo, matcher.element_config())
+        }
     };
     let candidate_count = candidates.total_candidates();
     let generator = BranchAndBoundGenerator::new();

@@ -1,55 +1,10 @@
-//! Edit-distance measures: Levenshtein and Damerau–Levenshtein (OSA variant).
+//! Damerau–Levenshtein edit distance (OSA variant) and its normalization.
 //!
-//! The string-taking entry points ([`levenshtein`], [`damerau_levenshtein`]) are thin
-//! wrappers that collect the inputs into `char` buffers once and delegate to the
-//! slice-taking cores ([`levenshtein_chars`], [`damerau_levenshtein_chars`]); the
-//! zero-allocation feature kernels in [`crate::features`] call the `*_scratch`
-//! variants directly with reusable row buffers.
-
-/// Levenshtein distance (substitution, insertion, deletion) between two strings,
-/// computed over Unicode scalar values with the classic two-row dynamic program.
-pub fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    levenshtein_chars(&a, &b)
-}
-
-/// [`levenshtein`] over pre-collected character slices.
-pub fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
-    let mut prev = Vec::new();
-    let mut cur = Vec::new();
-    levenshtein_chars_scratch(a, b, &mut prev, &mut cur)
-}
-
-/// [`levenshtein_chars`] with caller-provided row buffers, so steady-state callers
-/// (the feature kernels' DP fallback for names longer than 64 characters) allocate
-/// nothing. The buffers are cleared and resized as needed.
-pub fn levenshtein_chars_scratch(
-    a: &[char],
-    b: &[char],
-    prev: &mut Vec<usize>,
-    cur: &mut Vec<usize>,
-) -> usize {
-    if a.is_empty() {
-        return b.len();
-    }
-    if b.is_empty() {
-        return a.len();
-    }
-    prev.clear();
-    prev.extend(0..=b.len());
-    cur.clear();
-    cur.resize(b.len() + 1, 0);
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let cost = if ca == cb { 0 } else { 1 };
-            cur[j + 1] = (prev[j + 1] + 1).min(cur[j] + 1).min(prev[j] + cost);
-        }
-        std::mem::swap(prev, cur);
-    }
-    prev[b.len()]
-}
+//! The string-taking entry point [`damerau_levenshtein`] collects the inputs into
+//! `char` buffers once and delegates to the slice-taking core
+//! ([`damerau_levenshtein_chars`]); the zero-allocation feature kernels in
+//! [`crate::features`] call the `*_scratch` variant directly with reusable row
+//! buffers.
 
 /// Damerau–Levenshtein distance in its *optimal string alignment* (OSA) form:
 /// substitution, insertion, deletion and transposition of two adjacent characters.
@@ -117,46 +72,17 @@ pub fn normalized_similarity(distance: usize, len_a: usize, len_b: usize) -> f64
     1.0 - (distance as f64 / max_len as f64)
 }
 
-/// Normalized Levenshtein similarity (case-sensitive).
-pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
-    normalized_similarity(levenshtein(a, b), a.chars().count(), b.chars().count())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
     #[test]
-    fn levenshtein_known_values() {
-        assert_eq!(levenshtein("", ""), 0);
-        assert_eq!(levenshtein("abc", ""), 3);
-        assert_eq!(levenshtein("", "abc"), 3);
-        assert_eq!(levenshtein("kitten", "sitting"), 3);
-        assert_eq!(levenshtein("flaw", "lawn"), 2);
-        assert_eq!(levenshtein("book", "book"), 0);
-    }
-
-    #[test]
     fn damerau_counts_transposition_as_one() {
-        assert_eq!(levenshtein("ca", "ac"), 2);
         assert_eq!(damerau_levenshtein("ca", "ac"), 1);
         assert_eq!(damerau_levenshtein("author", "auhtor"), 1);
         assert_eq!(damerau_levenshtein("abc", "abc"), 0);
         assert_eq!(damerau_levenshtein("", "xyz"), 3);
-    }
-
-    #[test]
-    fn damerau_never_exceeds_levenshtein() {
-        let pairs = [
-            ("title", "titel"),
-            ("address", "adress"),
-            ("authorName", "author_name"),
-            ("shelf", "bookshelf"),
-        ];
-        for (a, b) in pairs {
-            assert!(damerau_levenshtein(a, b) <= levenshtein(a, b), "{a} {b}");
-        }
     }
 
     #[test]
@@ -165,10 +91,6 @@ mod tests {
         for (a, b) in [("kitten", "sitting"), ("", "x"), ("ca", "ac"), ("ab", "")] {
             let ca: Vec<char> = a.chars().collect();
             let cb: Vec<char> = b.chars().collect();
-            assert_eq!(
-                levenshtein_chars_scratch(&ca, &cb, &mut r0, &mut r1),
-                levenshtein(a, b)
-            );
             assert_eq!(
                 damerau_levenshtein_chars_scratch(&ca, &cb, &mut r0, &mut r1, &mut r2),
                 damerau_levenshtein(a, b)
@@ -185,51 +107,31 @@ mod tests {
     }
 
     #[test]
-    fn levenshtein_similarity_examples() {
-        assert_eq!(levenshtein_similarity("book", "book"), 1.0);
-        assert!(levenshtein_similarity("book", "boot") > 0.7);
-        assert!(levenshtein_similarity("book", "zzzz") < 0.01);
-    }
-
-    #[test]
     fn unicode_is_handled_per_scalar_value() {
-        assert_eq!(levenshtein("naïve", "naive"), 1);
         assert_eq!(damerau_levenshtein("börse", "borse"), 1);
     }
 
     proptest! {
         #[test]
         fn lev_symmetric(a in "[a-z]{0,12}", b in "[a-z]{0,12}") {
-            prop_assert_eq!(levenshtein(&a, &b), levenshtein(&b, &a));
             prop_assert_eq!(damerau_levenshtein(&a, &b), damerau_levenshtein(&b, &a));
         }
 
         #[test]
         fn lev_identity(a in "[a-z]{0,16}") {
-            prop_assert_eq!(levenshtein(&a, &a), 0);
             prop_assert_eq!(damerau_levenshtein(&a, &a), 0);
         }
 
         #[test]
-        fn lev_triangle(a in "[a-z]{0,8}", b in "[a-z]{0,8}", c in "[a-z]{0,8}") {
-            let ab = levenshtein(&a, &b);
-            let bc = levenshtein(&b, &c);
-            let ac = levenshtein(&a, &c);
-            prop_assert!(ac <= ab + bc);
-        }
-
-        #[test]
         fn lev_bounded_by_max_len(a in "[a-z]{0,12}", b in "[a-z]{0,12}") {
-            let d = levenshtein(&a, &b);
+            let d = damerau_levenshtein(&a, &b);
             prop_assert!(d <= a.len().max(b.len()));
             prop_assert!(d >= a.len().abs_diff(b.len()));
-            let dd = damerau_levenshtein(&a, &b);
-            prop_assert!(dd <= d);
         }
 
         #[test]
         fn normalized_in_unit_interval(a in "[a-z]{0,12}", b in "[a-z]{0,12}") {
-            let s = levenshtein_similarity(&a, &b);
+            let s = normalized_similarity(damerau_levenshtein(&a, &b), a.len(), b.len());
             prop_assert!((0.0..=1.0).contains(&s));
         }
     }

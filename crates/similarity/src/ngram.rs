@@ -1,167 +1,26 @@
-//! Character q-gram similarity (Dice coefficient over q-gram multisets).
+//! Character q-gram extraction.
 //!
-//! The similarity functions here run on padded, lowercased char buffers with
-//! sorted-window merges — zero per-gram heap allocation. [`qgrams`] remains as
-//! the allocating convenience API (it returns owned `String`s by contract) but
-//! no similarity computation goes through it.
+//! [`qgrams`] is the allocating reference for the padded grams a repository
+//! index posts; the zero-allocation form that builds name features is
+//! [`crate::features::for_each_gram`], which yields exactly the same grams.
 
 /// Extract the multiset of character q-grams of `s` (lowercased, padded with `#`
 /// sentinels so short strings still yield grams).
 pub fn qgrams(s: &str, q: usize) -> Vec<String> {
-    let padded = padded_lower(s, q);
+    assert!(q >= 1, "q must be at least 1");
+    let padded: Vec<char> = std::iter::repeat_n('#', q - 1)
+        .chain(crate::simd::lowercase(s).chars())
+        .chain(std::iter::repeat_n('#', q - 1))
+        .collect();
     if padded.len() < q {
         return Vec::new();
     }
     padded.windows(q).map(|w| w.iter().collect()).collect()
 }
 
-/// `#`-padded chars of the lowercased `s`: `q - 1` sentinels on each side.
-fn padded_lower(s: &str, q: usize) -> Vec<char> {
-    assert!(q >= 1, "q must be at least 1");
-    std::iter::repeat_n('#', q - 1)
-        .chain(crate::simd::lowercase(s).chars())
-        .chain(std::iter::repeat_n('#', q - 1))
-        .collect()
-}
-
-/// Start indices of the q-char windows of `padded`, sorted by window content,
-/// so equal grams form contiguous runs.
-fn sorted_windows(padded: &[char], q: usize) -> Vec<u32> {
-    let n = (padded.len() + 1).saturating_sub(q);
-    let mut idx: Vec<u32> = (0..n as u32).collect();
-    idx.sort_unstable_by(|&i, &j| {
-        padded[i as usize..i as usize + q].cmp(&padded[j as usize..j as usize + q])
-    });
-    idx
-}
-
-/// First position after the run of windows equal to `idx[start]`'s window.
-fn run_end(padded: &[char], q: usize, idx: &[u32], start: usize) -> usize {
-    let w = &padded[idx[start] as usize..idx[start] as usize + q];
-    let mut e = start + 1;
-    while e < idx.len() && padded[idx[e] as usize..idx[e] as usize + q] == *w {
-        e += 1;
-    }
-    e
-}
-
-/// Dice-coefficient similarity over q-gram multisets, in `[0,1]`.
-pub fn ngram_similarity(a: &str, b: &str, q: usize) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        let _ = padded_lower("", q); // preserve the q >= 1 panic
-        return 1.0;
-    }
-    let pa = padded_lower(a, q);
-    let pb = padded_lower(b, q);
-    let ia = sorted_windows(&pa, q);
-    let ib = sorted_windows(&pb, q);
-    if ia.is_empty() || ib.is_empty() {
-        return 0.0;
-    }
-    // Multiset overlap by merging the two run-length-grouped window lists.
-    let mut overlap = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ia.len() && j < ib.len() {
-        let wa = &pa[ia[i] as usize..ia[i] as usize + q];
-        let wb = &pb[ib[j] as usize..ib[j] as usize + q];
-        match wa.cmp(wb) {
-            std::cmp::Ordering::Less => i = run_end(&pa, q, &ia, i),
-            std::cmp::Ordering::Greater => j = run_end(&pb, q, &ib, j),
-            std::cmp::Ordering::Equal => {
-                let ni = run_end(&pa, q, &ia, i);
-                let nj = run_end(&pb, q, &ib, j);
-                overlap += (ni - i).min(nj - j);
-                i = ni;
-                j = nj;
-            }
-        }
-    }
-    2.0 * overlap as f64 / (ia.len() + ib.len()) as f64
-}
-
-/// Jaccard similarity over the *sets* of q-grams (used by the repository q-gram index
-/// as a cheap pre-filter).
-pub fn qgram_jaccard(a: &str, b: &str, q: usize) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        let _ = padded_lower("", q); // preserve the q >= 1 panic
-        return 1.0;
-    }
-    let pa = padded_lower(a, q);
-    let pb = padded_lower(b, q);
-    let ia = sorted_windows(&pa, q);
-    let ib = sorted_windows(&pb, q);
-    if ia.is_empty() || ib.is_empty() {
-        return 0.0;
-    }
-    let mut inter = 0usize;
-    let mut union = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ia.len() && j < ib.len() {
-        let wa = &pa[ia[i] as usize..ia[i] as usize + q];
-        let wb = &pb[ib[j] as usize..ib[j] as usize + q];
-        union += 1;
-        match wa.cmp(wb) {
-            std::cmp::Ordering::Less => i = run_end(&pa, q, &ia, i),
-            std::cmp::Ordering::Greater => j = run_end(&pb, q, &ib, j),
-            std::cmp::Ordering::Equal => {
-                inter += 1;
-                i = run_end(&pa, q, &ia, i);
-                j = run_end(&pb, q, &ib, j);
-            }
-        }
-    }
-    while i < ia.len() {
-        union += 1;
-        i = run_end(&pa, q, &ia, i);
-    }
-    while j < ib.len() {
-        union += 1;
-        j = run_end(&pb, q, &ib, j);
-    }
-    inter as f64 / union as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use std::collections::{HashMap, HashSet};
-
-    /// The pre-rewrite hash-based implementations, kept as references for the
-    /// equivalence proptests below.
-    fn dice_reference(a: &str, b: &str, q: usize) -> f64 {
-        if a.is_empty() && b.is_empty() {
-            return 1.0;
-        }
-        let ga = qgrams(a, q);
-        let gb = qgrams(b, q);
-        if ga.is_empty() || gb.is_empty() {
-            return 0.0;
-        }
-        let mut counts: HashMap<&str, (usize, usize)> = HashMap::new();
-        for g in &ga {
-            counts.entry(g.as_str()).or_default().0 += 1;
-        }
-        for g in &gb {
-            counts.entry(g.as_str()).or_default().1 += 1;
-        }
-        let overlap: usize = counts.values().map(|&(x, y)| x.min(y)).sum();
-        2.0 * overlap as f64 / (ga.len() + gb.len()) as f64
-    }
-
-    fn jaccard_reference(a: &str, b: &str, q: usize) -> f64 {
-        if a.is_empty() && b.is_empty() {
-            return 1.0;
-        }
-        let sa: HashSet<String> = qgrams(a, q).into_iter().collect();
-        let sb: HashSet<String> = qgrams(b, q).into_iter().collect();
-        if sa.is_empty() || sb.is_empty() {
-            return 0.0;
-        }
-        let inter = sa.intersection(&sb).count();
-        let union = sa.union(&sb).count();
-        inter as f64 / union as f64
-    }
 
     #[test]
     fn qgram_extraction_with_padding() {
@@ -172,70 +31,8 @@ mod tests {
     }
 
     #[test]
-    fn identical_strings_score_one() {
-        assert_eq!(ngram_similarity("book", "book", 3), 1.0);
-        assert_eq!(ngram_similarity("", "", 3), 1.0);
-        assert_eq!(qgram_jaccard("book", "BOOK", 3), 1.0);
-    }
-
-    #[test]
-    fn disjoint_strings_score_low() {
-        assert!(ngram_similarity("aaaa", "zzzz", 3) < 0.01);
-        assert!(qgram_jaccard("aaaa", "zzzz", 3) < 0.01);
-    }
-
-    #[test]
-    fn related_schema_names_score_mid() {
-        let s = ngram_similarity("authorName", "author", 3);
-        assert!(s > 0.5 && s < 1.0, "{s}");
-        let j = qgram_jaccard("address", "addr", 2);
-        assert!(j > 0.3 && j < 1.0, "{j}");
-    }
-
-    #[test]
     #[should_panic(expected = "q must be at least 1")]
     fn zero_q_panics() {
         qgrams("abc", 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "q must be at least 1")]
-    fn zero_q_panics_in_similarity_too() {
-        ngram_similarity("", "", 0);
-    }
-
-    proptest! {
-        #[test]
-        fn dice_unit_interval_and_symmetric(a in "[a-z]{0,12}", b in "[a-z]{0,12}", q in 1usize..4) {
-            let s = ngram_similarity(&a, &b, q);
-            prop_assert!((0.0..=1.0).contains(&s));
-            prop_assert!((s - ngram_similarity(&b, &a, q)).abs() < 1e-12);
-        }
-
-        #[test]
-        fn dice_identity(a in "[a-z]{0,12}", q in 1usize..4) {
-            prop_assert!((ngram_similarity(&a, &a, q) - 1.0).abs() < 1e-12);
-        }
-
-        #[test]
-        fn jaccard_le_one_and_symmetric(a in "[a-z]{0,10}", b in "[a-z]{0,10}") {
-            let s = qgram_jaccard(&a, &b, 3);
-            prop_assert!((0.0..=1.0).contains(&s));
-            prop_assert!((s - qgram_jaccard(&b, &a, 3)).abs() < 1e-12);
-        }
-
-        #[test]
-        fn merge_rewrite_is_bit_identical_to_hash_reference(
-            a in "[a-zA-Z0-9λ中 ]{0,16}", b in "[a-zA-Z0-9λ中 ]{0,16}", q in 1usize..5
-        ) {
-            prop_assert_eq!(
-                ngram_similarity(&a, &b, q).to_bits(),
-                dice_reference(&a, &b, q).to_bits()
-            );
-            prop_assert_eq!(
-                qgram_jaccard(&a, &b, q).to_bits(),
-                jaccard_reference(&a, &b, q).to_bits()
-            );
-        }
     }
 }

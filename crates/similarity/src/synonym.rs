@@ -1,115 +1,11 @@
-//! Synonym-table similarity.
+//! Built-in synonym groups.
 //!
 //! COMA and LSD both consult a thesaurus of domain synonyms; the paper mentions
-//! "dictionaries of synonyms" as a typical external hint source. [`SynonymTable`]
-//! is a small, deterministic, in-memory equivalent: groups of names declared
-//! synonymous score a configurable similarity (default 1.0) regardless of their
-//! string-level distance.
+//! "dictionaries of synonyms" as a typical external hint source. The synthetic
+//! repository generator draws its synonym mutations from these groups, so every
+//! generated corpus depends on them exactly as listed.
 
-use std::collections::HashMap;
-
-/// A table of synonym groups. Lookup is case-insensitive and token-normalised
-/// (underscores/hyphens removed) so `e-mail`, `EMail` and `email` coincide.
-#[derive(Debug, Clone, Default)]
-pub struct SynonymTable {
-    /// Maps normalised name → group id.
-    groups: HashMap<String, usize>,
-    group_count: usize,
-    /// Similarity granted to members of the same group.
-    strength: f64,
-}
-
-impl SynonymTable {
-    /// Empty table; [`SynonymTable::similarity`] then always returns `None`.
-    pub fn new() -> Self {
-        SynonymTable {
-            groups: HashMap::new(),
-            group_count: 0,
-            strength: 1.0,
-        }
-    }
-
-    /// A table pre-loaded with synonym groups common in web schemas (contact data,
-    /// bibliographic data, commerce). This is the table the extended matchers and the
-    /// synthetic corpus generator share, so generated synonym mutations are actually
-    /// discoverable by the synonym matcher.
-    pub fn builtin() -> Self {
-        let mut t = SynonymTable::new();
-        for group in builtin_groups() {
-            t.add_group(group);
-        }
-        t
-    }
-
-    /// Set the similarity value granted to members of the same group (clamped to `[0,1]`).
-    pub fn with_strength(mut self, strength: f64) -> Self {
-        self.strength = strength.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Declare the given names mutually synonymous. If any name already belongs to a
-    /// group, the new names join that group.
-    pub fn add_group<I, S>(&mut self, names: I)
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        let names: Vec<String> = names.into_iter().map(|s| normalize(s.as_ref())).collect();
-        if names.is_empty() {
-            return;
-        }
-        let existing = names.iter().find_map(|n| self.groups.get(n).copied());
-        let gid = existing.unwrap_or_else(|| {
-            self.group_count += 1;
-            self.group_count - 1
-        });
-        for n in names {
-            self.groups.insert(n, gid);
-        }
-    }
-
-    /// Number of distinct names known to the table.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// True when no synonym is registered.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
-    /// Whether two names are known synonyms (true also for equal normalised names that
-    /// appear in the table).
-    pub fn are_synonyms(&self, a: &str, b: &str) -> bool {
-        match (
-            self.groups.get(&normalize(a)),
-            self.groups.get(&normalize(b)),
-        ) {
-            (Some(x), Some(y)) => x == y,
-            _ => false,
-        }
-    }
-
-    /// Similarity contributed by the table: `Some(strength)` when the names are
-    /// synonyms, `None` when the table has no opinion (caller falls back to the
-    /// string kernel).
-    pub fn similarity(&self, a: &str, b: &str) -> Option<f64> {
-        if self.are_synonyms(a, b) {
-            Some(self.strength)
-        } else {
-            None
-        }
-    }
-}
-
-fn normalize(s: &str) -> String {
-    s.chars()
-        .filter(|c| c.is_alphanumeric())
-        .flat_map(|c| c.to_lowercase())
-        .collect()
-}
-
-/// The built-in synonym groups.
+/// The built-in synonym groups (contact data, bibliographic data, commerce).
 pub fn builtin_groups() -> Vec<Vec<&'static str>> {
     vec![
         vec!["email", "e-mail", "mail", "electronicmail"],
@@ -150,57 +46,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_table_has_no_opinion() {
-        let t = SynonymTable::new();
-        assert!(t.is_empty());
-        assert_eq!(t.similarity("email", "mail"), None);
-        assert!(!t.are_synonyms("email", "mail"));
-    }
-
-    #[test]
     fn builtin_groups_cover_common_pairs() {
-        let t = SynonymTable::builtin();
-        assert!(!t.is_empty());
-        assert!(t.are_synonyms("email", "mail"));
-        assert!(t.are_synonyms("E-Mail", "mail"));
-        assert!(t.are_synonyms("author", "writer"));
-        assert!(t.are_synonyms("zip", "postalCode"));
-        assert!(!t.are_synonyms("email", "phone"));
-        assert_eq!(t.similarity("surname", "lastName"), Some(1.0));
-    }
-
-    #[test]
-    fn strength_is_configurable_and_clamped() {
-        let t = SynonymTable::builtin().with_strength(0.8);
-        assert_eq!(t.similarity("price", "cost"), Some(0.8));
-        let t2 = SynonymTable::builtin().with_strength(7.0);
-        assert_eq!(t2.similarity("price", "cost"), Some(1.0));
-    }
-
-    #[test]
-    fn add_group_merges_transitively() {
-        let mut t = SynonymTable::new();
-        t.add_group(["car", "automobile"]);
-        t.add_group(["automobile", "vehicle"]);
-        assert!(t.are_synonyms("car", "vehicle"));
-        assert_eq!(t.len(), 3);
-        // Adding an empty group is a no-op.
-        t.add_group(Vec::<&str>::new());
-        assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    fn unknown_names_are_not_synonyms_of_themselves() {
-        let t = SynonymTable::builtin();
-        // Names absent from the table give None even when equal; the string kernel
-        // handles equality.
-        assert_eq!(t.similarity("qwerty", "qwerty"), None);
-    }
-
-    #[test]
-    fn normalization_ignores_punctuation_and_case() {
-        let mut t = SynonymTable::new();
-        t.add_group(["birth_date", "DOB"]);
-        assert!(t.are_synonyms("BirthDate", "dob"));
+        let groups = builtin_groups();
+        let together = |a, b| groups.iter().any(|g| g.contains(&a) && g.contains(&b));
+        assert!(together("email", "mail"));
+        assert!(together("author", "writer"));
+        assert!(together("zip", "postalcode"));
+        assert!(!together("email", "phone"));
     }
 }

@@ -83,38 +83,6 @@ pub fn token_set_similarity(a: &str, b: &str) -> f64 {
     (dir(&ta, &tb) + dir(&tb, &ta)) / 2.0
 }
 
-/// Expand common schema-world abbreviations in a token (`addr` → `address`,
-/// `qty` → `quantity`, `num`/`no` → `number`, …). Returns the token unchanged if no
-/// expansion is known. Used by the extended name matchers, not by the paper baseline.
-pub fn expand_abbreviation(token: &str) -> &str {
-    match token {
-        "addr" => "address",
-        "qty" => "quantity",
-        "num" | "nr" | "no" => "number",
-        "amt" => "amount",
-        "desc" => "description",
-        "id" => "identifier",
-        "tel" | "ph" => "phone",
-        "org" => "organization",
-        "dept" => "department",
-        "acct" => "account",
-        "cust" => "customer",
-        "prod" => "product",
-        "cat" => "category",
-        "lang" => "language",
-        "msg" => "message",
-        "info" => "information",
-        "ref" => "reference",
-        "dob" => "birthdate",
-        "fname" => "firstname",
-        "lname" => "lastname",
-        "pwd" => "password",
-        "img" => "image",
-        "auth" => "author",
-        _ => token,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,13 +129,6 @@ mod tests {
         assert_eq!(token_set_similarity("", ""), 1.0);
         assert_eq!(token_set_similarity("", "abc"), 0.0);
         assert_eq!(token_set_similarity("_-_", "abc"), 0.0);
-    }
-
-    #[test]
-    fn abbreviation_expansion() {
-        assert_eq!(expand_abbreviation("addr"), "address");
-        assert_eq!(expand_abbreviation("qty"), "quantity");
-        assert_eq!(expand_abbreviation("title"), "title");
     }
 
     proptest! {

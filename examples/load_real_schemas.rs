@@ -9,7 +9,7 @@
 //! ```
 
 use bellflower::clustering::{ClusteredMatcher, ClusteringVariant};
-use bellflower::matcher::element::{ElementMatchConfig, NameElementMatcher};
+use bellflower::matcher::element::ElementMatchConfig;
 use bellflower::matcher::{BranchAndBoundGenerator, MatchingProblem, ObjectiveConfig};
 use bellflower::repo::corpus::{load_directory, load_documents};
 use bellflower::repo::{CandidateScratch, LengthWindow, MergePolicy, NameIndex};
@@ -109,12 +109,7 @@ fn main() {
     let problem = MatchingProblem::new(personal, ObjectiveConfig::default(), 0.6);
     let report = ClusteredMatcher::for_variant(ClusteringVariant::Medium)
         .with_element_config(ElementMatchConfig::default().with_min_similarity(0.3))
-        .run_with_matcher(
-            &problem,
-            &repository,
-            &NameElementMatcher,
-            &BranchAndBoundGenerator::new(),
-        );
+        .run(&problem, &repository, &BranchAndBoundGenerator::new());
 
     println!(
         "\nmappings with Δ ≥ {} (clustered matcher):",

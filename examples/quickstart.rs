@@ -8,7 +8,7 @@
 //! ```
 
 use bellflower::clustering::{ClusteredMatcher, ClusteringVariant};
-use bellflower::matcher::element::{ElementMatchConfig, NameElementMatcher};
+use bellflower::matcher::element::ElementMatchConfig;
 use bellflower::matcher::{BranchAndBoundGenerator, MatchingProblem, ObjectiveConfig};
 use bellflower::repo::{GeneratorConfig, RepositoryGenerator};
 use bellflower::schema::{SchemaNode, TreeBuilder};
@@ -44,10 +44,10 @@ fn main() {
 
     let baseline = ClusteredMatcher::baseline()
         .with_element_config(element_config.clone())
-        .run_with_matcher(&problem, &repository, &NameElementMatcher, &generator);
+        .run(&problem, &repository, &generator);
     let clustered = ClusteredMatcher::for_variant(ClusteringVariant::Medium)
         .with_element_config(element_config)
-        .run_with_matcher(&problem, &repository, &NameElementMatcher, &generator);
+        .run(&problem, &repository, &generator);
 
     for report in [&baseline, &clustered] {
         println!(

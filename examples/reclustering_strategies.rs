@@ -11,7 +11,7 @@
 use bellflower::clustering::config::ReclusterStrategy;
 use bellflower::clustering::report::SizeHistogram;
 use bellflower::clustering::{ClusteringConfig, KMeansClusterer};
-use bellflower::matcher::element::{match_elements, ElementMatchConfig, NameElementMatcher};
+use bellflower::matcher::element::{match_elements, ElementMatchConfig};
 use bellflower::matcher::MatchingProblem;
 use bellflower::repo::{GeneratorConfig, RepositoryGenerator};
 
@@ -26,7 +26,6 @@ fn main() {
     let candidates = match_elements(
         &problem.personal,
         &repository,
-        &NameElementMatcher,
         &ElementMatchConfig::default().with_min_similarity(0.4),
     );
     println!(

@@ -12,7 +12,7 @@
 
 use bellflower::clustering::metrics::{preservation_curve, search_space_reduction};
 use bellflower::clustering::{ClusteredMatcher, ClusteringConfig};
-use bellflower::matcher::element::{match_elements, ElementMatchConfig, NameElementMatcher};
+use bellflower::matcher::element::{match_elements, ElementMatchConfig};
 use bellflower::matcher::{BranchAndBoundGenerator, MatchingProblem};
 use bellflower::repo::{GeneratorConfig, RepositoryGenerator};
 
@@ -27,7 +27,6 @@ fn main() {
     let candidates = match_elements(
         &problem.personal,
         &repository,
-        &NameElementMatcher,
         &ElementMatchConfig::default().with_min_similarity(0.4),
     );
     println!(

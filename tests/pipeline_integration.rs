@@ -4,7 +4,7 @@
 
 use bellflower::clustering::metrics::preservation_curve;
 use bellflower::clustering::{ClusteredMatcher, ClusteringConfig, ClusteringVariant};
-use bellflower::matcher::element::{match_elements, ElementMatchConfig, NameElementMatcher};
+use bellflower::matcher::element::{match_elements, ElementMatchConfig};
 use bellflower::matcher::generator::exhaustive::ExhaustiveGenerator;
 use bellflower::matcher::{
     BranchAndBoundGenerator, MappingGenerator, MatchingProblem, ObjectiveConfig,
@@ -63,7 +63,6 @@ fn end_to_end_on_parsed_schemas_finds_the_person_schema() {
     let candidates = match_elements(
         &problem.personal,
         &repo,
-        &NameElementMatcher,
         &ElementMatchConfig::default().with_min_similarity(0.3),
     );
     assert!(candidates.is_useful());
@@ -87,7 +86,6 @@ fn all_exact_generators_agree_end_to_end() {
     let candidates = match_elements(
         &problem.personal,
         &repo,
-        &NameElementMatcher,
         &ElementMatchConfig::default().with_min_similarity(0.3),
     );
     let bb = BranchAndBoundGenerator::new().generate(&problem, &repo, &candidates);
@@ -112,7 +110,6 @@ fn clustered_pipeline_on_synthetic_repository_preserves_top_mappings() {
     let candidates = match_elements(
         &problem.personal,
         &repo,
-        &NameElementMatcher,
         &ElementMatchConfig::default().with_min_similarity(0.45),
     );
     let generator = BranchAndBoundGenerator::new();
@@ -162,7 +159,6 @@ fn clustered_mappings_are_a_subset_of_baseline_mappings() {
     let candidates = match_elements(
         &problem.personal,
         &repo,
-        &NameElementMatcher,
         &ElementMatchConfig::default().with_min_similarity(0.45),
     );
     let generator = BranchAndBoundGenerator::new();
