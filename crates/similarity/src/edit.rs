@@ -1,10 +1,9 @@
 //! Damerau–Levenshtein edit distance (OSA variant) and its normalization.
 //!
 //! The string-taking entry point [`damerau_levenshtein`] collects the inputs into
-//! `char` buffers once and delegates to the slice-taking core
-//! ([`damerau_levenshtein_chars`]); the zero-allocation feature kernels in
-//! [`crate::features`] call the `*_scratch` variant directly with reusable row
-//! buffers.
+//! `char` buffers once and delegates to the slice-taking
+//! [`damerau_levenshtein_chars`]. This dynamic program is the one reference the
+//! bit-parallel kernels in [`crate::features`] and [`crate::simd`] are held to.
 
 /// Damerau–Levenshtein distance in its *optimal string alignment* (OSA) form:
 /// substitution, insertion, deletion and transposition of two adjacent characters.
@@ -16,23 +15,9 @@ pub fn damerau_levenshtein(a: &str, b: &str) -> usize {
     damerau_levenshtein_chars(&a, &b)
 }
 
-/// [`damerau_levenshtein`] over pre-collected character slices.
+/// [`damerau_levenshtein`] over pre-collected character slices: the classic
+/// three-row dynamic program (rows `i-2`, `i-1`, `i`).
 pub fn damerau_levenshtein_chars(a: &[char], b: &[char]) -> usize {
-    let mut row0 = Vec::new();
-    let mut row1 = Vec::new();
-    let mut row2 = Vec::new();
-    damerau_levenshtein_chars_scratch(a, b, &mut row0, &mut row1, &mut row2)
-}
-
-/// [`damerau_levenshtein_chars`] with caller-provided row buffers (three rows:
-/// `i-2`, `i-1`, `i`), the zero-allocation DP fallback of the feature kernels.
-pub fn damerau_levenshtein_chars_scratch(
-    a: &[char],
-    b: &[char],
-    row0: &mut Vec<usize>,
-    row1: &mut Vec<usize>,
-    row2: &mut Vec<usize>,
-) -> usize {
     let (n, m) = (a.len(), b.len());
     if n == 0 {
         return m;
@@ -40,12 +25,9 @@ pub fn damerau_levenshtein_chars_scratch(
     if m == 0 {
         return n;
     }
-    row0.clear();
-    row0.resize(m + 1, 0);
-    row1.clear();
-    row1.extend(0..=m);
-    row2.clear();
-    row2.resize(m + 1, 0);
+    let mut row0 = vec![0; m + 1];
+    let mut row1: Vec<usize> = (0..=m).collect();
+    let mut row2 = vec![0; m + 1];
     for i in 1..=n {
         row2[0] = i;
         for j in 1..=m {
@@ -56,8 +38,8 @@ pub fn damerau_levenshtein_chars_scratch(
             }
             row2[j] = best;
         }
-        std::mem::swap(row0, row1);
-        std::mem::swap(row1, row2);
+        std::mem::swap(&mut row0, &mut row1);
+        std::mem::swap(&mut row1, &mut row2);
     }
     row1[m]
 }
@@ -83,19 +65,6 @@ mod tests {
         assert_eq!(damerau_levenshtein("author", "auhtor"), 1);
         assert_eq!(damerau_levenshtein("abc", "abc"), 0);
         assert_eq!(damerau_levenshtein("", "xyz"), 3);
-    }
-
-    #[test]
-    fn scratch_variants_agree_and_reuse_buffers() {
-        let (mut r0, mut r1, mut r2) = (Vec::new(), Vec::new(), Vec::new());
-        for (a, b) in [("kitten", "sitting"), ("", "x"), ("ca", "ac"), ("ab", "")] {
-            let ca: Vec<char> = a.chars().collect();
-            let cb: Vec<char> = b.chars().collect();
-            assert_eq!(
-                damerau_levenshtein_chars_scratch(&ca, &cb, &mut r0, &mut r1, &mut r2),
-                damerau_levenshtein(a, b)
-            );
-        }
     }
 
     #[test]

@@ -12,21 +12,22 @@
 //! 2. a **kernel** ([`fuzzy_features`] over [`damerau_features`]) that scores two
 //!    feature sets without allocating: the edit distance of names of ≤ 64
 //!    characters runs Hyyrö's bit-parallel algorithm in a handful of `u64`
-//!    operations per text character, longer names run its blocked form (the
-//!    classic DP over caller-provided scratch rows under `XSM_FORCE_SCALAR`).
+//!    operations per text character, longer names run its blocked form.
+//!    Both are portable `u64` code, so `XSM_FORCE_SCALAR` leaves them in place.
 //!
 //! The kernel is *bit-identical* to its string-path counterpart evaluated on the
-//! lowercased inputs — asserted by the property suite in
-//! `tests/feature_equivalence.rs` — so swapping a pipeline onto the feature path
-//! cannot change any result, only its cost.
+//! lowercased inputs, the dynamic program in [`crate::edit`] — asserted by the
+//! property suite in `tests/feature_equivalence.rs` — so swapping a pipeline onto
+//! the feature path cannot change any result, only its cost.
 
 use std::collections::HashMap;
 
-use crate::edit::{damerau_levenshtein_chars_scratch, normalized_similarity};
+use crate::edit::normalized_similarity;
 use crate::simd::{BlockPeq, BlockScratch};
 
-/// Maximum pattern length (in characters) served by the bit-parallel edit-distance
-/// fast path; longer names fall back to the classic dynamic program.
+/// Maximum pattern length (in characters) served by the single-word bit-parallel
+/// edit-distance kernel; when both names are longer, the blocked multi-word kernel
+/// ([`crate::simd::hyyro_osa_blocked`]) scores them.
 pub const BITPARALLEL_MAX_CHARS: usize = 64;
 
 /// Interns character q-grams to dense `u32` ids shared across a name corpus.
@@ -401,13 +402,10 @@ impl NameFeatures {
 }
 
 /// Reusable scratch buffers for the kernels that need per-call working memory (the
-/// DP fallback rows and the blocked kernel's per-block state). One instance per
-/// worker thread makes steady-state scoring allocation-free.
+/// blocked kernel's per-block state). One instance per worker thread makes
+/// steady-state scoring allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct SimScratch {
-    row0: Vec<usize>,
-    row1: Vec<usize>,
-    row2: Vec<usize>,
     blocks: BlockScratch,
 }
 
@@ -447,8 +445,7 @@ fn hyyro_osa(peq: &[(char, u64)], m: usize, text: &[char]) -> usize {
 /// Damerau–Levenshtein (OSA) distance over precomputed features (lowercased
 /// characters): Hyyrö bit-parallel when either name fits in
 /// [`BITPARALLEL_MAX_CHARS`] characters (the distance is symmetric, so either side
-/// may serve as the pattern), blocked Hyyrö beyond — the classic DP over the
-/// scratch rows under `XSM_FORCE_SCALAR`. Equals
+/// may serve as the pattern), blocked Hyyrö beyond. Equals
 /// `edit::damerau_levenshtein(a.lower, b.lower)`.
 pub fn damerau_features(a: &NameFeatures, b: &NameFeatures, scratch: &mut SimScratch) -> usize {
     if a.char_len == 0 {
@@ -461,7 +458,7 @@ pub fn damerau_features(a: &NameFeatures, b: &NameFeatures, scratch: &mut SimScr
         hyyro_osa(&a.peq, a.char_len(), b.chars())
     } else if b.char_len() <= BITPARALLEL_MAX_CHARS {
         hyyro_osa(&b.peq, b.char_len(), a.chars())
-    } else if !crate::simd::force_scalar() {
+    } else {
         // Both sides past the single-word limit: blocked Hyyrö, with the
         // shorter side as the pattern (fewer blocks per text character).
         let (p, t) = if a.char_len() <= b.char_len() {
@@ -470,14 +467,6 @@ pub fn damerau_features(a: &NameFeatures, b: &NameFeatures, scratch: &mut SimScr
             (b, a)
         };
         crate::simd::hyyro_osa_blocked(p.block_peq(), p.char_len(), t.chars(), &mut scratch.blocks)
-    } else {
-        damerau_levenshtein_chars_scratch(
-            a.chars(),
-            b.chars(),
-            &mut scratch.row0,
-            &mut scratch.row1,
-            &mut scratch.row2,
-        )
     }
 }
 
@@ -571,7 +560,7 @@ mod tests {
     }
 
     #[test]
-    fn dp_fallback_used_beyond_64_chars() {
+    fn blocked_kernel_used_beyond_64_chars() {
         let long_a = "a".repeat(70) + "xyz";
         let long_b = "a".repeat(70) + "xzy";
         let (fa, fb) = pair(&long_a, &long_b, 3);

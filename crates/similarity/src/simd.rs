@@ -13,8 +13,8 @@
 //!    pattern is split into ⌈m/64⌉ blocks; each text character propagates a
 //!    horizontal carry `hin ∈ {-1, 0, +1}` bottom-up through the blocks (the
 //!    vertical layout of Myers 1999 §4 / Hyyrö 2003). Names longer than
-//!    `BITPARALLEL_MAX_CHARS` stay word-parallel instead of falling back to
-//!    the O(m·n) scalar DP.
+//!    `BITPARALLEL_MAX_CHARS` stay word-parallel on every tier; the O(m·n)
+//!    DP in `edit.rs` is only their reference.
 //! 2. **ScanCount accumulation** ([`accumulate_run`]): the dense `u8`
 //!    counter increment over in-window posting runs. The x86-64 path uses a
 //!    branchless, software-prefetched loop over unchecked loads/stores; the
@@ -154,7 +154,7 @@ pub struct BlockScratch {
 /// of the last block. On top of that blocked Myers shell each block carries
 /// its `d0` and previous-column `pm` vectors, with the transposition term
 /// crossing block boundaries through `tr_carry`. Bit-identical to
-/// `edit::damerau_levenshtein_chars_scratch`.
+/// `edit::damerau_levenshtein_chars`.
 pub fn hyyro_osa_blocked(
     peq: &BlockPeq,
     m: usize,

@@ -30,9 +30,10 @@ fn features(a: &str, b: &str, q: usize) -> (NameFeatures, NameFeatures) {
 // λ/Σ, CJK 中) — short enough for the bit-parallel path.
 const NAMEISH: &str = "[a-zA-Z0-9_\\-äÖßλΣ中]{0,14}";
 // Long strings (possibly > 64 and > 128 chars) force the blocked Hyyrö kernel —
-// across one-, two- and three-block pattern widths — on one or both sides (the
-// DP reference under `XSM_FORCE_SCALAR`).
-const LONGISH: &str = "[a-c ]{0,150}";
+// across one-, two- and three-block pattern widths — on one or both sides, under
+// `XSM_FORCE_SCALAR` too. Lowercase-only, multi-byte included, so the raw strings
+// are the kernel's inputs.
+const LONGISH: &str = "[a-cäλ中 ]{0,150}";
 
 proptest! {
     #[test]
