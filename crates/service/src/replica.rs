@@ -68,6 +68,7 @@ pub struct HedgeConfig {
     /// Hedge delay used until enough observations exist.
     pub initial_delay: Duration,
     /// Lower clamp on the delay — never hedge more aggressively than this.
+    /// Must not exceed [`HedgeConfig::cap`].
     pub floor: Duration,
     /// Upper clamp on the delay (also applied when the percentile lands in
     /// the histogram's overflow bucket).
@@ -376,7 +377,8 @@ pub struct ReplicaSet {
 impl ReplicaSet {
     /// Build a replica set over interchangeable backends (each must serve the
     /// same repository slice — the determinism contract is what makes any
-    /// replica's answer authoritative). Fails on an empty backend list.
+    /// replica's answer authoritative). Fails on an empty backend list, a hedge
+    /// percentile outside `0.0..=1.0` or a hedge floor above the hedge cap.
     pub fn new(
         backends: Vec<Box<dyn MatchService>>,
         config: ReplicaSetConfig,
@@ -392,6 +394,9 @@ impl ReplicaSet {
                 "hedge.percentile",
                 "must be within 0.0..=1.0",
             ));
+        }
+        if config.hedge.floor > config.hedge.cap {
+            return Err(ConfigError::new("hedge.floor", "must not exceed hedge.cap"));
         }
         let health = config.health.clone();
         let inner = Arc::new(ReplicaInner {

@@ -433,3 +433,24 @@ fn suspended_tcp_replica_heals_through_the_background_prober() {
 fn replica_set_rejects_an_empty_backend_list() {
     assert!(ReplicaSet::new(Vec::new(), ReplicaSetConfig::default()).is_err());
 }
+
+#[test]
+fn replica_set_rejects_a_hedge_floor_above_its_cap() {
+    // Clamping to an inverted range would panic inside the latency lock and
+    // poison every later submission; the set must refuse it up front.
+    let hedge = HedgeConfig {
+        floor: Duration::from_millis(20),
+        cap: Duration::from_millis(10),
+        ..HedgeConfig::default()
+    };
+    let backend: Box<dyn MatchService> = Box::new(MatchEngine::new(repo(), engine_config()));
+    let err = ReplicaSet::new(
+        vec![backend],
+        ReplicaSetConfig::default()
+            .with_hedge(hedge)
+            .with_probe_interval(None),
+    )
+    .err()
+    .expect("an inverted hedge clamp is a configuration error");
+    assert_eq!(err.field, "hedge.floor");
+}
