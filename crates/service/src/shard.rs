@@ -247,15 +247,73 @@ impl ShardedEngineConfigBuilder {
                 "must be >= 1",
             ));
         }
-        if self.config.engine.element.max_candidates_per_node.is_some() {
-            return Err(ConfigError::new(
-                "engine.element.max_candidates_per_node",
-                "the per-node candidate cap is a global cut that per-shard \
-                 candidate generation cannot reproduce",
-            ));
-        }
+        reject_candidate_cap(&self.config)?;
         Ok(self.config)
     }
+}
+
+/// The sharded-serving restriction on the element configuration (see the
+/// module docs): the per-node candidate cap is a global cut, so it must be
+/// unset.
+fn reject_candidate_cap(config: &ShardedEngineConfig) -> Result<(), ConfigError> {
+    if config.engine.element.max_candidates_per_node.is_some() {
+        return Err(ConfigError::new(
+            "engine.element.max_candidates_per_node",
+            "the per-node candidate cap is a global cut that per-shard \
+             candidate generation cannot reproduce",
+        ));
+    }
+    Ok(())
+}
+
+/// Router slots over in-process shard engines, in shard order.
+fn as_services<E: MatchService + 'static>(engines: &[Arc<E>]) -> Vec<Box<dyn MatchService>> {
+    engines
+        .iter()
+        .map(|engine| Box::new(Arc::clone(engine)) as Box<dyn MatchService>)
+        .collect()
+}
+
+/// Per shard, in shard order: what serves it and its local-to-global tree map.
+type LoadedShards<E> = Vec<(Arc<E>, Vec<TreeId>)>;
+
+/// Load one snapshot per shard, in shard order, into what serves it (`load`
+/// builds a [`MatchEngine`] or a [`SwappableEngine`]), each with the tree map
+/// its snapshot carries. Every shard must carry the same generation:
+/// `expected_generation` when given, otherwise the first shard's.
+fn load_shard_snapshots<E>(
+    paths: &[impl AsRef<std::path::Path>],
+    config: &ShardedEngineConfig,
+    mut expected_generation: Option<u64>,
+    load: impl Fn(xsm_repo::snapshot::Snapshot, EngineConfig, std::time::Instant) -> E,
+) -> Result<LoadedShards<E>, crate::snapshot::SnapshotServeError> {
+    use xsm_repo::snapshot::{SnapshotError, SnapshotReader};
+    if paths.is_empty() {
+        return Err(ConfigError::new("paths", "must not be empty").into());
+    }
+    reject_candidate_cap(config)?;
+    let mut shards = Vec::with_capacity(paths.len());
+    for path in paths {
+        let start = std::time::Instant::now();
+        let snapshot = SnapshotReader::read(path.as_ref())?;
+        match expected_generation {
+            None => expected_generation = Some(snapshot.generation),
+            Some(expected) if snapshot.generation != expected => {
+                return Err(SnapshotError::GenerationMismatch {
+                    expected,
+                    found: snapshot.generation,
+                }
+                .into());
+            }
+            Some(_) => {}
+        }
+        let tree_map = snapshot.tree_map.clone();
+        shards.push((
+            Arc::new(load(snapshot, config.engine.clone(), start)),
+            tree_map,
+        ));
+    }
+    Ok(shards)
 }
 
 /// Router-level and per-shard serving metrics of a [`ShardedEngine`].
@@ -516,7 +574,7 @@ impl ShardedEngine {
     /// the same configuration with a [`ConfigError`] instead.
     pub fn new(repo: SchemaRepository, config: ShardedEngineConfig) -> Self {
         assert!(
-            config.engine.element.max_candidates_per_node.is_none(),
+            reject_candidate_cap(&config).is_ok(),
             "ShardedEngine cannot serve ElementMatchConfig::max_candidates_per_node: \
              the cap keeps the globally best candidates per personal node, which \
              per-shard engines cannot determine from their local view"
@@ -528,11 +586,12 @@ impl ShardedEngine {
             .into_iter()
             .map(|shard| Arc::new(MatchEngine::new(shard, config.engine.clone())))
             .collect();
-        let services: Vec<Box<dyn MatchService>> = local_engines
-            .iter()
-            .map(|engine| Box::new(Arc::clone(engine)) as Box<dyn MatchService>)
-            .collect();
-        Self::start(services, tree_maps, local_engines, config)
+        Self::start(
+            as_services(&local_engines),
+            tree_maps,
+            local_engines,
+            config,
+        )
     }
 
     /// A sharded engine with `shards` shards and default configuration otherwise.
@@ -564,13 +623,7 @@ impl ShardedEngine {
                 "must have exactly one entry per service",
             ));
         }
-        if config.engine.element.max_candidates_per_node.is_some() {
-            return Err(ConfigError::new(
-                "engine.element.max_candidates_per_node",
-                "the per-node candidate cap is a global cut that per-shard \
-                 candidate generation cannot reproduce",
-            ));
-        }
+        reject_candidate_cap(&config)?;
         Ok(Self::start(services, tree_maps, Vec::new(), config))
     }
 
@@ -605,47 +658,20 @@ impl ShardedEngine {
         config: ShardedEngineConfig,
         expected_generation: Option<u64>,
     ) -> Result<Self, crate::snapshot::SnapshotServeError> {
-        use xsm_repo::snapshot::{SnapshotError, SnapshotReader};
-        if paths.is_empty() {
-            return Err(ConfigError::new("paths", "must not be empty").into());
-        }
-        if config.engine.element.max_candidates_per_node.is_some() {
-            return Err(ConfigError::new(
-                "engine.element.max_candidates_per_node",
-                "the per-node candidate cap is a global cut that per-shard \
-                 candidate generation cannot reproduce",
-            )
-            .into());
-        }
-        let mut expected_generation = expected_generation;
-        let mut local_engines = Vec::with_capacity(paths.len());
-        let mut tree_maps = Vec::with_capacity(paths.len());
-        for path in paths {
-            let start = std::time::Instant::now();
-            let snapshot = SnapshotReader::read(path.as_ref())?;
-            match expected_generation {
-                None => expected_generation = Some(snapshot.generation),
-                Some(expected) if snapshot.generation != expected => {
-                    return Err(SnapshotError::GenerationMismatch {
-                        expected,
-                        found: snapshot.generation,
-                    }
-                    .into());
-                }
-                Some(_) => {}
-            }
-            tree_maps.push(snapshot.tree_map.clone());
-            local_engines.push(Arc::new(MatchEngine::from_snapshot_parts(
-                snapshot,
-                config.engine.clone(),
-                start,
-            )));
-        }
-        let services: Vec<Box<dyn MatchService>> = local_engines
-            .iter()
-            .map(|engine| Box::new(Arc::clone(engine)) as Box<dyn MatchService>)
-            .collect();
-        Ok(Self::start(services, tree_maps, local_engines, config))
+        let (local_engines, tree_maps): (Vec<_>, Vec<_>) = load_shard_snapshots(
+            paths,
+            &config,
+            expected_generation,
+            MatchEngine::from_snapshot_parts,
+        )?
+        .into_iter()
+        .unzip();
+        Ok(Self::start(
+            as_services(&local_engines),
+            tree_maps,
+            local_engines,
+            config,
+        ))
     }
 
     /// [`ShardedEngine::from_snapshot_paths`], but every shard is wrapped in a
@@ -657,47 +683,11 @@ impl ShardedEngine {
         paths: &[impl AsRef<std::path::Path>],
         config: ShardedEngineConfig,
     ) -> Result<Self, crate::snapshot::SnapshotServeError> {
-        use xsm_repo::snapshot::{SnapshotError, SnapshotReader};
-        if paths.is_empty() {
-            return Err(ConfigError::new("paths", "must not be empty").into());
-        }
-        if config.engine.element.max_candidates_per_node.is_some() {
-            return Err(ConfigError::new(
-                "engine.element.max_candidates_per_node",
-                "the per-node candidate cap is a global cut that per-shard \
-                 candidate generation cannot reproduce",
-            )
-            .into());
-        }
-        let mut expected_generation: Option<u64> = None;
-        let mut swappable = Vec::with_capacity(paths.len());
-        let mut tree_maps = Vec::with_capacity(paths.len());
-        for path in paths {
-            let start = std::time::Instant::now();
-            let snapshot = SnapshotReader::read(path.as_ref())?;
-            match expected_generation {
-                None => expected_generation = Some(snapshot.generation),
-                Some(expected) if snapshot.generation != expected => {
-                    return Err(SnapshotError::GenerationMismatch {
-                        expected,
-                        found: snapshot.generation,
-                    }
-                    .into());
-                }
-                Some(_) => {}
-            }
-            tree_maps.push(snapshot.tree_map.clone());
-            swappable.push(Arc::new(SwappableEngine::from_snapshot_parts(
-                snapshot,
-                config.engine.clone(),
-                start,
-            )));
-        }
-        let services: Vec<Box<dyn MatchService>> = swappable
-            .iter()
-            .map(|engine| Box::new(Arc::clone(engine)) as Box<dyn MatchService>)
-            .collect();
-        let mut sharded = Self::start(services, tree_maps, Vec::new(), config);
+        let (swappable, tree_maps): (Vec<_>, Vec<_>) =
+            load_shard_snapshots(paths, &config, None, SwappableEngine::from_snapshot_parts)?
+                .into_iter()
+                .unzip();
+        let mut sharded = Self::start(as_services(&swappable), tree_maps, Vec::new(), config);
         sharded.swappable_engines = swappable;
         Ok(sharded)
     }
@@ -1343,6 +1333,10 @@ mod tests {
         assert!(!response.incomplete);
 
         // Mismatched maps and empty fleets are rejected up front.
+        let one_service: Vec<Box<dyn MatchService>> =
+            vec![Box::new(MatchEngine::new(repo.clone(), config(1).engine))];
+        let mismatched = ShardedEngine::from_services(one_service, Vec::new(), config(1));
+        assert_eq!(mismatched.err().map(|e| e.field), Some("tree_maps"));
         assert!(ShardedEngine::from_services(Vec::new(), Vec::new(), config(1)).is_err());
     }
 
