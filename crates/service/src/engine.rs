@@ -15,8 +15,8 @@
 //! and each pair costs a bit-parallel edit distance over `u64` words plus an integer
 //! signature merge — no lowercasing, no `Vec<char>`, no hashing, no per-pair cache
 //! (the kernel is cheaper than a cache lookup). Each worker owns a
-//! [`SimScratch`] so even the DP fallback for >64-character names allocates nothing
-//! in steady state.
+//! [`SimScratch`] so even the blocked kernel for >64-character names allocates
+//! nothing in steady state.
 //!
 //! Concurrent identical queries that miss the result cache are deduplicated by a
 //! [`Singleflight`] map: one leader runs the pipeline, every concurrent duplicate
