@@ -8,36 +8,20 @@
 //! cluster can produce, computed from information that is already available before any
 //! generation work: for every personal node, the best candidate similarity inside the
 //! cluster (an upper bound on `Δ_sim`), combined with `Δ_path = 1` (the optimistic
-//! structural term). Processing clusters in descending quality order makes an anytime
-//! matcher emit its best mappings first; the score is also an admissible filter — a
-//! cluster whose quality is below δ can be skipped outright without losing any
-//! qualifying mapping.
+//! structural term).
+//!
+//! The clustered pipeline searches its scopes in descending quality order. Its
+//! generators feed one top-`k` collector, whose cutoff — the `k`-th best score so far —
+//! rises sooner when the likeliest clusters come first, so fewer mappings that end up
+//! below the top `k` are built. The order is only an order: every useful scope is
+//! still searched, so the answers and Tab. 1's counters, which are sums over scopes,
+//! are what any other order gives.
 
-use serde::{Deserialize, Serialize};
 use xsm_matcher::{CandidateSet, Objective};
 
-use crate::cluster::{Cluster, ClusterSet};
-
-/// A cluster together with its quality estimate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RankedCluster {
-    /// Index of the cluster within the originating [`ClusterSet`].
-    pub cluster_index: usize,
-    /// Optimistic upper bound on the objective value of any mapping the cluster can
-    /// produce (1.0-structural term).
-    pub quality: f64,
-    /// Whether the cluster is useful (can produce complete mappings at all).
-    pub useful: bool,
-}
-
-/// Score one cluster: the optimistic `Δ` upper bound described in the module docs.
-/// Non-useful clusters score 0.
-pub fn cluster_quality(cluster: &Cluster, candidates: &CandidateSet, objective: &Objective) -> f64 {
-    scope_quality(&cluster.scope(candidates), objective)
-}
-
-/// [`cluster_quality`] of a cluster whose scope is already at hand.
-fn scope_quality(scope: &CandidateSet, objective: &Objective) -> f64 {
+/// The optimistic `Δ` upper bound described in the module docs. Non-useful scopes
+/// score 0.
+pub fn scope_quality(scope: &CandidateSet, objective: &Objective) -> f64 {
     if !scope.is_useful() {
         return 0.0;
     }
@@ -48,49 +32,17 @@ fn scope_quality(scope: &CandidateSet, objective: &Objective) -> f64 {
     objective.combine(best_sim_sum / node_count, 1.0)
 }
 
-/// Rank every cluster of a [`ClusterSet`] by descending quality. Ties break towards the
-/// smaller cluster index so the order is deterministic.
-pub fn rank_clusters(
-    set: &ClusterSet,
-    candidates: &CandidateSet,
-    objective: &Objective,
-) -> Vec<RankedCluster> {
-    let mut ranked: Vec<RankedCluster> = set
-        .clusters
+/// The indexes of the useful `scopes`, by descending [`scope_quality`]; ties keep
+/// index order. A scope that is not useful cannot deliver a mapping and is left out.
+pub fn visiting_order(scopes: &[CandidateSet], objective: &Objective) -> Vec<usize> {
+    let mut ranked: Vec<(usize, f64)> = scopes
         .iter()
         .enumerate()
-        .map(|(i, cluster)| {
-            let scope = cluster.scope(candidates);
-            RankedCluster {
-                cluster_index: i,
-                quality: scope_quality(&scope, objective),
-                useful: scope.is_useful(),
-            }
-        })
+        .filter(|(_, scope)| scope.is_useful())
+        .map(|(i, scope)| (i, scope_quality(scope, objective)))
         .collect();
-    ranked.sort_by(|a, b| {
-        b.quality
-            .partial_cmp(&a.quality)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cluster_index.cmp(&b.cluster_index))
-    });
-    ranked
-}
-
-/// The cluster indexes worth generating mappings in at all for threshold δ: useful
-/// clusters whose optimistic quality reaches δ, in descending quality order. Skipping
-/// the rest cannot lose any mapping with `Δ ≥ δ` because the quality is an upper bound.
-pub fn admissible_cluster_order(
-    set: &ClusterSet,
-    candidates: &CandidateSet,
-    objective: &Objective,
-    threshold: f64,
-) -> Vec<usize> {
-    rank_clusters(set, candidates, objective)
-        .into_iter()
-        .filter(|r| r.useful && r.quality + 1e-12 >= threshold)
-        .map(|r| r.cluster_index)
-        .collect()
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+    ranked.into_iter().map(|(i, _)| i).collect()
 }
 
 #[cfg(test)]
@@ -103,7 +55,7 @@ mod tests {
     use xsm_matcher::{MappingGenerator, MatchingProblem};
     use xsm_repo::{GeneratorConfig, RepositoryGenerator, SchemaRepository};
 
-    fn scenario() -> (MatchingProblem, SchemaRepository, CandidateSet, ClusterSet) {
+    fn scenario() -> (MatchingProblem, SchemaRepository, Vec<CandidateSet>) {
         let problem = MatchingProblem::paper_experiment();
         let repo = RepositoryGenerator::new(GeneratorConfig::small(41)).generate();
         let candidates = match_elements(
@@ -113,40 +65,50 @@ mod tests {
         );
         let (set, _) =
             KMeansClusterer::new(ClusteringConfig::default()).cluster(&repo, &candidates);
-        (problem, repo, candidates, set)
+        let scopes = set.clusters.iter().map(|c| c.scope(&candidates)).collect();
+        (problem, repo, scopes)
     }
 
     #[test]
     fn ranking_is_sorted_and_covers_every_cluster() {
-        let (problem, _, candidates, set) = scenario();
+        let (problem, _, scopes) = scenario();
         let objective = Objective::for_problem(&problem);
-        let ranked = rank_clusters(&set, &candidates, &objective);
-        assert_eq!(ranked.len(), set.len());
-        for w in ranked.windows(2) {
-            assert!(w[0].quality + 1e-12 >= w[1].quality);
+        let order = visiting_order(&scopes, &objective);
+        // Every useful scope exactly once, best quality first.
+        let mut visited = order.clone();
+        visited.sort_unstable();
+        let useful: Vec<usize> = (0..scopes.len())
+            .filter(|&i| scopes[i].is_useful())
+            .collect();
+        assert_eq!(visited, useful);
+        assert!(!order.is_empty());
+        for pair in order.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            let (qa, qb) = (
+                scope_quality(&scopes[a], &objective),
+                scope_quality(&scopes[b], &objective),
+            );
+            assert!(qa > qb || (qa == qb && a < b));
         }
-        for r in &ranked {
-            assert!((0.0..=1.0).contains(&r.quality));
-            if !r.useful {
-                assert_eq!(r.quality, 0.0);
+        for scope in &scopes {
+            let quality = scope_quality(scope, &objective);
+            assert!((0.0..=1.0).contains(&quality));
+            if !scope.is_useful() {
+                assert_eq!(quality, 0.0);
             }
         }
     }
 
     #[test]
     fn quality_is_an_upper_bound_on_generated_mappings() {
-        let (problem, repo, candidates, set) = scenario();
+        let (problem, repo, scopes) = scenario();
         let objective = Objective::for_problem(&problem);
         let generator = BranchAndBoundGenerator::new();
-        for cluster in &set.clusters {
-            let quality = cluster_quality(cluster, &candidates, &objective);
-            let scope = cluster.scope(&candidates);
-            if !scope.is_useful() {
-                continue;
-            }
-            let mut relaxed = problem.clone();
-            relaxed.threshold = 0.0;
-            let outcome = generator.generate(&relaxed, &repo, &scope);
+        let mut relaxed = problem.clone();
+        relaxed.threshold = 0.0;
+        for scope in scopes.iter().filter(|s| s.is_useful()) {
+            let quality = scope_quality(scope, &objective);
+            let outcome = generator.generate(&relaxed, &repo, scope);
             for mapping in &outcome.mappings {
                 assert!(
                     quality + 1e-9 >= mapping.score,
@@ -159,64 +121,48 @@ mod tests {
 
     #[test]
     fn admissible_order_skips_only_hopeless_clusters() {
-        let (problem, repo, candidates, set) = scenario();
+        let (problem, repo, scopes) = scenario();
         let objective = Objective::for_problem(&problem);
         let generator = BranchAndBoundGenerator::new();
-        let order = admissible_cluster_order(&set, &candidates, &objective, problem.threshold);
-        // Every cluster excluded from the order must produce zero qualifying mappings.
-        for (i, cluster) in set.clusters.iter().enumerate() {
+        let order = visiting_order(&scopes, &objective);
+        // A scope the order leaves out yields nothing and costs nothing.
+        for (i, scope) in scopes.iter().enumerate() {
             if order.contains(&i) {
                 continue;
             }
-            let scope = cluster.scope(&candidates);
-            if !scope.is_useful() {
-                continue;
-            }
-            let outcome = generator.generate(&problem, &repo, &scope);
+            let outcome = generator.generate(&problem, &repo, scope);
             assert!(
                 outcome.mappings.is_empty(),
-                "skipped cluster {i} produced {} qualifying mappings",
-                outcome.mappings.len()
+                "left-out scope {i} has mappings"
             );
+            assert_eq!(outcome.counters.search_space, 0);
+            assert_eq!(outcome.counters.partial_mappings, 0);
         }
-        // The order is a permutation of a subset of cluster indexes.
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), order.len());
     }
 
     #[test]
     fn first_ranked_cluster_yields_the_best_mapping_early() {
-        let (problem, repo, candidates, set) = scenario();
+        let (problem, repo, scopes) = scenario();
         let objective = Objective::for_problem(&problem);
         let generator = BranchAndBoundGenerator::new();
-        let order = admissible_cluster_order(&set, &candidates, &objective, problem.threshold);
-        if order.is_empty() {
+        let order = visiting_order(&scopes, &objective);
+        let best_of = |i: usize| {
+            generator
+                .generate(&problem, &repo, &scopes[i])
+                .mappings
+                .first()
+                .map_or(0.0, |m| m.score)
+        };
+        let global_best = order.iter().map(|&i| best_of(i)).fold(0.0, f64::max);
+        if global_best == 0.0 {
             return; // nothing qualifies at δ in this seed — nothing to check
         }
-        // Best score over all clusters.
-        let mut global_best: f64 = 0.0;
-        let mut per_cluster_best = vec![0.0f64; set.len()];
-        for (i, cluster) in set.clusters.iter().enumerate() {
-            let scope = cluster.scope(&candidates);
-            if !scope.is_useful() {
-                continue;
-            }
-            let outcome = generator.generate(&problem, &repo, &scope);
-            let best = outcome.mappings.first().map(|m| m.score).unwrap_or(0.0);
-            per_cluster_best[i] = best;
-            global_best = global_best.max(best);
-        }
-        // The overall best mapping must live in one of the first few ranked clusters —
-        // here we assert the stronger property that the top-quality cluster is within
-        // 0.15 of the global optimum (the optimistic bound is not exact, but close).
-        let first = order[0];
+        // The optimistic bound is not exact, but the first scope searched comes
+        // within 0.15 of the global optimum.
+        let first = best_of(order[0]);
         assert!(
-            per_cluster_best[first] + 0.15 >= global_best,
-            "top-ranked cluster best {} vs global best {}",
-            per_cluster_best[first],
-            global_best
+            first + 0.15 >= global_best,
+            "first-searched scope's best {first} vs global best {global_best}"
         );
     }
 }

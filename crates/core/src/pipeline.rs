@@ -5,8 +5,12 @@
 //! 1. element matching (from `xsm-matcher`) → mapping elements,
 //! 2. clustering (this crate) → clusters of mapping elements — or, for the baseline
 //!    "tree clusters" variant, one cluster per repository tree,
-//! 3. mapping generation per useful cluster (any [`MappingGenerator`]),
-//! 4. merging all per-cluster results into a single ranked list.
+//! 3. mapping generation per useful cluster (any [`MappingGenerator`]), best-looking
+//!    cluster first ([`crate::ordering`]),
+//! 4. ranking: every cluster's generator feeds one [`TopMappings`], which keeps
+//!    either every mapping with `Δ ≥ δ` ([`ClusteredMatcher::run_on_candidates`]) or
+//!    only the best `k` ([`ClusteredMatcher::run_on_candidates_top`], what a served
+//!    query runs) — one loop either way, and the counters count every mapping.
 //!
 //! The produced [`ClusteredMatchReport`] carries everything Tab. 1 and Figs. 4–6 need:
 //! the useful-cluster statistics, the aggregated generator counters, the cluster-size
@@ -16,12 +20,13 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 use xsm_matcher::element::{match_elements, ElementMatchConfig};
-use xsm_matcher::generator::{sort_mappings, MappingGenerator};
-use xsm_matcher::{CandidateSet, GeneratorCounters, MatchingProblem, SchemaMapping};
+use xsm_matcher::generator::{MappingGenerator, TopMappings};
+use xsm_matcher::{CandidateSet, GeneratorCounters, MatchingProblem, Objective, SchemaMapping};
 use xsm_repo::SchemaRepository;
 
 use crate::config::{ClusteringConfig, ClusteringVariant};
 use crate::kmeans::{KMeansClusterer, KMeansStats};
+use crate::ordering::visiting_order;
 use crate::report::ClusterStatsRow;
 
 /// Result of one clustered (or baseline) matching run.
@@ -37,8 +42,10 @@ pub struct ClusteredMatchReport {
     /// Tab. 1a: useful-cluster statistics.
     pub cluster_stats: ClusterStatsRow,
     /// Tab. 1b: aggregated generator counters (partial mappings, retained mappings, time).
+    /// `retained_mappings` counts every mapping with `Δ ≥ δ`, kept or not.
     pub generator_counters: GeneratorCounters,
-    /// All retained schema mappings, best first.
+    /// The retained schema mappings, best first: all of them, or the best `keep` of
+    /// them from [`ClusteredMatcher::run_on_candidates_top`].
     pub mappings: Vec<SchemaMapping>,
     /// Statistics of the k-means run (`None` for the tree-clusters baseline).
     pub kmeans: Option<KMeansStats>,
@@ -154,6 +161,22 @@ impl ClusteredMatcher {
         candidates: &CandidateSet,
         generator: &dyn MappingGenerator,
     ) -> ClusteredMatchReport {
+        self.run_on_candidates_top(problem, repo, candidates, generator, usize::MAX)
+    }
+
+    /// [`ClusteredMatcher::run_on_candidates`] for a caller that wants the best `keep`
+    /// mappings: the report's `mappings` are the first `keep` of the full list, and
+    /// everything else — `generator_counters.retained_mappings`, the exact number of
+    /// mappings with `Δ ≥ δ`, included — is what the full run reports. The generator
+    /// builds only mappings that can still make the top `keep`.
+    pub fn run_on_candidates_top(
+        &self,
+        problem: &MatchingProblem,
+        repo: &SchemaRepository,
+        candidates: &CandidateSet,
+        generator: &dyn MappingGenerator,
+        keep: usize,
+    ) -> ClusteredMatchReport {
         // Stage c: clustering (or per-tree scoping for the baseline). `cluster_sizes[i]`
         // is the number of distinct repository nodes in `scopes[i]`: the clusterer
         // knows it as the member count, so nothing downstream re-derives it.
@@ -182,22 +205,17 @@ impl ClusteredMatcher {
             None => cluster_sizes.iter().sum(),
         };
 
-        // Stage 4: per-cluster mapping generation on the useful scopes only.
+        // Stage 4: per-cluster mapping generation on the useful scopes only, likeliest
+        // first, every one feeding the same collector.
         let mut counters = GeneratorCounters::default();
-        let mut mappings: Vec<SchemaMapping> = Vec::new();
-        let mut useful = 0usize;
-        let mut useful_nodes_total = 0usize;
-        for (scope, &nodes) in scopes.iter().zip(&cluster_sizes) {
-            if !scope.is_useful() {
-                continue;
-            }
-            useful += 1;
-            useful_nodes_total += nodes;
-            let outcome = generator.generate(problem, repo, scope);
-            counters = counters.merge(&outcome.counters);
-            mappings.extend(outcome.mappings);
+        let mut best = TopMappings::new(keep);
+        let order = visiting_order(&scopes, &Objective::for_problem(problem));
+        for &i in &order {
+            counters =
+                counters.merge(&generator.generate_into(problem, repo, &scopes[i], &mut best));
         }
-        sort_mappings(&mut mappings);
+        let useful = order.len();
+        let useful_nodes_total: usize = order.iter().map(|&i| cluster_sizes[i]).sum();
 
         let cluster_stats = ClusterStatsRow {
             useful_clusters: useful,
@@ -215,7 +233,7 @@ impl ClusteredMatcher {
             distinct_mapping_nodes,
             cluster_stats,
             generator_counters: counters,
-            mappings,
+            mappings: best.into_sorted(),
             kmeans,
             cluster_sizes,
             clustering_time,
@@ -406,6 +424,49 @@ mod tests {
             assert!(m.score <= prev + 1e-12);
             assert!(m.is_structurally_valid());
             prev = m.score;
+        }
+    }
+
+    #[test]
+    fn a_top_k_run_is_the_full_run_cut_to_k() {
+        // A low floor and a low δ: enough mappings that the collector cuts many times.
+        let mut problem = MatchingProblem::paper_experiment();
+        problem.threshold = 0.3;
+        let repo = RepositoryGenerator::new(GeneratorConfig::small(31).with_target_elements(900))
+            .generate();
+        let candidates = match_elements(
+            &problem.personal,
+            &repo,
+            &ElementMatchConfig::default().with_min_similarity(0.2),
+        );
+        let generator = BranchAndBoundGenerator::new();
+        for variant in [ClusteringVariant::Small, ClusteringVariant::TreeClusters] {
+            let matcher = ClusteredMatcher::for_variant(variant);
+            let full = matcher.run_on_candidates(&problem, &repo, &candidates, &generator);
+            assert!(
+                full.mappings.len() > 1_000,
+                "{} mappings",
+                full.mappings.len()
+            );
+            for keep in [0, 1, 3, 10, usize::MAX] {
+                let top =
+                    matcher.run_on_candidates_top(&problem, &repo, &candidates, &generator, keep);
+                assert_eq!(top.mappings, full.mappings[..keep.min(full.mappings.len())]);
+                let counts = |c: &GeneratorCounters| {
+                    (
+                        c.search_space,
+                        c.partial_mappings,
+                        c.complete_mappings,
+                        c.retained_mappings,
+                        c.pruned_branches,
+                    )
+                };
+                assert_eq!(
+                    counts(&top.generator_counters),
+                    counts(&full.generator_counters)
+                );
+                assert_eq!(top.cluster_stats, full.cluster_stats);
+            }
         }
     }
 

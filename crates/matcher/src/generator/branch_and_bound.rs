@@ -35,7 +35,14 @@
 //! state change — candidate pushed, list marked, image inserted — and change back
 //! on return. So a partial mapping costs no allocation, a constant number of LCA
 //! queries and `|N_s|` float additions, and a complete one allocates only if it is
-//! retained.
+//! retained *and* the [`TopMappings`] it goes to wants its score. Every retained
+//! mapping is counted; one that cannot make the caller's top `k` is never built.
+//! `generate_single_tree` and `generate` hand the search an unbounded collector,
+//! the served path one of `k`: the search itself is the same.
+//!
+//! The collector's cutoff never prunes: a bound below the current `k`-th score would
+//! cut branches holding mappings with `Δ ≥ δ`, and the retained count — which the
+//! served `total_matches` reports exactly — would become a lower bound.
 //!
 //! # Why each float is summed in the order it is
 //!
@@ -57,7 +64,7 @@ use std::time::Instant;
 
 use crate::candidates::{CandidateSet, MappingElement};
 use crate::counters::GeneratorCounters;
-use crate::generator::{sort_mappings, GenerationOutcome, MappingGenerator};
+use crate::generator::{search_tree_parts, GenerationOutcome, MappingGenerator, TopMappings};
 use crate::mapping::{SchemaMapping, SteinerRing};
 use crate::objective::Objective;
 use crate::problem::MatchingProblem;
@@ -72,8 +79,9 @@ pub struct BranchAndBoundConfig {
     /// the paper's generator is exhaustive above the threshold).
     pub max_partial_mappings: u64,
     /// When `false`, the bounding function is disabled and the search degenerates to
-    /// exhaustive enumeration — used by the ablation bench that reproduces the paper's
-    /// "B&B tested 30 times less partial mappings" observation.
+    /// exhaustive enumeration — the paper's "B&B tested 30 times less partial
+    /// mappings" comparison; the tests and the generator oracle switch it off to hold
+    /// the bounded search to the unbounded one.
     pub use_bounding: bool,
 }
 
@@ -111,6 +119,40 @@ impl MappingGenerator for BranchAndBoundGenerator {
         repo: &SchemaRepository,
         scope: &CandidateSet,
     ) -> GenerationOutcome {
+        let mut sink = TopMappings::new(usize::MAX);
+        let counters = self.search(problem, repo, scope, &mut sink);
+        GenerationOutcome {
+            mappings: sink.into_sorted(),
+            counters,
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "branch-and-bound"
+    }
+
+    /// The same search as [`MappingGenerator::generate`], on the same parts; a
+    /// retained mapping is built only if `sink` wants its score.
+    fn generate_into(
+        &self,
+        problem: &MatchingProblem,
+        repo: &SchemaRepository,
+        scope: &CandidateSet,
+        sink: &mut TopMappings,
+    ) -> GeneratorCounters {
+        search_tree_parts(scope, |part| self.search(problem, repo, part, sink))
+    }
+}
+
+impl BranchAndBoundGenerator {
+    /// Search a single-tree scope, offering `sink` every retained mapping it wants.
+    fn search(
+        &self,
+        problem: &MatchingProblem,
+        repo: &SchemaRepository,
+        scope: &CandidateSet,
+        sink: &mut TopMappings,
+    ) -> GeneratorCounters {
         let start = Instant::now();
         let mut counters = GeneratorCounters {
             search_space: scope.search_space_size(),
@@ -118,7 +160,7 @@ impl MappingGenerator for BranchAndBoundGenerator {
         };
 
         // A scope of several trees has no one labelling to search under;
-        // `generate` splits those before they get here.
+        // `search_tree_parts` splits those before they get here.
         let tree_id = scope.sole_tree();
         debug_assert!(
             tree_id.is_some() || scope.total_candidates() == 0,
@@ -127,10 +169,7 @@ impl MappingGenerator for BranchAndBoundGenerator {
         let labeling = tree_id.and_then(|tree| repo.labeling(tree));
         let (Some(labeling), true) = (labeling, scope.is_useful()) else {
             counters.elapsed = start.elapsed();
-            return GenerationOutcome {
-                mappings: Vec::new(),
-                counters,
-            };
+            return counters;
         };
 
         // Most-constrained-first variable order.
@@ -150,23 +189,13 @@ impl MappingGenerator for BranchAndBoundGenerator {
             assigned: vec![false; scope.node_count()],
             assignment: Vec::with_capacity(scope.node_count()),
             images: SteinerRing::with_capacity(scope.node_count()),
-            mappings: Vec::new(),
+            sink,
             counters,
         };
         search.descend(0, 0.0);
-
-        let Search {
-            mut mappings,
-            mut counters,
-            ..
-        } = search;
+        let mut counters = search.counters;
         counters.elapsed = start.elapsed();
-        sort_mappings(&mut mappings);
-        GenerationOutcome { mappings, counters }
-    }
-
-    fn name(&self) -> &'static str {
-        "branch-and-bound"
+        counters
     }
 }
 
@@ -189,8 +218,8 @@ struct Search<'a> {
     assignment: Vec<MappingElement>,
     /// The images of `assignment`, for `|E_t|`.
     images: SteinerRing,
-    /// Complete mappings with `Δ ≥ δ`, in discovery order.
-    mappings: Vec<SchemaMapping>,
+    /// Where complete mappings with `Δ ≥ δ` go, if it wants them.
+    sink: &'a mut TopMappings,
     counters: GeneratorCounters,
 }
 
@@ -257,16 +286,19 @@ impl Search<'_> {
         bound + 1e-12 < self.threshold
     }
 
-    /// Score the complete mapping `assignment + last` and retain it if `Δ ≥ δ`.
+    /// Score the complete mapping `assignment + last`, count it as retained if
+    /// `Δ ≥ δ`, and build it only if the sink wants it.
     fn complete(&mut self, last: &MappingElement, similarity_sum: f64, edge_count: u32) {
         let score = self.objective.delta_from_parts(similarity_sum, edge_count);
         self.counters.complete_mappings += 1;
         if score >= self.threshold {
             self.counters.retained_mappings += 1;
-            let mut pairs = Vec::with_capacity(self.assignment.len() + 1);
-            pairs.extend_from_slice(&self.assignment);
-            pairs.push(*last);
-            self.mappings.push(SchemaMapping::with_score(pairs, score));
+            if self.sink.wants(score) {
+                let mut pairs = Vec::with_capacity(self.assignment.len() + 1);
+                pairs.extend_from_slice(&self.assignment);
+                pairs.push(*last);
+                self.sink.push(SchemaMapping::with_score(pairs, score));
+            }
         }
     }
 }

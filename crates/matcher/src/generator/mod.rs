@@ -8,6 +8,11 @@
 //! is split per tree first, each part searched independently and the results sorted
 //! once. Every cluster scope is a single-tree scope and skips the split altogether.
 //!
+//! A caller that wants only the best `k` mappings hands
+//! [`MappingGenerator::generate_into`] a [`TopMappings`]: the counters still cover
+//! every mapping with `Δ ≥ δ`, but the branch-and-bound search builds a mapping only
+//! if it can still make the top `k`.
+//!
 //! Implementations:
 //!
 //! * [`branch_and_bound`] — the paper's generator (Kreher & Stinson B&B with the
@@ -36,13 +41,6 @@ pub struct GenerationOutcome {
     pub counters: GeneratorCounters,
 }
 
-impl GenerationOutcome {
-    /// The best `n` mappings.
-    pub fn top(&self, n: usize) -> &[SchemaMapping] {
-        &self.mappings[..n.min(self.mappings.len())]
-    }
-}
-
 /// Sort mappings by descending score with a deterministic tie-break: the image
 /// sequences, compared lexicographically. The sort is stable and finds the sorted
 /// runs already present, so sorting a concatenation of sorted lists is a merge.
@@ -57,6 +55,87 @@ fn ranking(a: &SchemaMapping, b: &SchemaMapping) -> std::cmp::Ordering {
         .partial_cmp(&a.score)
         .unwrap_or(std::cmp::Ordering::Equal)
         .then_with(|| a.images().cmp(b.images()))
+}
+
+/// The best `keep` mappings offered to it, in [`sort_mappings`]' order, and a
+/// `cutoff` below which no later mapping can join them.
+///
+/// The generators produce every mapping with `Δ ≥ δ`; a served query returns a few.
+/// The collector holds up to about `max(2·keep, 64)` mappings; past that it selects
+/// the best `keep` in place and drops the rest, and the `keep`-th score becomes the
+/// cutoff. A mapping scoring strictly below the cutoff loses to `keep` held ones, so
+/// a generator asks [`TopMappings::wants`] before it builds one. A mapping that ties
+/// the cutoff is still wanted: the image tie-break decides. The result is therefore
+/// exactly the first `keep` of the full list sorted by [`sort_mappings`], and
+/// `keep = usize::MAX` keeps everything. Nothing is reserved up front.
+///
+/// The cutoff only decides what is *built*; it never cuts a branch of the search,
+/// so every generator counter stays what it is without a collector.
+#[derive(Debug, Clone)]
+pub struct TopMappings {
+    keep: usize,
+    mappings: Vec<SchemaMapping>,
+    /// The `keep`-th best score held after the last cut; `-∞` before the first.
+    cutoff: f64,
+}
+
+impl TopMappings {
+    /// A collector of the best `keep` mappings.
+    pub fn new(keep: usize) -> Self {
+        TopMappings {
+            keep,
+            mappings: Vec::new(),
+            cutoff: f64::NEG_INFINITY,
+        }
+    }
+
+    /// Can a mapping scoring `score` still be among the best `keep`?
+    pub fn wants(&self, score: f64) -> bool {
+        self.keep > 0 && score >= self.cutoff
+    }
+
+    /// Offer a mapping; it is dropped at once unless [`TopMappings::wants`] it.
+    pub fn push(&mut self, mapping: SchemaMapping) {
+        if !self.wants(mapping.score) {
+            return;
+        }
+        self.mappings.push(mapping);
+        if self.mappings.len() > self.keep.saturating_mul(2).max(64) {
+            let kth = self.keep - 1;
+            self.mappings.select_nth_unstable_by(kth, ranking);
+            self.mappings.truncate(self.keep);
+            self.cutoff = self.mappings[kth].score;
+        }
+    }
+
+    /// The best `keep` mappings offered, best first.
+    pub fn into_sorted(mut self) -> Vec<SchemaMapping> {
+        sort_mappings(&mut self.mappings);
+        self.mappings.truncate(self.keep);
+        self.mappings
+    }
+}
+
+/// Run `search` on each useful single-tree part of `scope` and sum its counters: a
+/// scope within one tree is its own part, a scope of several is split per tree in one
+/// pass, and a non-useful scope has no useful part.
+fn search_tree_parts(
+    scope: &CandidateSet,
+    mut search: impl FnMut(&CandidateSet) -> GeneratorCounters,
+) -> GeneratorCounters {
+    if !scope.is_useful() {
+        return GeneratorCounters::default();
+    }
+    if scope.sole_tree().is_some() {
+        return search(scope);
+    }
+    let mut counters = GeneratorCounters::default();
+    for (_, part) in scope.split_by_tree() {
+        if part.is_useful() {
+            counters = counters.merge(&search(&part));
+        }
+    }
+    counters
 }
 
 /// A schema-mapping generator.
@@ -86,24 +165,42 @@ pub trait MappingGenerator: Send + Sync {
         repo: &SchemaRepository,
         scope: &CandidateSet,
     ) -> GenerationOutcome {
-        // No part of a non-useful scope is useful.
-        if !scope.is_useful() {
-            return GenerationOutcome::default();
-        }
-        if scope.sole_tree().is_some() {
-            return self.generate_single_tree(problem, repo, scope);
-        }
-        let mut outcome = GenerationOutcome::default();
-        for (_, part) in scope.split_by_tree() {
-            if !part.is_useful() {
-                continue;
+        let mut mappings = Vec::new();
+        let mut parts = 0;
+        let counters = search_tree_parts(scope, |part| {
+            let found = self.generate_single_tree(problem, repo, part);
+            parts += 1;
+            if parts == 1 {
+                mappings = found.mappings;
+            } else {
+                mappings.extend(found.mappings);
             }
-            let found = self.generate_single_tree(problem, repo, &part);
-            outcome.counters = outcome.counters.merge(&found.counters);
-            outcome.mappings.extend(found.mappings);
+            found.counters
+        });
+        // Each part's mappings come sorted: one part is the answer as it is, and
+        // several are merged.
+        if parts > 1 {
+            sort_mappings(&mut mappings);
         }
-        sort_mappings(&mut outcome.mappings);
-        outcome
+        GenerationOutcome { mappings, counters }
+    }
+
+    /// [`MappingGenerator::generate`] into a [`TopMappings`]: the counters are the
+    /// same, and `sink` is offered every retained mapping. A generator that asks
+    /// [`TopMappings::wants`] before building a mapping overrides this; the default
+    /// builds them all through `generate`.
+    fn generate_into(
+        &self,
+        problem: &MatchingProblem,
+        repo: &SchemaRepository,
+        scope: &CandidateSet,
+        sink: &mut TopMappings,
+    ) -> GeneratorCounters {
+        let outcome = self.generate(problem, repo, scope);
+        for mapping in outcome.mappings {
+            sink.push(mapping);
+        }
+        outcome.counters
     }
 }
 
@@ -112,17 +209,6 @@ mod tests {
     use super::*;
     use crate::candidates::MappingElement;
     use xsm_schema::{GlobalNodeId, NodeId, TreeId};
-
-    #[test]
-    fn top_is_a_prefix_clamped_to_the_list() {
-        let mapping = |score: f64| SchemaMapping::with_score(Vec::new(), score);
-        let outcome = GenerationOutcome {
-            mappings: vec![mapping(0.9), mapping(0.8)],
-            ..Default::default()
-        };
-        assert_eq!(outcome.top(1).len(), 1);
-        assert_eq!(outcome.top(10).len(), 2);
-    }
 
     #[test]
     fn sort_mappings_is_deterministic_on_ties() {
@@ -142,5 +228,41 @@ mod tests {
         sort_mappings(&mut v2);
         assert_eq!(v1, v2);
         assert_eq!(v1[0].score, 0.9);
+    }
+
+    #[test]
+    fn top_mappings_keep_the_sorted_prefix_and_raise_a_cutoff() {
+        let mk = |node: u32, score: f64| {
+            SchemaMapping::with_score(
+                vec![MappingElement::new(
+                    NodeId(0),
+                    GlobalNodeId::new(TreeId(0), NodeId(node)),
+                    1.0,
+                )],
+                score,
+            )
+        };
+        // 300 mappings over five scores, offered worst-ish first: several cuts.
+        let all: Vec<SchemaMapping> = (0..300u32)
+            .map(|i| mk(299 - i, f64::from(i % 5) / 4.0))
+            .collect();
+        let mut sorted = all.clone();
+        sort_mappings(&mut sorted);
+        for keep in [0, 1, 3, 10, 64, 200, 300, 301, usize::MAX] {
+            let mut top = TopMappings::new(keep);
+            all.iter().cloned().for_each(|m| top.push(m));
+            assert_eq!(
+                top.into_sorted(),
+                sorted[..keep.min(sorted.len())],
+                "keep {keep}"
+            );
+        }
+        let mut top = TopMappings::new(3);
+        assert!(top.wants(0.0));
+        all.into_iter().for_each(|m| top.push(m));
+        // The three best all score 1.0: nothing below it is wanted any more.
+        assert!(top.wants(1.0));
+        assert!(!top.wants(0.75));
+        assert!(!TopMappings::new(0).wants(1.0));
     }
 }

@@ -38,7 +38,7 @@ pub use candidates::{CandidateSet, MappingElement};
 pub use counters::GeneratorCounters;
 pub use element::ElementMatchConfig;
 pub use generator::branch_and_bound::BranchAndBoundGenerator;
-pub use generator::{GenerationOutcome, MappingGenerator};
+pub use generator::{GenerationOutcome, MappingGenerator, TopMappings};
 pub use mapping::SchemaMapping;
 pub use objective::{Objective, ObjectiveConfig};
 pub use problem::MatchingProblem;

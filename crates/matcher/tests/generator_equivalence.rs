@@ -8,20 +8,22 @@
 //! The pieces are held to their from-scratch counterparts as well: the image ring to
 //! `steiner_edge_count` after every insert and removal, `generate` on scopes of
 //! several trees to per-tree searches merged the old way, `sort_mappings` to a sort
-//! by collected image vectors.
+//! by collected image vectors, and `generate_into` with a bounded `TopMappings` to the
+//! oracle's full list sorted and cut to `k` — ties on the cutoff score included.
 
 mod oracle;
 
 use oracle::{sort_by_collected_images, OracleBranchAndBound};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use xsm_matcher::generator::branch_and_bound::BranchAndBoundConfig;
 use xsm_matcher::generator::sort_mappings;
 use xsm_matcher::mapping::{steiner_edge_count, SteinerRing};
 use xsm_matcher::{
-    BranchAndBoundGenerator, CandidateSet, GenerationOutcome, MappingElement, MappingGenerator,
-    MatchingProblem, ObjectiveConfig, SchemaMapping,
+    BranchAndBoundGenerator, CandidateSet, GenerationOutcome, GeneratorCounters, MappingElement,
+    MappingGenerator, MatchingProblem, ObjectiveConfig, SchemaMapping, TopMappings,
 };
 use xsm_repo::SchemaRepository;
 use xsm_schema::{GlobalNodeId, NodeId, SchemaNode, SchemaTree, TreeId, TreeLabeling};
@@ -30,6 +32,7 @@ const THRESHOLDS: [f64; 5] = [0.0, 0.6, 0.75, 0.95, 1.0];
 const ALPHAS: [f64; 3] = [0.0, 0.5, 1.0];
 const PATH_NORMS: [f64; 2] = [4.0, 1.5];
 const CAPS: [u64; 5] = [0, 1, 7, 1_000, u64::MAX];
+const KEEPS: [usize; 5] = [0, 1, 3, 10, usize::MAX];
 
 /// A tree of `nodes` nodes, each attached to a random one of the `reach` nodes before
 /// it (small reach → deep and chain-like, large reach → bushy).
@@ -137,18 +140,23 @@ fn mapping_bits(mappings: &[SchemaMapping]) -> Vec<MappingBits> {
         .collect()
 }
 
+/// Every counter but `elapsed`.
+fn counts(c: &GeneratorCounters) -> (u128, u64, u64, u64, u64) {
+    (
+        c.search_space,
+        c.partial_mappings,
+        c.complete_mappings,
+        c.retained_mappings,
+        c.pruned_branches,
+    )
+}
+
 fn assert_outcomes_identical(kernel: &GenerationOutcome, oracle: &GenerationOutcome, what: &str) {
-    let counters = |o: &GenerationOutcome| {
-        let c = o.counters;
-        (
-            c.search_space,
-            c.partial_mappings,
-            c.complete_mappings,
-            c.retained_mappings,
-            c.pruned_branches,
-        )
-    };
-    assert_eq!(counters(kernel), counters(oracle), "counters, {what}");
+    assert_eq!(
+        counts(&kernel.counters),
+        counts(&oracle.counters),
+        "counters, {what}"
+    );
     assert_eq!(
         mapping_bits(&kernel.mappings),
         mapping_bits(&oracle.mappings),
@@ -191,6 +199,63 @@ fn assert_equivalent(
         &kernel.generate(&problem, repo, scope),
         &oracle.generate(&problem, repo, scope),
         &format!("{what}, whole scope"),
+    );
+}
+
+/// Collect the best `keep` mappings of `scope` through `generate_into` twice — its
+/// per-tree parts fed one by one in shuffled order, and the whole scope in one call —
+/// and hold each to the oracle's full list, sorted by `sort_mappings` and cut to
+/// `keep`: pairs, order and score bits; and the summed counters to the oracle's.
+fn assert_top_k_equivalent(
+    personal: &SchemaTree,
+    repo: &SchemaRepository,
+    scope: &CandidateSet,
+    threshold: f64,
+    keep: usize,
+    rng: &mut StdRng,
+) {
+    let problem = MatchingProblem::new(personal.clone(), ObjectiveConfig::default(), threshold);
+    let config = BranchAndBoundConfig::default();
+    let kernel = BranchAndBoundGenerator::with_config(config);
+    let oracle = OracleBranchAndBound { config }.generate(&problem, repo, scope);
+    let mut expected = oracle.mappings;
+    sort_mappings(&mut expected);
+    expected.truncate(keep);
+    let what = format!("δ={threshold} keep={keep}");
+
+    let mut parts: Vec<CandidateSet> = scope
+        .split_by_tree()
+        .into_iter()
+        .map(|(_, part)| part)
+        .collect();
+    parts.shuffle(rng);
+    let mut sink = TopMappings::new(keep);
+    let mut counters = GeneratorCounters::default();
+    for part in &parts {
+        counters = counters.merge(&kernel.generate_into(&problem, repo, part, &mut sink));
+    }
+    assert_eq!(
+        counts(&counters),
+        counts(&oracle.counters),
+        "counters, {what}, shuffled parts"
+    );
+    assert_eq!(
+        mapping_bits(&sink.into_sorted()),
+        mapping_bits(&expected),
+        "mappings, {what}, shuffled parts"
+    );
+
+    let mut sink = TopMappings::new(keep);
+    let counters = kernel.generate_into(&problem, repo, scope, &mut sink);
+    assert_eq!(
+        counts(&counters),
+        counts(&oracle.counters),
+        "counters, {what}, whole scope"
+    );
+    assert_eq!(
+        mapping_bits(&sink.into_sorted()),
+        mapping_bits(&expected),
+        "mappings, {what}, whole scope"
     );
 }
 
@@ -272,6 +337,29 @@ proptest! {
                 threshold,
                 BranchAndBoundConfig::default(),
             );
+        }
+    }
+
+    #[test]
+    fn top_k_generation_equals_the_sorted_oracle_cut_to_k(
+        seed in 0u64..u64::MAX,
+        personal_nodes in 1usize..7,
+        trees in 1usize..5,
+        similarities in 0usize..4,
+        keep in 0usize..KEEPS.len(),
+    ) {
+        // Equal similarities make whole lists of equal scores, so ties straddle the
+        // collector's cutoff and the image tie-break decides what is kept.
+        let similarities = match similarities {
+            0 => Similarities::Fine,
+            1 => Similarities::Grid,
+            2 => Similarities::Equal(0.6),
+            _ => Similarities::Equal(1.0),
+        };
+        let (personal, repo, scope) = random_case(seed, personal_nodes, trees, similarities);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x51_7cc1_b727);
+        for threshold in THRESHOLDS {
+            assert_top_k_equivalent(&personal, &repo, &scope, threshold, KEEPS[keep], &mut rng);
         }
     }
 
@@ -396,6 +484,62 @@ fn a_repository_node_wanted_by_every_personal_node_is_used_once() {
     // 6·5·4·3 injective assignments, every one of them valid.
     assert_eq!(outcome.mappings.len(), 360);
     assert!(outcome.mappings.iter().all(|m| m.is_structurally_valid()));
+}
+
+#[test]
+fn the_kth_and_next_mapping_tie_on_score_and_the_images_decide() {
+    // Two stars: two distinct leaves of a star are two edges apart, so every mapping
+    // of a parent–child personal schema onto two leaves of one star scores the same,
+    // and only the images tell the 2 · 380 of them apart. The second star is searched
+    // first, so everything the collector holds at its first cut loses the tie-break
+    // to what comes after.
+    let mut rng = StdRng::seed_from_u64(11);
+    let personal = random_tree(&mut rng, "personal", 2, 1);
+    let star = |name: &str| {
+        let mut tree = SchemaTree::new(name);
+        let root = tree.add_root(SchemaNode::element("root")).expect("root");
+        for i in 0..20 {
+            tree.add_child(root, SchemaNode::element(format!("leaf{i}")))
+                .expect("root exists");
+        }
+        tree
+    };
+    let repo = SchemaRepository::from_trees(vec![star("a"), star("b")]);
+    let mut scope = CandidateSet::new(personal.preorder());
+    for p in personal.preorder() {
+        for tree in [TreeId(0), TreeId(1)] {
+            for leaf in 1..=20 {
+                scope.push(MappingElement::new(
+                    p,
+                    GlobalNodeId::new(tree, NodeId(leaf)),
+                    0.8,
+                ));
+            }
+        }
+    }
+    scope.sort();
+    let problem = MatchingProblem::new(personal.clone(), ObjectiveConfig::default(), 0.0);
+    let kernel = BranchAndBoundGenerator::new();
+    let all = kernel.generate(&problem, &repo, &scope).mappings;
+    assert_eq!(all.len(), 760);
+    let parts = scope.split_by_tree();
+    // 380 puts the cutoff between the last mapping of the first star and the first
+    // of the second.
+    for keep in [1, 3, 10, 380] {
+        let (kth, next) = (&all[keep - 1], &all[keep]);
+        assert_eq!(kth.score.to_bits(), next.score.to_bits());
+        assert_ne!(kth.repo_nodes(), next.repo_nodes());
+        let mut sink = TopMappings::new(keep);
+        for (_, part) in parts.iter().rev() {
+            kernel.generate_into(&problem, &repo, part, &mut sink);
+        }
+        assert_eq!(
+            mapping_bits(&sink.into_sorted()),
+            mapping_bits(&all[..keep]),
+            "keep {keep}"
+        );
+        assert_top_k_equivalent(&personal, &repo, &scope, 0.0, keep, &mut rng);
+    }
 }
 
 /// `n` mappings of three images each over a handful of nodes, scores from a

@@ -399,8 +399,8 @@ pub(crate) fn serve_with_caches(
 
 impl EngineCore {
     /// Answer one query: result cache → singleflight → planner → candidate
-    /// generation (feature kernels) → clustered pipeline → top-k cut. This is the
-    /// sequential unit of work; concurrency only ever runs *whole* queries in
+    /// generation (feature kernels) → clustered pipeline, best `top_k` kept. This is
+    /// the sequential unit of work; concurrency only ever runs *whole* queries in
     /// parallel, which is what makes worker-count invisible in the results.
     fn answer(
         &self,
@@ -423,7 +423,9 @@ impl EngineCore {
     }
 
     /// The uncached pipeline: plan, generate candidates through the filter–verify
-    /// index and the feature kernels, run the clustered matcher, cut to top-k.
+    /// index and the feature kernels, then run the clustered matcher for the best
+    /// `top_k` mappings. Only mappings that can still make the top `k` are built;
+    /// `total_matches` is the generator's exact count of every mapping with `Δ ≥ δ`.
     fn run_pipeline(
         &self,
         state: &EngineState,
@@ -487,23 +489,21 @@ impl EngineCore {
             ),
         };
         let candidate_count = candidates.total_candidates();
-        let report = self.matcher.run_on_candidates(
+        let report = self.matcher.run_on_candidates_top(
             &problem,
             state.live.repo(),
             &candidates,
             &self.generator,
+            query.top_k,
         );
-        let total_matches = report.mappings.len();
-        let mut mappings = report.mappings;
-        mappings.truncate(query.top_k);
 
         MatchResponse {
             fingerprint: fingerprint.to_string(),
             strategy: plan.strategy,
             cache_hit: false,
-            mappings,
+            mappings: report.mappings,
             candidate_count,
-            total_matches,
+            total_matches: report.generator_counters.retained_mappings as usize,
             incomplete: false,
             failed_shards: Vec::new(),
             generation: state.live.generation(),
@@ -1145,6 +1145,34 @@ mod tests {
         assert_eq!(one.mappings.len(), 1.min(all.total_matches));
         assert_eq!(one.total_matches, all.total_matches);
         assert_eq!(one.mappings[0], all.mappings[0]);
+    }
+
+    #[test]
+    fn top_k_zero_returns_no_mappings_but_counts_all_matches() {
+        let engine = engine(1);
+        let none = engine.query(book_query().with_top_k(0));
+        let all = engine.query(book_query().with_top_k(100));
+        assert!(none.mappings.is_empty());
+        assert!(all.total_matches > 0);
+        assert_eq!(none.total_matches, all.total_matches);
+        assert_eq!(none.candidate_count, all.candidate_count);
+    }
+
+    #[test]
+    fn an_unvalidated_top_k_of_usize_max_answers_like_a_large_one() {
+        // Nothing validates a wire-decoded `top_k`, and nothing may reserve room
+        // for it: the pipeline must answer as it does for any k past the count.
+        let engine = engine(2);
+        let large = engine.query(book_query().with_top_k(100));
+        assert_eq!(
+            large.mappings.len(),
+            large.total_matches,
+            "k = 100 keeps all"
+        );
+        let huge = engine.query(book_query().with_top_k(usize::MAX));
+        assert_eq!(huge.mappings, large.mappings);
+        assert_eq!(huge.total_matches, large.total_matches);
+        assert_eq!(huge.candidate_count, large.candidate_count);
     }
 
     #[test]
