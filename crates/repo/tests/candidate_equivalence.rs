@@ -22,6 +22,7 @@ use xsm_repo::{CandidateScratch, LengthWindow, MergePolicy, NameIndex, SchemaRep
 use xsm_schema::tree::paper_repository_fragment;
 use xsm_schema::{SchemaNode, TreeBuilder};
 use xsm_similarity::compare_string_fuzzy;
+use xsm_similarity::fuzzy::compare_string_fuzzy_bounded;
 
 /// Build a forest from a flat name list, breaking it into trees of ~7 nodes.
 fn forest_of(names: &[String]) -> SchemaRepository {
@@ -151,6 +152,100 @@ proptest! {
                 query
             );
         }
+    }
+}
+
+/// A `u8` counter saturates at 255, so a count filter over long names works in
+/// two regimes: past 255 known grams with a bound still at most 255 (a
+/// saturated counter already clears it), and a bound past 255 (a saturated
+/// counter decides nothing). Both must replay the oracle exactly.
+fn saturation_regime(index: &NameIndex, query: &str, frac: f64) -> (bool, bool) {
+    let resolved = index.resolve_query(query);
+    let needed = ((frac * resolved.distinct_grams() as f64).ceil() as usize).max(1);
+    let known = resolved.known_grams().len();
+    (
+        needed > u8::MAX as usize,
+        known > u8::MAX as usize && needed <= u8::MAX as usize,
+    )
+}
+
+proptest! {
+    /// Names of 300–700 characters over a 36-letter alphabet carry hundreds of
+    /// distinct 3-grams. Twenty-odd one-substitution variants of one base name
+    /// share one length segment per gram (runs long enough for the vectorized
+    /// counter core) and almost every gram of the base, so their counters
+    /// saturate. Every policy, both windows and overlap fractions 0.5, 0.9 and
+    /// 1.0 must replay the brute-force count filter: exactly under the infinite
+    /// window, as a conservative subset under a finite one.
+    #[test]
+    fn long_names_past_the_u8_counters_replay_the_baseline(
+        base in "[a-z0-9]{560,700}",
+        edits in proptest::collection::vec((0usize..700, "[a-z0-9]{1}"), 16..24),
+        cuts in proptest::collection::vec(300usize..500, 3..6),
+        strangers in proptest::collection::vec("[a-z0-9]{300,700}", 2..4),
+    ) {
+        let mut names = vec![base.clone()];
+        for (at, letter) in &edits {
+            let at = at % base.len();
+            names.push(format!("{}{}{}", &base[..at], letter, &base[at + 1..]));
+        }
+        names.extend(cuts.iter().map(|&cut| base[..cut].to_string()));
+        names.extend(strangers.iter().cloned());
+        let repo = forest_of(&names);
+        let index = NameIndex::build(&repo);
+        let mut scratch = CandidateScratch::default();
+        let queries = [base.clone(), base[..cuts[0]].to_string()];
+        let mut reached_past_255 = false;
+        let mut reached_saturated_counts = false;
+        for query in &queries {
+            for frac in [0.5, 0.9, 1.0] {
+                let (past, saturated) = saturation_regime(&index, query, frac);
+                reached_past_255 |= past;
+                reached_saturated_counts |= saturated;
+                let baseline = count_filter(&index, query, frac);
+                for policy in POLICIES {
+                    let (got, _) = lookup(
+                        &index,
+                        query,
+                        frac,
+                        LengthWindow::Infinite,
+                        policy,
+                        &mut scratch,
+                    );
+                    prop_assert!(
+                        got == baseline,
+                        "query of {} chars frac={} policy={:?}: {:?} vs {:?}",
+                        query.len(), frac, policy, got, baseline
+                    );
+                }
+                let floor = 0.6;
+                let window = LengthWindow::fuzzy_floor(floor);
+                let (windowed, _) =
+                    lookup(&index, query, frac, window, POLICIES[0], &mut scratch);
+                for policy in POLICIES {
+                    let (got, _) = lookup(&index, query, frac, window, policy, &mut scratch);
+                    prop_assert!(got == windowed, "policy {:?} diverged under the window", policy);
+                }
+                let mut walk = baseline.iter();
+                prop_assert!(windowed.iter().all(|id| walk.any(|b| b == id)));
+                for &id in &baseline {
+                    if windowed.contains(&id) {
+                        continue;
+                    }
+                    let sim = compare_string_fuzzy_bounded(query, repo.name_of(id), floor);
+                    prop_assert!(
+                        sim.is_none_or(|s| s < floor),
+                        "dropped a {}-char name with sim {:?} >= floor {}",
+                        repo.name_of(id).len(), sim, floor
+                    );
+                }
+            }
+        }
+        prop_assert!(reached_past_255, "no lookup had a bound past 255");
+        prop_assert!(
+            reached_saturated_counts,
+            "no lookup had > 255 known grams under a bound <= 255"
+        );
     }
 }
 

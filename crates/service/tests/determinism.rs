@@ -1,11 +1,15 @@
 //! Concurrency-determinism contract of the [`MatchEngine`]: the same query batch run
 //! through a 1-worker and an 8-worker engine yields identical top-k mappings and
-//! scores, and cache hits never change result content.
+//! scores, cache hits never change result content, and dropping an engine
+//! still answers every query it had accepted.
 
 use xsm_matcher::element::ElementMatchConfig;
 use xsm_repo::{GeneratorConfig, RepositoryGenerator, SchemaRepository};
 use xsm_service::workload::seeded_personal_schemas;
-use xsm_service::{EngineConfig, MatchEngine, MatchQuery, QueryStrategy};
+use xsm_service::{
+    EngineConfig, MatchEngine, MatchQuery, PendingResponse, QueryStrategy, ShardedEngine,
+    ShardedEngineConfig,
+};
 
 fn repository() -> SchemaRepository {
     RepositoryGenerator::new(GeneratorConfig::small(11).with_target_elements(700)).generate()
@@ -93,4 +97,48 @@ fn cache_hits_do_not_change_results() {
     assert_eq!(metrics.queries_served, 60);
     assert!(metrics.result_cache_hits >= 30);
     assert!(metrics.result_cache_hit_rate >= 0.5);
+}
+
+/// Drop closes the submission queue and joins the workers only after they have
+/// drained it: a query accepted before the drop resolves `Ok` with the same
+/// content as the inline answer, never with a dropped reply channel. Holds for
+/// the engine's pool and the sharded router's pool alike.
+#[test]
+fn dropping_an_engine_drains_every_queued_query() {
+    let repo = repository();
+    let batch = query_batch(&repo, 3);
+    let reference = MatchEngine::new(repo.clone(), config().with_workers(1));
+    let expected: Vec<String> = batch
+        .iter()
+        .map(|q| reference.answer_inline(q).result_digest())
+        .collect();
+
+    let engine = MatchEngine::new(repo.clone(), config().with_workers(1));
+    let pending: Vec<PendingResponse> = batch
+        .iter()
+        .map(|q| engine.submit(q.clone()).unwrap())
+        .collect();
+    drop(engine);
+    for (i, handle) in pending.into_iter().enumerate() {
+        let response = handle.wait().expect("a queued query must be answered");
+        assert_eq!(response.result_digest(), expected[i], "engine query {i}");
+    }
+
+    let sharded = ShardedEngine::new(
+        repo,
+        ShardedEngineConfig::default()
+            .with_shards(2)
+            .with_router_workers(1)
+            .with_engine_config(config().with_workers(1)),
+    );
+    let pending: Vec<PendingResponse> = batch
+        .iter()
+        .map(|q| sharded.submit(q.clone()).unwrap())
+        .collect();
+    drop(sharded);
+    for (i, handle) in pending.into_iter().enumerate() {
+        let response = handle.wait().expect("a queued query must be answered");
+        assert!(!response.incomplete, "sharded query {i} lost a shard");
+        assert_eq!(response.result_digest(), expected[i], "sharded query {i}");
+    }
 }
