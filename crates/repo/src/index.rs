@@ -43,11 +43,11 @@
 //!   (a candidate absent from every short segment tops out at `T − 1`
 //!   occurrences) and are only binary-probed for candidates that already
 //!   surfaced in the short segments. The heaviest postings of common grams are
-//!   therefore never merged at all. Classic heap-based **MergeSkip** (Li et al.)
-//!   with early termination is also implemented and selectable; measurement
-//!   showed length segmentation fragments the runs enough that its skip
-//!   advantage evaporates (one cursor per segment, `T ≪ runs`), which is exactly
-//!   why ScanProbe replaces it as the large-volume default.
+//!   therefore never merged at all. Both count in saturating `u8` counters: a
+//!   counter stuck at 255 still clears any bound `T ≤ 255`, so only a bound
+//!   past 255 (a query of more than 510 distinct grams at overlap 0.5) needs
+//!   more. Such a query always runs ScanCount, which recounts each saturated
+//!   name exactly by probing the name's own length segment of every known gram.
 //! * Every merge reuses caller-owned [`CandidateScratch`] (one counter per
 //!   name id); steady-state name-level generation allocates nothing.
 //!
@@ -67,7 +67,7 @@
 //! [`NameIndex::compact`] reclaims. Name ids are never renumbered.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use xsm_schema::GlobalNodeId;
 use xsm_similarity::edit::normalized_similarity;
 
@@ -176,9 +176,9 @@ pub enum MergePolicy {
     Auto,
     /// Force the dense-counter ScanCount merge over every in-window segment.
     ScanCount,
-    /// Force the heap-based MergeSkip merge.
-    MergeSkip,
-    /// Force the long-segment-probing ScanCount merge.
+    /// Force the long-segment-probing ScanCount merge. A bound past 255 runs
+    /// ScanCount instead: ScanProbe's saturated short counts cannot be topped
+    /// up to it.
     ScanProbe,
 }
 
@@ -189,8 +189,6 @@ pub enum MergeAlgorithm {
     /// Dense-counter scan over every in-window segment.
     #[default]
     ScanCount,
-    /// Heap-based merge with skip-ahead.
-    MergeSkip,
     /// Dense-counter scan over the short segments, binary probes into the
     /// per-length heavy segments.
     ScanProbe,
@@ -199,7 +197,7 @@ pub enum MergeAlgorithm {
 /// Reusable working memory for candidate generation. One instance per worker
 /// thread makes steady-state generation allocate nothing but the output `Vec`:
 /// the ScanCount counters persist (reset via the touched list, not wholesale),
-/// and the MergeSkip heap and cursor table keep their capacity across queries.
+/// and the run and segment tables keep their capacity across queries.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateScratch {
     /// Dense per-name occurrence counters (ScanCount); only `touched` entries are
@@ -207,12 +205,8 @@ pub struct CandidateScratch {
     counts: Vec<u8>,
     /// Name ids whose counter was incremented this query.
     touched: Vec<u32>,
-    /// Merge cursors: `(position, end)` into the index's posting arena.
+    /// Runs to count: `(start, end)` into the index's posting arena.
     runs: Vec<(u32, u32)>,
-    /// MergeSkip frontier: `Reverse((posting value, run index))`.
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
-    /// Run indices popped in the current MergeSkip round.
-    popped: Vec<u32>,
     /// ScanProbe: in-window segments as `(len, start, end)` awaiting partition.
     segs: Vec<(u32, u32, u32)>,
     /// ScanProbe: the probe-only segments, sorted by length.
@@ -234,12 +228,11 @@ impl CandidateScratch {
 pub struct CandidateStats {
     /// Distinct **names** whose occurrence count was actually examined
     /// (ScanCount: counter touches; ScanProbe: counter touches in the short
-    /// segments; MergeSkip: distinct frontier values processed — skipped and
-    /// probe-only postings are never examined). Never more than
+    /// segments — probe-only postings are never examined). Never more than
     /// [`NameIndex::distinct_names`], however often names repeat.
     pub candidates_examined: usize,
-    /// Posting entries never merged: MergeSkip binary-search jumps plus the full
-    /// volume of ScanProbe's probe-only segments.
+    /// Posting entries never merged: the full volume of ScanProbe's
+    /// probe-only segments.
     pub postings_skipped: usize,
     /// Length segments excluded by the window before merging.
     pub segments_skipped: usize,
@@ -945,16 +938,13 @@ impl NameIndex {
             return (&scratch.out, stats);
         }
 
-        // The `u8` counters cap both the reachable count (≤ known grams) and the
-        // bound itself; queries past 255 known grams always take MergeSkip.
-        let scan_safe = resolved.known.len() <= u8::MAX as usize;
+        // The `u8` counters saturate, so a counter at 255 clears any bound up to
+        // 255. A bound past it is decided only by ScanCount's exact recount of
+        // the saturated names.
         let algorithm = match policy {
-            MergePolicy::ScanCount if scan_safe => MergeAlgorithm::ScanCount,
-            MergePolicy::ScanProbe if scan_safe => MergeAlgorithm::ScanProbe,
-            MergePolicy::MergeSkip | MergePolicy::ScanCount | MergePolicy::ScanProbe => {
-                MergeAlgorithm::MergeSkip
-            }
-            MergePolicy::Auto if !scan_safe => MergeAlgorithm::MergeSkip,
+            _ if needed > u8::MAX as usize => MergeAlgorithm::ScanCount,
+            MergePolicy::ScanCount => MergeAlgorithm::ScanCount,
+            MergePolicy::ScanProbe => MergeAlgorithm::ScanProbe,
             MergePolicy::Auto if stats.volume_in_window <= crate::simd::scan_count_max_volume() => {
                 MergeAlgorithm::ScanCount
             }
@@ -967,16 +957,9 @@ impl NameIndex {
                 scratch
                     .runs
                     .extend(scratch.segs.iter().map(|&(_, s, e)| (s, e)));
-                self.merge_scan_count(needed, scratch, &mut stats);
+                self.merge_scan_count(resolved, needed, scratch, &mut stats);
             }
             MergeAlgorithm::ScanProbe => self.merge_scan_probe(needed, scratch, &mut stats),
-            MergeAlgorithm::MergeSkip => {
-                scratch.runs.clear();
-                scratch
-                    .runs
-                    .extend(scratch.segs.iter().map(|&(_, s, e)| (s, e)));
-                self.merge_skip(needed, scratch, &mut stats);
-            }
         }
         if let LengthWindow::FuzzyFloor(floor) = window {
             self.positional_filter(resolved, floor, scratch, &mut stats);
@@ -1077,8 +1060,10 @@ impl NameIndex {
 
     /// ScanCount: one dense `u8` counter per name, reset through the touched list
     /// so the per-query cost scales with the candidates touched, not the corpus.
+    /// A counter saturated at 255 under a bound past 255 is recounted exactly.
     fn merge_scan_count(
         &self,
+        resolved: &ResolvedQuery,
         needed: usize,
         scratch: &mut CandidateScratch,
         stats: &mut CandidateStats,
@@ -1086,12 +1071,34 @@ impl NameIndex {
         self.scan_runs(scratch, stats);
         scratch.out.clear();
         for &name in &scratch.touched {
-            if scratch.counts[name as usize] as usize >= needed && !self.is_dead(name) {
+            let count = scratch.counts[name as usize];
+            scratch.counts[name as usize] = 0;
+            let qualifies = count as usize >= needed
+                || (count == u8::MAX && self.shares_at_least(resolved, name, needed));
+            if qualifies && !self.is_dead(name) {
                 scratch.out.push(name);
             }
-            scratch.counts[name as usize] = 0;
         }
         scratch.out.sort_unstable();
+    }
+
+    /// Whether `name` contains at least `needed` of the query's known grams,
+    /// counted exactly. Each probe looks only in the name's own length
+    /// segment, which is in the window because the name was counted there.
+    fn shares_at_least(&self, resolved: &ResolvedQuery, name: NameId, needed: usize) -> bool {
+        let mut shared = 0usize;
+        for (g_i, &gram_id) in resolved.known.iter().enumerate() {
+            if shared + (resolved.known.len() - g_i) < needed {
+                return false; // the remaining grams cannot reach the bound
+            }
+            if self.posting_position(gram_id, name).is_some() {
+                shared += 1;
+                if shared >= needed {
+                    return true;
+                }
+            }
+        }
+        false
     }
 
     /// ScanProbe: the length-bucketed refinement of DivideSkip (Li et al.). A
@@ -1170,77 +1177,6 @@ impl NameIndex {
             }
         }
         scratch.out.sort_unstable();
-    }
-
-    /// MergeSkip (Li et al.): a heap over the sorted runs pops candidates in
-    /// ascending order; whenever the minimum's multiplicity cannot reach the
-    /// T-occurrence bound, the `T - 1` smallest cursors jump forward by binary
-    /// search to the next frontier value, so postings of candidates that can never
-    /// qualify are skipped unexamined. Terminates as soon as fewer than `T`
-    /// cursors remain.
-    fn merge_skip(
-        &self,
-        needed: usize,
-        scratch: &mut CandidateScratch,
-        stats: &mut CandidateStats,
-    ) {
-        scratch.heap.clear();
-        scratch.out.clear();
-        for (run_idx, &(pos, _)) in scratch.runs.iter().enumerate() {
-            scratch
-                .heap
-                .push(Reverse((self.arena[pos as usize], run_idx as u32)));
-        }
-        while scratch.heap.len() >= needed {
-            let value = scratch.heap.peek().expect("heap non-empty").0 .0;
-            scratch.popped.clear();
-            while let Some(&Reverse((v, run_idx))) = scratch.heap.peek() {
-                if v != value {
-                    break;
-                }
-                scratch.heap.pop();
-                scratch.popped.push(run_idx);
-            }
-            stats.candidates_examined += 1;
-            if scratch.popped.len() >= needed {
-                if !self.is_dead(value) {
-                    scratch.out.push(value);
-                }
-                for &run_idx in &scratch.popped {
-                    let (pos, end) = &mut scratch.runs[run_idx as usize];
-                    *pos += 1;
-                    if pos < end {
-                        scratch
-                            .heap
-                            .push(Reverse((self.arena[*pos as usize], run_idx)));
-                    }
-                }
-            } else {
-                // Pop until T - 1 cursors are in hand; if the heap empties first,
-                // fewer than T runs remain and nothing can reach the bound.
-                while scratch.popped.len() < needed - 1 {
-                    match scratch.heap.pop() {
-                        Some(Reverse((_, run_idx))) => scratch.popped.push(run_idx),
-                        None => break,
-                    }
-                }
-                let Some(&Reverse((frontier, _))) = scratch.heap.peek() else {
-                    break;
-                };
-                for &run_idx in &scratch.popped {
-                    let (pos, end) = &mut scratch.runs[run_idx as usize];
-                    let slice = &self.arena[*pos as usize..*end as usize];
-                    let jump = slice.partition_point(|&v| v < frontier);
-                    stats.postings_skipped += jump.saturating_sub(1);
-                    *pos += jump as u32;
-                    if pos < end {
-                        scratch
-                            .heap
-                            .push(Reverse((self.arena[*pos as usize], run_idx)));
-                    }
-                }
-            }
-        }
     }
 
     /// The q used when the index was built.

@@ -123,7 +123,8 @@ proptest! {
     }
 
     /// Scratch reuse across queries of different shapes never leaks state between
-    /// lookups (counters reset through the touched list, cursors rebuilt).
+    /// lookups (counters reset through the touched list, ScanProbe's segment
+    /// tables rebuilt).
     #[test]
     fn dirty_scratch_equals_fresh_scratch(
         names in proptest::collection::vec("[a-c]{1,7}", 4..30),
@@ -136,7 +137,7 @@ proptest! {
             let frac = FRACTIONS[i % FRACTIONS.len()];
             let floor = FLOORS[i % FLOORS.len()];
             let window = LengthWindow::fuzzy_floor(floor);
-            let policy = if i % 2 == 0 { MergePolicy::ScanCount } else { MergePolicy::MergeSkip };
+            let policy = if i % 2 == 0 { MergePolicy::ScanCount } else { MergePolicy::ScanProbe };
             let (dirty, _) = lookup(&index, query, frac, window, policy, &mut reused);
             let (fresh, _) = lookup(
                 &index,
@@ -155,28 +156,18 @@ proptest! {
     }
 }
 
-/// A `u8` counter saturates at 255, so a count filter over long names works in
-/// two regimes: past 255 known grams with a bound still at most 255 (a
-/// saturated counter already clears it), and a bound past 255 (a saturated
-/// counter decides nothing). Both must replay the oracle exactly.
-fn saturation_regime(index: &NameIndex, query: &str, frac: f64) -> (bool, bool) {
-    let resolved = index.resolve_query(query);
-    let needed = ((frac * resolved.distinct_grams() as f64).ceil() as usize).max(1);
-    let known = resolved.known_grams().len();
-    (
-        needed > u8::MAX as usize,
-        known > u8::MAX as usize && needed <= u8::MAX as usize,
-    )
-}
-
 proptest! {
-    /// Names of 300–700 characters over a 36-letter alphabet carry hundreds of
-    /// distinct 3-grams. Twenty-odd one-substitution variants of one base name
-    /// share one length segment per gram (runs long enough for the vectorized
-    /// counter core) and almost every gram of the base, so their counters
-    /// saturate. Every policy, both windows and overlap fractions 0.5, 0.9 and
-    /// 1.0 must replay the brute-force count filter: exactly under the infinite
-    /// window, as a conservative subset under a finite one.
+    /// A `u8` counter saturates at 255, so a count filter over long names runs
+    /// in two regimes: more than 255 known grams under a bound of at most 255
+    /// (a saturated counter already clears it), and a bound past 255 (a
+    /// saturated counter decides nothing). Names of 300–700 characters over a
+    /// 36-letter alphabet carry hundreds of distinct 3-grams; twenty-odd
+    /// one-substitution variants of one base name share one length segment
+    /// per gram (runs long enough for the vectorized counter core) and almost
+    /// every gram of the base, so their counters saturate. Every policy, both
+    /// windows and overlap fractions 0.5, 0.9 and 1.0 must replay the
+    /// brute-force count filter: exactly under the infinite window, as a
+    /// conservative subset under a finite one. Every case reaches both regimes.
     #[test]
     fn long_names_past_the_u8_counters_replay_the_baseline(
         base in "[a-z0-9]{560,700}",
@@ -194,19 +185,21 @@ proptest! {
         let repo = forest_of(&names);
         let index = NameIndex::build(&repo);
         let mut scratch = CandidateScratch::default();
-        let queries = [base.clone(), base[..cuts[0]].to_string()];
+        let floor = 0.6;
+        let window = LengthWindow::fuzzy_floor(floor);
         let mut reached_past_255 = false;
         let mut reached_saturated_counts = false;
-        for query in &queries {
+        for query in [&base[..], &base[..cuts[0]]] {
+            let resolved = index.resolve_query(query);
             for frac in [0.5, 0.9, 1.0] {
-                let (past, saturated) = saturation_regime(&index, query, frac);
-                reached_past_255 |= past;
-                reached_saturated_counts |= saturated;
+                let needed = ((frac * resolved.distinct_grams() as f64).ceil() as usize).max(1);
+                reached_past_255 |= needed > 255;
+                reached_saturated_counts |= resolved.known_grams().len() > 255 && needed <= 255;
                 let baseline = count_filter(&index, query, frac);
+                let mut windowed = None;
                 for policy in POLICIES {
-                    let (got, _) = lookup(
-                        &index,
-                        query,
+                    let (got, _) = index.lookup_candidates_resolved(
+                        &resolved,
                         frac,
                         LengthWindow::Infinite,
                         policy,
@@ -217,15 +210,12 @@ proptest! {
                         "query of {} chars frac={} policy={:?}: {:?} vs {:?}",
                         query.len(), frac, policy, got, baseline
                     );
+                    let (got, _) =
+                        index.lookup_candidates_resolved(&resolved, frac, window, policy, &mut scratch);
+                    let first = windowed.get_or_insert_with(|| got.clone());
+                    prop_assert!(got == *first, "policy {:?} diverged under the window", policy);
                 }
-                let floor = 0.6;
-                let window = LengthWindow::fuzzy_floor(floor);
-                let (windowed, _) =
-                    lookup(&index, query, frac, window, POLICIES[0], &mut scratch);
-                for policy in POLICIES {
-                    let (got, _) = lookup(&index, query, frac, window, policy, &mut scratch);
-                    prop_assert!(got == windowed, "policy {:?} diverged under the window", policy);
-                }
+                let windowed = windowed.expect("at least one policy");
                 let mut walk = baseline.iter();
                 prop_assert!(windowed.iter().all(|id| walk.any(|b| b == id)));
                 for &id in &baseline {

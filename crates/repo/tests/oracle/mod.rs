@@ -17,10 +17,9 @@ use xsm_repo::{CandidateScratch, CandidateStats, LengthWindow, MergePolicy, Name
 use xsm_schema::GlobalNodeId;
 
 /// Every merge policy a lookup can be forced onto.
-pub const POLICIES: [MergePolicy; 4] = [
+pub const POLICIES: [MergePolicy; 3] = [
     MergePolicy::Auto,
     MergePolicy::ScanCount,
-    MergePolicy::MergeSkip,
     MergePolicy::ScanProbe,
 ];
 

@@ -82,6 +82,49 @@ proptest! {
         prop_assert_eq!(t1, t2);
     }
 
+    /// The index's count filter relies on the counters **saturating**: a name
+    /// seen in more than 255 runs must read exactly 255, never wrap. Feeds one
+    /// ascending run of at least 16 ids (the length at which the x86 core
+    /// engages instead of the scalar loop) 300 times or more, and a second run
+    /// a number of times around 255; every counter must equal
+    /// `min(hits, 255)` on both tiers, with each id touched once.
+    #[test]
+    fn accumulate_run_saturates_at_255(
+        start in 0u32..64,
+        stride in 1u32..4,
+        len in 16u32..48,
+        repeats in 300usize..400,
+        near in 240usize..270,
+    ) {
+        let hot: Vec<u32> = (0..len).map(|i| start + i * stride).collect();
+        let last = hot[hot.len() - 1];
+        let edge: Vec<u32> = (last + 1..last + 17).collect();
+        let size = last as usize + 20;
+        let mut expected = vec![0u8; size];
+        for &d in &hot {
+            expected[d as usize] = repeats.min(255) as u8;
+        }
+        for &d in &edge {
+            expected[d as usize] = near.min(255) as u8;
+        }
+        let first_touches: Vec<u32> = [7].into_iter().chain(hot.iter().chain(&edge).copied()).collect();
+        type Accumulate = fn(&[u32], &mut [u8], &mut Vec<u32>);
+        let tiers: [(&str, Accumulate); 2] =
+            [("scalar", accumulate_run_scalar), ("dispatched", accumulate_run)];
+        for (tier, accumulate) in tiers {
+            let mut counts = vec![0u8; size];
+            let mut touched = vec![7u32];
+            for _ in 0..repeats {
+                accumulate(&hot, &mut counts, &mut touched);
+            }
+            for _ in 0..near {
+                accumulate(&edge, &mut counts, &mut touched);
+            }
+            prop_assert!(counts == expected, "{} counters diverged from min(hits, 255)", tier);
+            prop_assert!(touched == first_touches, "{} touched list diverged", tier);
+        }
+    }
+
     #[test]
     fn lowercase_equals_std(s in "[a-zA-Z0-9_\\- äÖßλΣΊ中]{0,80}") {
         prop_assert_eq!(lowercase(&s), s.to_lowercase());
