@@ -7,8 +7,8 @@
 //! [`xsm_similarity::NameFeatures`] per distinct repository name, all q-grams
 //! interned to shared `u32` ids) and the [`ClusteredMatcher`] configuration up front — and
 //! then answers [`MatchQuery`]s from a pool of worker threads draining a bounded
-//! submission queue. Everything is `std`-only: `std::thread` workers,
-//! `mpsc::sync_channel` for the queue and per-query reply channels.
+//! submission queue: the crate's one `std`-only worker pool (`pool.rs`), which
+//! the sharded router runs too.
 //!
 //! Candidate scoring runs the zero-allocation feature kernels: query-side features
 //! are built once per personal node, repository-side features once at construction,
@@ -27,8 +27,8 @@
 //! workers, the interleaving of a batch, or whether a cache or a coalesced flight
 //! served it.
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
+use std::sync::mpsc::Receiver;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -48,6 +48,7 @@ use crate::cache::{ResultCache, DEFAULT_RESULT_CACHE_CAPACITY};
 use crate::error::{ConfigError, ServiceError, ServiceResult};
 use crate::metrics::{EngineMetrics, MetricsRegistry, ServedVia, StartupSource};
 use crate::planner::{PlanStats, PlannerConfig, QueryPlanner};
+use crate::pool::WorkerPool;
 use crate::query::{MatchQuery, MatchResponse, PlannedStrategy, QueryStrategy};
 use crate::service::MatchService;
 use crate::singleflight::{Join, Singleflight};
@@ -240,7 +241,7 @@ impl EngineConfigBuilder {
 }
 
 /// Per-worker reusable working memory: the similarity kernels' scratch rows plus
-/// the candidate generator's counters/heap. One bundle per worker thread keeps the
+/// the candidate generator's counters. One bundle per worker thread keeps the
 /// whole serving hot path allocation-free in steady state (candidate generation
 /// allocates only its output `Vec`).
 #[derive(Default)]
@@ -512,12 +513,6 @@ impl EngineCore {
     }
 }
 
-/// One queued unit of work: the query plus the submitter's reply channel.
-struct Job {
-    query: MatchQuery,
-    reply: SyncSender<ServiceResult<MatchResponse>>,
-}
-
 /// The transports a [`PendingResponse`] can resolve through.
 #[derive(Debug)]
 enum PendingInner {
@@ -590,12 +585,11 @@ impl PendingResponse {
 /// Construction amortises the expensive artefacts (name index, per-name feature
 /// table, clustering configuration) across every subsequent query; serving happens
 /// on a fixed pool of worker threads behind a bounded queue, each worker owning its
-/// similarity scratch buffers. Dropping the engine shuts the pool down and joins
-/// every worker.
+/// similarity scratch buffers. Dropping the engine answers every query already
+/// queued, then joins every worker.
 pub struct MatchEngine {
     core: Arc<EngineCore>,
-    tx: Option<SyncSender<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    pool: WorkerPool,
 }
 
 impl MatchEngine {
@@ -722,47 +716,18 @@ impl MatchEngine {
             objective: config.objective,
             compaction_threshold: config.compaction_threshold,
         });
-        let worker_count = config.workers.max(1);
-        let (tx, rx) = sync_channel::<Job>(config.queue_capacity.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..worker_count)
-            .map(|i| {
-                let core = Arc::clone(&core);
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("xsm-serve-{i}"))
-                    .spawn(move || {
-                        // Per-worker scratch: the similarity kernels' and candidate
-                        // generator's only mutable working memory, reused across
-                        // every query this worker serves.
-                        let mut scratch = WorkerScratch::default();
-                        loop {
-                            // Hold the queue lock only while popping, never while
-                            // matching.
-                            let job = { rx.lock().unwrap().recv() };
-                            match job {
-                                Ok(job) => {
-                                    let response = core.answer(&job.query, &mut scratch);
-                                    // The submitter may have dropped its handle; serving
-                                    // already happened, so ignore the dead channel.
-                                    let _ = job.reply.send(response);
-                                }
-                                Err(_) => break, // queue closed: engine is shutting down
-                            }
-                        }
-                    })
-                    .expect("failed to spawn match-engine worker")
-            })
-            .collect();
+        let served = Arc::clone(&core);
+        let pool = WorkerPool::spawn(
+            "xsm-serve",
+            config.workers,
+            config.queue_capacity,
+            move |query, scratch: &mut WorkerScratch| served.answer(query, scratch),
+        );
         core.metrics.set_startup(
             start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
             source,
         );
-        MatchEngine {
-            core,
-            tx: Some(tx),
-            workers,
-        }
+        MatchEngine { core, pool }
     }
 
     /// Build an engine with the default configuration.
@@ -772,7 +737,7 @@ impl MatchEngine {
 
     /// Number of worker threads serving queries.
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.pool.len()
     }
 
     /// The repository the engine serves, behind the state read lock. Holding
@@ -918,32 +883,14 @@ impl MatchEngine {
     /// Fails with [`ServiceError::Internal`] only if the worker pool died — an
     /// engine bug, not a load condition.
     pub fn submit(&self, query: MatchQuery) -> ServiceResult<PendingResponse> {
-        let (reply, rx) = sync_channel(1);
-        self.tx
-            .as_ref()
-            .expect("engine is running until dropped")
-            .send(Job { query, reply })
-            .map_err(|_| ServiceError::internal("match-engine worker pool is gone"))?;
-        Ok(PendingResponse::from_channel(rx))
+        self.pool.submit(query)
     }
 
     /// Like [`MatchEngine::submit`] but **never blocks**: a full submission
     /// queue is reported as [`ServiceError::QueueFull`] instead of applying
     /// backpressure. The shed-load entry point for latency-sensitive callers.
     pub fn try_submit(&self, query: MatchQuery) -> ServiceResult<PendingResponse> {
-        let (reply, rx) = sync_channel(1);
-        match self
-            .tx
-            .as_ref()
-            .expect("engine is running until dropped")
-            .try_send(Job { query, reply })
-        {
-            Ok(()) => Ok(PendingResponse::from_channel(rx)),
-            Err(TrySendError::Full(_)) => Err(ServiceError::QueueFull),
-            Err(TrySendError::Disconnected(_)) => {
-                Err(ServiceError::internal("match-engine worker pool is gone"))
-            }
-        }
+        self.pool.try_submit(query)
     }
 
     /// Answer one query, blocking until it is served.
@@ -955,17 +902,6 @@ impl MatchEngine {
         self.submit(query)
             .and_then(PendingResponse::wait)
             .expect("in-process engine serving cannot fail while the pool lives")
-    }
-
-    /// Serve a whole batch through the worker pool and return the responses **in
-    /// input order**. Submission applies the queue's backpressure; the workers shard
-    /// the batch among themselves.
-    pub fn submit_batch(&self, queries: Vec<MatchQuery>) -> ServiceResult<Vec<MatchResponse>> {
-        let mut pending = Vec::with_capacity(queries.len());
-        for query in queries {
-            pending.push(self.submit(query)?);
-        }
-        pending.into_iter().map(PendingResponse::wait).collect()
     }
 
     /// Answer a query on the *calling* thread, bypassing the pool. Identical results
@@ -1036,10 +972,6 @@ impl MatchService for MatchEngine {
         MatchEngine::submit(self, query)
     }
 
-    fn submit_batch(&self, queries: Vec<MatchQuery>) -> ServiceResult<Vec<MatchResponse>> {
-        MatchEngine::submit_batch(self, queries)
-    }
-
     fn metrics_snapshot(&self) -> ServiceResult<EngineMetrics> {
         Ok(self.metrics())
     }
@@ -1050,17 +982,6 @@ impl MatchService for MatchEngine {
             self.read_state().live.index(),
             length_floor,
         ))
-    }
-}
-
-impl Drop for MatchEngine {
-    fn drop(&mut self) {
-        // Closing the channel wakes every worker with RecvError; join them so no
-        // thread outlives the repository it borrows through the Arc.
-        self.tx.take();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 

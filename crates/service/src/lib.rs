@@ -8,7 +8,7 @@
 //! clustering configuration — across every query, and serves them concurrently:
 //!
 //! * [`engine::MatchEngine`] — built once from a repository; a `std::thread` worker
-//!   pool drains a bounded submission queue; [`engine::MatchEngine::submit_batch`]
+//!   pool drains a bounded submission queue; [`service::MatchService::submit_batch`]
 //!   shards a batch across the workers and returns responses in input order,
 //! * [`query`] — [`query::MatchQuery`] (personal schema, `top_k`, strategy,
 //!   threshold δ) and [`query::MatchResponse`] with a canonical fingerprint,
@@ -71,6 +71,7 @@ pub mod health;
 pub mod metrics;
 pub mod net;
 pub mod planner;
+mod pool;
 pub mod query;
 pub mod replica;
 pub mod service;

@@ -45,8 +45,10 @@ pub trait MatchService: Send + Sync {
 
     /// Serve a whole batch, responses in input order. The default
     /// implementation submits everything first (so the endpoint works the batch
-    /// concurrently) and then waits in order; implementations with a cheaper
-    /// wire encoding (one framed round trip) override it.
+    /// concurrently) and then waits in order. An implementation overrides it
+    /// only when a batch means more than its queries:
+    /// [`crate::SwappableEngine`] serves the whole batch on one generation,
+    /// and [`crate::net::RemoteEngine`] sends it in one framed round trip.
     fn submit_batch(&self, queries: Vec<MatchQuery>) -> ServiceResult<Vec<MatchResponse>> {
         let pending: Vec<PendingResponse> = queries
             .into_iter()

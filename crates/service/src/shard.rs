@@ -75,9 +75,7 @@
 //! [`ShardedEngine::from_services`] return [`ConfigError`]) rather than serving
 //! subtly different answers.
 
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, RwLock};
 
 use serde::{Deserialize, Serialize};
 use xsm_matcher::generator::sort_mappings;
@@ -90,6 +88,7 @@ use crate::engine::{EngineConfig, MatchEngine, PendingResponse};
 use crate::error::{ConfigError, ServiceError, ServiceResult};
 use crate::metrics::{EngineMetrics, MetricsRegistry};
 use crate::planner::{PlanStats, QueryPlanner};
+use crate::pool::WorkerPool;
 use crate::query::{MatchQuery, MatchResponse, PlannedStrategy, QueryStrategy};
 use crate::service::MatchService;
 use crate::singleflight::Singleflight;
@@ -530,12 +529,6 @@ fn globalize_mapping(mapping: SchemaMapping, tree_map: &[TreeId]) -> SchemaMappi
     SchemaMapping::with_score(pairs, score)
 }
 
-/// One queued unit of router work.
-struct Job {
-    query: MatchQuery,
-    reply: SyncSender<ServiceResult<MatchResponse>>,
-}
-
 /// A sharded match-serving engine over one repository.
 ///
 /// Construction partitions the repository by tree and builds one [`MatchEngine`]
@@ -547,6 +540,10 @@ struct Job {
 /// [`MatchService`] implementation reaches — including other hosts via
 /// [`crate::net::RemoteEngine`].
 pub struct ShardedEngine {
+    /// The router pool. Declared first so it drops first: its workers finish
+    /// every queued query and are joined before the shard services below shut
+    /// down their own backends.
+    pool: WorkerPool,
     core: Arc<RouterCore>,
     /// The in-process shard engines when built by [`ShardedEngine::new`]
     /// (empty for [`ShardedEngine::from_services`]).
@@ -559,8 +556,6 @@ pub struct ShardedEngine {
     /// [`ShardedEngine::from_swappable_snapshot_paths`] (empty otherwise);
     /// what [`ShardedEngine::swap_generation`] flips.
     swappable_engines: Vec<Arc<SwappableEngine>>,
-    tx: Option<SyncSender<Job>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl ShardedEngine {
@@ -1022,34 +1017,19 @@ impl ShardedEngine {
             metrics: MetricsRegistry::new(),
             swap_gate: RwLock::new(()),
         });
-        let (tx, rx) = sync_channel::<Job>(config.router_queue_capacity.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..config.router_workers.max(1))
-            .map(|i| {
-                let core = Arc::clone(&core);
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("xsm-shard-router-{i}"))
-                    .spawn(move || loop {
-                        let job = { rx.lock().unwrap().recv() };
-                        match job {
-                            Ok(job) => {
-                                let response = core.answer(&job.query);
-                                let _ = job.reply.send(response);
-                            }
-                            Err(_) => break,
-                        }
-                    })
-                    .expect("failed to spawn shard-router worker")
-            })
-            .collect();
+        let served = Arc::clone(&core);
+        let pool = WorkerPool::spawn(
+            "xsm-shard-router",
+            config.router_workers,
+            config.router_queue_capacity,
+            move |query, _: &mut ()| served.answer(query),
+        );
         ShardedEngine {
+            pool,
             core,
             local_engines,
             placement: config.placement,
             swappable_engines: Vec::new(),
-            tx: Some(tx),
-            workers,
         }
     }
 
@@ -1081,13 +1061,7 @@ impl ShardedEngine {
     /// Enqueue one query with the router's backpressure; the returned handle blocks
     /// until the merged response (or the serving error) is ready.
     pub fn submit(&self, query: MatchQuery) -> ServiceResult<PendingResponse> {
-        let (reply, rx) = sync_channel(1);
-        self.tx
-            .as_ref()
-            .expect("router is running until dropped")
-            .send(Job { query, reply })
-            .map_err(|_| ServiceError::internal("shard-router worker pool is gone"))?;
-        Ok(PendingResponse::from_channel(rx))
+        self.pool.submit(query)
     }
 
     /// Answer one query, blocking until the merged response is ready.
@@ -1101,16 +1075,6 @@ impl ShardedEngine {
         self.submit(query)
             .and_then(PendingResponse::wait)
             .expect("sharded serving failed on every shard")
-    }
-
-    /// Serve a whole batch through the router pool, responses in input order.
-    /// Duplicate in-flight fingerprints coalesce at the router (one scatter).
-    pub fn submit_batch(&self, queries: Vec<MatchQuery>) -> ServiceResult<Vec<MatchResponse>> {
-        let mut pending = Vec::with_capacity(queries.len());
-        for query in queries {
-            pending.push(self.submit(query)?);
-        }
-        pending.into_iter().map(PendingResponse::wait).collect()
     }
 
     /// Answer a query on the calling thread, bypassing the router pool (identical
@@ -1154,10 +1118,6 @@ impl MatchService for ShardedEngine {
         ShardedEngine::submit(self, query)
     }
 
-    fn submit_batch(&self, queries: Vec<MatchQuery>) -> ServiceResult<Vec<MatchResponse>> {
-        ShardedEngine::submit_batch(self, queries)
-    }
-
     fn metrics_snapshot(&self) -> ServiceResult<EngineMetrics> {
         Ok(self.core.metrics.snapshot())
     }
@@ -1168,17 +1128,6 @@ impl MatchService for ShardedEngine {
             stats = stats.merge(service.plan_stats(personal, length_floor)?);
         }
         Ok(stats)
-    }
-}
-
-impl Drop for ShardedEngine {
-    fn drop(&mut self) {
-        // Close the router queue and join its workers before the shard services
-        // (dropped afterwards, field order) shut down their own backends.
-        self.tx.take();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 

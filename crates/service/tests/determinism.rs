@@ -7,8 +7,8 @@ use xsm_matcher::element::ElementMatchConfig;
 use xsm_repo::{GeneratorConfig, RepositoryGenerator, SchemaRepository};
 use xsm_service::workload::seeded_personal_schemas;
 use xsm_service::{
-    EngineConfig, MatchEngine, MatchQuery, PendingResponse, QueryStrategy, ShardedEngine,
-    ShardedEngineConfig,
+    EngineConfig, MatchEngine, MatchQuery, MatchService, PendingResponse, QueryStrategy,
+    ShardedEngine, ShardedEngineConfig,
 };
 
 fn repository() -> SchemaRepository {

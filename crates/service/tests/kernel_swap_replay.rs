@@ -16,8 +16,8 @@ use xsm_matcher::{MatchingProblem, ObjectiveConfig};
 use xsm_repo::{GeneratorConfig, NameIndex, RepositoryGenerator, SchemaRepository};
 use xsm_service::workload::seeded_personal_schemas;
 use xsm_service::{
-    EngineConfig, MatchEngine, MatchQuery, PlannedStrategy, PlannerConfig, QueryPlanner,
-    QueryStrategy,
+    EngineConfig, MatchEngine, MatchQuery, MatchService, PlannedStrategy, PlannerConfig,
+    QueryPlanner, QueryStrategy,
 };
 
 const MIN_SIMILARITY: f64 = 0.5;

@@ -5,7 +5,9 @@
 use xsm_matcher::element::ElementMatchConfig;
 use xsm_repo::{GeneratorConfig, RepositoryGenerator, SchemaRepository};
 use xsm_service::workload::seeded_personal_schemas;
-use xsm_service::{EngineConfig, MatchQuery, QueryStrategy, ShardedEngine, ShardedEngineConfig};
+use xsm_service::{
+    EngineConfig, MatchQuery, MatchService, QueryStrategy, ShardedEngine, ShardedEngineConfig,
+};
 
 fn repository() -> SchemaRepository {
     RepositoryGenerator::new(GeneratorConfig::small(29).with_target_elements(500)).generate()

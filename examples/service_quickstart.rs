@@ -10,7 +10,7 @@
 use bellflower::matcher::element::ElementMatchConfig;
 use bellflower::repo::{GeneratorConfig, RepositoryGenerator};
 use bellflower::schema::{SchemaNode, TreeBuilder};
-use bellflower::service::{EngineConfig, MatchEngine, MatchQuery, QueryStrategy};
+use bellflower::service::{EngineConfig, MatchEngine, MatchQuery, MatchService, QueryStrategy};
 
 fn main() {
     // 1. A repository of XML schemas (synthetic here; `load_real_schemas` shows how
