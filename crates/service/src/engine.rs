@@ -588,8 +588,11 @@ impl PendingResponse {
 /// similarity scratch buffers. Dropping the engine answers every query already
 /// queued, then joins every worker.
 pub struct MatchEngine {
-    core: Arc<EngineCore>,
+    /// Declared first so it drops first: the workers are joined while this
+    /// handle still holds the core, so the core is freed on the dropping
+    /// thread, never on a worker.
     pool: WorkerPool,
+    core: Arc<EngineCore>,
 }
 
 impl MatchEngine {
@@ -727,7 +730,7 @@ impl MatchEngine {
             start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
             source,
         );
-        MatchEngine { core, pool }
+        MatchEngine { pool, core }
     }
 
     /// Build an engine with the default configuration.
