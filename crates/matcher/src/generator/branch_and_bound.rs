@@ -26,16 +26,38 @@
 //!   `best[i]` for every list `i` still open, added in `personal_nodes` order;
 //! * **the images as a [`SteinerRing`]** — ordered by pre-order rank, with the sum
 //!   of the distances between cyclic neighbours. Adding an image replaces one term
-//!   of that sum by two, so `|E_t|` *with the candidate* is three
-//!   `TreeLabeling::distance` queries away ([`SteinerRing::edge_count_with`]),
-//!   exactly, and asking changes nothing.
+//!   of that sum by two, so `|E_t|` *with the candidate* is three distances away
+//!   ([`SteinerRing::edge_count_with`]), exactly, and asking changes nothing.
 //!
 //! Most partial mappings end there: the bound cuts them, or they are complete and
 //! get their score from the same two numbers. Only to search *below* one does the
 //! state change — candidate pushed, list marked, image inserted — and change back
-//! on return. So a partial mapping costs no allocation, a constant number of LCA
-//! queries and `|N_s|` float additions, and a complete one allocates only if it is
-//! retained *and* the [`TopMappings`] it goes to wants its score. Every retained
+//! on return. So a partial mapping costs no allocation, three distance lookups
+//! and `|N_s|` float additions, and a complete one allocates only if it is
+//! retained *and* the [`TopMappings`] it goes to wants its score.
+//!
+//! # Slots and the distance memo
+//!
+//! A scope offers few distinct images — at most 96 on `wide_match`'s useful
+//! scopes — but its search asks about the same pairs again and again: tens of
+//! thousands of distance lookups per query over a few thousand pairs. So the
+//! search numbers the scope's distinct repository nodes once, in ascending
+//! [`NodeId`] order: these are its **slots**. Each slot's
+//! pre-order rank is read once, and every candidate's ring key
+//! `(rank, slot)` sits in one flat array, list after list in assignment order.
+//! Slots ascend with node ids, so the ring's `(rank, slot)` order is the
+//! `(rank, node)` order of `steiner_edge_count`.
+//!
+//! The ring asks the search for the distance between two slots, and the search
+//! answers from an `m × m` memo for `m` slots, filled lazily: a cell holds
+//! `distance + 1`, 0 until the pair is first asked, when
+//! `TreeLabeling::distance(a, b).unwrap_or(0)` fills it and its mirror. That is
+//! the very integer `steiner_edge_count` reads, so every `|E_t|`, every bound
+//! bit, every pruned branch and every mapping is what the labelling alone
+//! gives; the memo only saves asking twice. A scope of more than
+//! `MEMO_MAX_IMAGES` (1 024) distinct images — a 4 MiB memo — asks the labelling
+//! every time instead. Setting up a search costs a fixed number of allocations
+//! whatever the scope: the slots, the keys, the memo and the state above. Every retained
 //! mapping is counted; one that cannot make the caller's top `k` is never built.
 //! `generate_single_tree` and `generate` hand the search an unbounded collector,
 //! the served path one of `k`: the search itself is the same.
@@ -69,7 +91,7 @@ use crate::mapping::{SchemaMapping, SteinerRing};
 use crate::objective::Objective;
 use crate::problem::MatchingProblem;
 use xsm_repo::SchemaRepository;
-use xsm_schema::TreeLabeling;
+use xsm_schema::{NodeId, TreeLabeling};
 
 /// Branch & Bound generator configuration.
 #[derive(Debug, Clone, Copy)]
@@ -172,17 +194,30 @@ impl BranchAndBoundGenerator {
             return counters;
         };
 
-        // Most-constrained-first variable order.
-        let mut order: Vec<usize> = (0..scope.node_count()).collect();
-        order.sort_by_key(|&i| scope.candidates_at(i).len());
+        // Most-constrained-first variable order, each list with where its
+        // candidates' ring keys begin in `keys`.
+        let mut order: Vec<(usize, usize)> = (0..scope.node_count()).map(|i| (i, 0)).collect();
+        order.sort_by_key(|&(i, _)| scope.candidates_at(i).len());
+        let mut begin = 0;
+        for (i, start) in &mut order {
+            *start = begin;
+            begin += scope.candidates_at(*i).len();
+        }
+        let distances = SlotDistances::new(labeling, scope);
+        let keys = order
+            .iter()
+            .flat_map(|&(i, _)| scope.candidates_at(i))
+            .map(|candidate| distances.key(candidate.repo.node))
+            .collect();
 
         let mut search = Search {
             config: self.config,
             threshold: problem.threshold,
             scope,
-            labeling,
             objective: Objective::for_problem(problem),
             order,
+            keys,
+            distances,
             best: (0..scope.node_count())
                 .map(|i| scope.candidates_at(i).first().map_or(0.0, |m| m.similarity))
                 .collect(),
@@ -199,16 +234,92 @@ impl BranchAndBoundGenerator {
     }
 }
 
+/// Above this many distinct images a scope's ring asks the labelling directly:
+/// the memo would be `MEMO_MAX_IMAGES²` cells, 4 MiB.
+const MEMO_MAX_IMAGES: usize = 1024;
+
+/// The ring's distances between the slots of one scope (see the module docs).
+struct SlotDistances<'a> {
+    labeling: &'a TreeLabeling,
+    /// Slot → (pre-order rank, node): the scope's distinct images in ascending
+    /// node order, each rank read once.
+    slots: Vec<(u32, NodeId)>,
+    /// Row-major `m × m` for `m` slots: `distance + 1`, or 0 for a pair not asked
+    /// yet. Empty above [`MEMO_MAX_IMAGES`] slots.
+    memo: Vec<u32>,
+}
+
+impl<'a> SlotDistances<'a> {
+    fn new(labeling: &'a TreeLabeling, scope: &CandidateSet) -> Self {
+        let mut slots: Vec<(u32, NodeId)> = Vec::with_capacity(scope.total_candidates());
+        slots.extend(scope.iter().map(|candidate| (0, candidate.repo.node)));
+        slots.sort_unstable_by_key(|&(_, node)| node);
+        slots.dedup_by_key(|&mut (_, node)| node);
+        for (rank, node) in &mut slots {
+            *rank = labeling.preorder_rank(*node).unwrap_or(u32::MAX);
+        }
+        let m = slots.len();
+        let memo = if m <= MEMO_MAX_IMAGES {
+            vec![0; m * m]
+        } else {
+            Vec::new()
+        };
+        SlotDistances {
+            labeling,
+            slots,
+            memo,
+        }
+    }
+
+    /// The ring key `(pre-order rank, slot)` of a node of the scope.
+    fn key(&self, node: NodeId) -> (u32, u32) {
+        let slot = self
+            .slots
+            .binary_search_by_key(&node, |&(_, n)| n)
+            .expect("every image of the scope has a slot");
+        (self.slots[slot].0, slot as u32)
+    }
+
+    /// `distance(a, b)` as `steiner_edge_count` reads it — 0 where the labelling
+    /// has none — asked of the labelling once per pair while the memo is on.
+    #[inline]
+    fn get(&mut self, a: u32, b: u32) -> u32 {
+        let (a, b) = (a as usize, b as usize);
+        let m = self.slots.len();
+        if self.memo.is_empty() {
+            return self.ask(a, b);
+        }
+        let cell = self.memo[a * m + b];
+        if cell != 0 {
+            return cell - 1;
+        }
+        let d = self.ask(a, b);
+        self.memo[a * m + b] = d + 1;
+        self.memo[b * m + a] = d + 1;
+        d
+    }
+
+    fn ask(&self, a: usize, b: usize) -> u32 {
+        self.labeling
+            .distance(self.slots[a].1, self.slots[b].1)
+            .unwrap_or(0)
+    }
+}
+
 /// The search state of one single-tree scope (see the module docs): what is fixed
 /// for the whole search, and the partial mapping the recursion currently stands on.
 struct Search<'a> {
     config: BranchAndBoundConfig,
     threshold: f64,
     scope: &'a CandidateSet,
-    labeling: &'a TreeLabeling,
     objective: Objective,
-    /// Candidate-list indices in the order the search assigns them.
-    order: Vec<usize>,
+    /// `(list index, where its candidates begin in keys)`, in the order the search
+    /// assigns the lists.
+    order: Vec<(usize, usize)>,
+    /// The ring key `(pre-order rank, slot)` of every candidate, list after list
+    /// in `order`.
+    keys: Vec<(u32, u32)>,
+    distances: SlotDistances<'a>,
     /// `best[i]`: the highest similarity list `i` offers (lists are sorted).
     best: Vec<f64>,
     /// `assigned[i]`: list `i` has an element in `assignment`, or is the list whose
@@ -216,7 +327,7 @@ struct Search<'a> {
     assigned: Vec<bool>,
     /// The partial mapping, in assignment order.
     assignment: Vec<MappingElement>,
-    /// The images of `assignment`, for `|E_t|`.
+    /// The slots of `assignment`'s images, for `|E_t|`.
     images: SteinerRing,
     /// Where complete mappings with `Δ ≥ δ` go, if it wants them.
     sink: &'a mut TopMappings,
@@ -232,10 +343,10 @@ impl Search<'_> {
     /// `similarity_sum`, in every way the bound allows.
     fn descend(&mut self, depth: usize, similarity_sum: f64) {
         let scope = self.scope;
-        let node_index = self.order[depth];
+        let (node_index, begin) = self.order[depth];
         let last = depth + 1 == self.order.len();
         self.assigned[node_index] = true;
-        for candidate in scope.candidates_at(node_index) {
+        for (j, candidate) in scope.candidates_at(node_index).iter().enumerate() {
             if self.capped() {
                 break;
             }
@@ -246,9 +357,10 @@ impl Search<'_> {
             // search stands: nothing is changed for a branch that is cut.
             self.counters.partial_mappings += 1;
             let similarity_sum = similarity_sum + candidate.similarity;
+            let (rank, slot) = self.keys[begin + j];
             let edge_count = self
                 .images
-                .edge_count_with(self.labeling, candidate.repo.node);
+                .edge_count_with(rank, slot, |a, b| self.distances.get(a, b));
             if self.bound_is_below_threshold(similarity_sum, edge_count) {
                 self.counters.pruned_branches += 1;
                 continue;
@@ -261,9 +373,11 @@ impl Search<'_> {
                 continue;
             }
             self.assignment.push(*candidate);
-            self.images.insert(self.labeling, candidate.repo.node);
+            self.images
+                .insert(rank, slot, |a, b| self.distances.get(a, b));
             self.descend(depth + 1, similarity_sum);
-            self.images.remove(self.labeling, candidate.repo.node);
+            self.images
+                .remove(rank, slot, |a, b| self.distances.get(a, b));
             self.assignment.pop();
         }
         self.assigned[node_index] = false;

@@ -137,16 +137,24 @@ pub fn steiner_edge_count(labeling: &TreeLabeling, nodes: &[xsm_schema::NodeId])
 /// of cyclically consecutive nodes and halves. The ring keeps that order and that
 /// sum: inserting `v` between its neighbours `pred` and `succ` replaces the term
 /// `d(pred, succ)` by `d(pred, v) + d(v, succ)`, and removing it puts the term back —
-/// three [`TreeLabeling::distance`] queries either way, however many images there
-/// are — and [`SteinerRing::edge_count_with`] answers "what if `v` were added" for
-/// the same three queries without touching the ring. The sum is an integer, so [`SteinerRing::edge_count`] *equals*
-/// `steiner_edge_count` of the nodes held, after any sequence of changes; nodes the
-/// labelling does not know sort last and are at distance 0 from everything, as
-/// there.
+/// three distances either way, however many images there are — and
+/// [`SteinerRing::edge_count_with`] answers "what if `v` were added" for the same
+/// three without touching the ring.
+///
+/// The ring holds **slots**, not nodes: small integers a caller gives the images
+/// it will ask about, numbered in ascending [`NodeId`] order, so that the ring's
+/// `(rank, slot)` order is `steiner_edge_count`'s `(rank, node)` order. The caller
+/// passes each image's pre-order rank (`u32::MAX` for a node the labelling does
+/// not know, which sorts last) and, with every call, its source of distances
+/// between two slots — a memo, or [`TreeLabeling::distance`] itself. As long as
+/// that source answers what `steiner_edge_count` reads (`distance(a, b)`, 0 where
+/// the labelling has none), [`SteinerRing::edge_count`] *equals*
+/// `steiner_edge_count` of the nodes held, after any sequence of changes: the sum
+/// is an integer.
 #[derive(Debug, Clone)]
 pub struct SteinerRing {
-    /// `(pre-order rank, node)`, ascending.
-    ring: Vec<(u32, NodeId)>,
+    /// `(pre-order rank, slot)`, ascending.
+    ring: Vec<(u32, u32)>,
     /// Sum of the distances between cyclically consecutive ring nodes (`2·|E_t|`).
     cycle: u32,
 }
@@ -165,70 +173,81 @@ impl SteinerRing {
         self.cycle / 2
     }
 
-    /// `|E_t|` were `node` added — the ring itself is left as it is, so a caller can
-    /// look at an extension before (or without) committing to it.
-    pub fn edge_count_with(&self, labeling: &TreeLabeling, node: NodeId) -> u32 {
-        match self.place(labeling, node) {
+    /// `|E_t|` were `slot`, of pre-order rank `rank`, added — the ring itself is
+    /// left as it is, so a caller can look at an extension before (or without)
+    /// committing to it.
+    #[inline]
+    pub fn edge_count_with(
+        &self,
+        rank: u32,
+        slot: u32,
+        distance: impl FnMut(u32, u32) -> u32,
+    ) -> u32 {
+        match self.place(rank, slot, distance) {
             Some((_, cycle)) => cycle / 2,
             None => self.edge_count(),
         }
     }
 
-    /// Add a node; `false` (and no change) when it is already held.
-    pub fn insert(&mut self, labeling: &TreeLabeling, node: NodeId) -> bool {
-        let Some((at, cycle)) = self.place(labeling, node) else {
+    /// Add `slot`, of pre-order rank `rank`; `false` (and no change) when it is
+    /// already held.
+    pub fn insert(&mut self, rank: u32, slot: u32, distance: impl FnMut(u32, u32) -> u32) -> bool {
+        let Some((at, cycle)) = self.place(rank, slot, distance) else {
             return false;
         };
-        self.ring.insert(at, ring_key(labeling, node));
+        self.ring.insert(at, (rank, slot));
         self.cycle = cycle;
         true
     }
 
-    /// Where `node` would enter the ring and the cycle sum it would leave; `None`
-    /// when it is already held.
-    fn place(&self, labeling: &TreeLabeling, node: NodeId) -> Option<(usize, u32)> {
-        let at = self.ring.binary_search(&ring_key(labeling, node)).err()?;
+    /// Where `(rank, slot)` would enter the ring and the cycle sum it would leave;
+    /// `None` when it is already held.
+    #[inline]
+    fn place(
+        &self,
+        rank: u32,
+        slot: u32,
+        mut distance: impl FnMut(u32, u32) -> u32,
+    ) -> Option<(usize, u32)> {
+        let at = self.ring.binary_search(&(rank, slot)).err()?;
         let mut cycle = self.cycle;
         if let Some((pred, succ)) = self.neighbours(at) {
-            cycle += ring_distance(labeling, pred, node) + ring_distance(labeling, node, succ);
-            cycle -= ring_distance(labeling, pred, succ);
+            cycle += distance(pred, slot) + distance(slot, succ);
+            cycle -= distance(pred, succ);
         }
         Some((at, cycle))
     }
 
-    /// Take a node out; `false` (and no change) when it is not held.
-    pub fn remove(&mut self, labeling: &TreeLabeling, node: NodeId) -> bool {
-        let Ok(at) = self.ring.binary_search(&ring_key(labeling, node)) else {
+    /// Take `slot`, of pre-order rank `rank`, out; `false` (and no change) when it
+    /// is not held.
+    pub fn remove(
+        &mut self,
+        rank: u32,
+        slot: u32,
+        mut distance: impl FnMut(u32, u32) -> u32,
+    ) -> bool {
+        let Ok(at) = self.ring.binary_search(&(rank, slot)) else {
             return false;
         };
         self.ring.remove(at);
         if let Some((pred, succ)) = self.neighbours(at) {
-            self.cycle += ring_distance(labeling, pred, succ);
-            self.cycle -= ring_distance(labeling, pred, node) + ring_distance(labeling, node, succ);
+            self.cycle += distance(pred, succ);
+            self.cycle -= distance(pred, slot) + distance(slot, succ);
         }
         true
     }
 
-    /// The ring nodes just before position `at` and at it, cyclically: the two a
-    /// node entering at `at` comes between, or one that left `at` came from between.
+    /// The ring slots just before position `at` and at it, cyclically: the two a
+    /// slot entering at `at` comes between, or one that left `at` came from between.
     /// `None` for an empty ring.
-    fn neighbours(&self, at: usize) -> Option<(NodeId, NodeId)> {
+    #[inline]
+    fn neighbours(&self, at: usize) -> Option<(u32, u32)> {
         let n = self.ring.len();
         if n == 0 {
             return None;
         }
         Some((self.ring[(at + n - 1) % n].1, self.ring[at % n].1))
     }
-}
-
-/// The ring's sort key: [`steiner_edge_count`]'s order (rank, then node id).
-fn ring_key(labeling: &TreeLabeling, node: NodeId) -> (u32, NodeId) {
-    (labeling.preorder_rank(node).unwrap_or(u32::MAX), node)
-}
-
-/// Distance as [`steiner_edge_count`] reads it: 0 when the labelling has none.
-fn ring_distance(labeling: &TreeLabeling, a: NodeId, b: NodeId) -> u32 {
-    labeling.distance(a, b).unwrap_or(0)
 }
 
 #[cfg(test)]

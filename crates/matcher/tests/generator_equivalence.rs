@@ -5,8 +5,10 @@
 //! personal nodes and similarities tie, across the thresholds, objective weights,
 //! caps and the bounding switch that decide where the search turns back.
 //!
-//! The pieces are held to their from-scratch counterparts as well: the image ring to
-//! `steiner_edge_count` after every insert and removal, `generate` on scopes of
+//! Scopes that offer one repository node to several lists, images the labelling
+//! does not know, and a scope past the search's pairwise-distance memo cap are
+//! covered too. The pieces are held to their from-scratch counterparts as well:
+//! the image ring to `steiner_edge_count` after every insert and removal, `generate` on scopes of
 //! several trees to per-tree searches merged the old way, `sort_mappings` to a sort
 //! by collected image vectors, and `generate_into` with a bounded `TopMappings` to the
 //! oracle's full list sorted and cut to `k` — ties on the cutoff score included.
@@ -373,6 +375,10 @@ proptest! {
         let reach = rng.gen_range(1..6);
         let tree = random_tree(&mut rng, "t", nodes, reach);
         let labeling = TreeLabeling::build(&tree);
+        // The ring over node ids as slots, with the labelling as its distance
+        // source: the search's memo answers the same integers.
+        let rank = |node: NodeId| labeling.preorder_rank(node).unwrap_or(u32::MAX);
+        let distance = |a: u32, b: u32| labeling.distance(NodeId(a), NodeId(b)).unwrap_or(0);
         let mut ring = SteinerRing::with_capacity(4);
         let mut held: Vec<NodeId> = Vec::new();
         for _ in 0..steps {
@@ -384,23 +390,125 @@ proptest! {
             let mut extended = held.clone();
             extended.push(node);
             prop_assert_eq!(
-                ring.edge_count_with(&labeling, node),
+                ring.edge_count_with(rank(node), node.0, distance),
                 steiner_edge_count(&labeling, &extended)
             );
             prop_assert_eq!(ring.edge_count(), steiner_edge_count(&labeling, &held));
             // Removals as often as inserts.
             if rng.gen_range(0..2) == 0 {
-                prop_assert_eq!(ring.insert(&labeling, node), at.is_none());
+                prop_assert_eq!(ring.insert(rank(node), node.0, distance), at.is_none());
                 if at.is_none() {
                     held.push(node);
                 }
             } else {
-                prop_assert_eq!(ring.remove(&labeling, node), at.is_some());
+                prop_assert_eq!(ring.remove(rank(node), node.0, distance), at.is_some());
                 if let Some(at) = at {
                     held.swap_remove(at);
                 }
             }
             prop_assert_eq!(ring.edge_count(), steiner_edge_count(&labeling, &held));
+        }
+    }
+
+    #[test]
+    fn kernel_equals_oracle_on_shared_and_unlabelled_images(
+        seed in 0u64..u64::MAX,
+        personal_nodes in 1usize..7,
+        trees in 1usize..4,
+        strangers in 1u32..4,
+    ) {
+        // Every list of a tree also offers one shared node of that tree, and half
+        // of them one of a few ids past its end, which the labelling does not know: one repository node
+        // behind several lists, and images of rank `u32::MAX` at distance 0 from
+        // everything — in the memo as in the oracle's `steiner_edge_count`.
+        let (personal, repo, base) = random_case(seed, personal_nodes, trees, Similarities::Grid);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5ca1_ab1e);
+        let mut scope = CandidateSet::new(personal.preorder());
+        for element in base.iter() {
+            scope.push(*element);
+        }
+        for (tree, schema) in repo.trees() {
+            let size = schema.len() as u32;
+            let shared = NodeId(rng.gen_range(0..size));
+            for p in personal.preorder() {
+                let mut offer = |node: NodeId, rng: &mut StdRng| {
+                    let image = GlobalNodeId::new(tree, node);
+                    if !scope.candidates_for(p).iter().any(|m| m.repo == image) {
+                        let similarity = rng.gen_range(6..21) as f64 * 0.05;
+                        scope.push(MappingElement::new(p, image, similarity));
+                    }
+                };
+                offer(shared, &mut rng);
+                if rng.gen_range(0..2) == 0 {
+                    offer(NodeId(size + rng.gen_range(0..strangers)), &mut rng);
+                }
+            }
+        }
+        scope.sort();
+        let mut knobs = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
+        for threshold in THRESHOLDS {
+            let config = BranchAndBoundConfig {
+                max_partial_mappings: CAPS[knobs.gen_range(0..CAPS.len() + 3).min(CAPS.len() - 1)],
+                use_bounding: knobs.gen_range(0..4) != 0,
+            };
+            let objective = objective(ALPHAS[knobs.gen_range(0..3usize)], PATH_NORMS[knobs.gen_range(0..2usize)]);
+            assert_equivalent(&personal, &repo, &scope, objective, threshold, config);
+        }
+    }
+}
+
+#[test]
+fn a_scope_past_the_memo_cap_asks_the_labelling_and_agrees() {
+    // A star of 1 100 leaves: a scope holding more than 1 024 distinct images
+    // searches without the pairwise memo. Two short lists and one over every
+    // leaf keep the oracle's clone-per-partial-mapping search small.
+    const LEAVES: u32 = 1_100;
+    let mut star = SchemaTree::new("star");
+    let root = star.add_root(SchemaNode::element("root")).expect("root");
+    for i in 0..LEAVES {
+        star.add_child(root, SchemaNode::element(format!("leaf{i}")))
+            .expect("root exists");
+    }
+    let repo = SchemaRepository::from_trees(vec![star]);
+    let mut rng = StdRng::seed_from_u64(1024);
+    let personal = random_tree(&mut rng, "personal", 3, 2);
+    let nodes = personal.preorder();
+    let mut scope = CandidateSet::new(nodes.clone());
+    let mut offer = |p: NodeId, node: u32, rng: &mut StdRng| {
+        let image = GlobalNodeId::new(TreeId(0), NodeId(node));
+        scope.push(MappingElement::new(
+            p,
+            image,
+            rng.gen_range(6..21) as f64 * 0.05,
+        ));
+    };
+    // The root, and a leaf the long list shares.
+    for node in [0, 7] {
+        offer(nodes[0], node, &mut rng);
+    }
+    for node in [0, 7, 500] {
+        offer(nodes[1], node, &mut rng);
+    }
+    for node in 0..=LEAVES {
+        offer(nodes[2], node, &mut rng);
+    }
+    scope.sort();
+    assert!(scope.distinct_repo_nodes() > 1_024);
+    for threshold in THRESHOLDS {
+        for (alpha, path_norm) in [(0.5, 4.0), (0.5, 1.5), (1.0, 4.0)] {
+            for use_bounding in [true, false] {
+                assert_equivalent(
+                    &personal,
+                    &repo,
+                    &scope,
+                    objective(alpha, path_norm),
+                    threshold,
+                    BranchAndBoundConfig {
+                        use_bounding,
+                        ..Default::default()
+                    },
+                );
+            }
         }
     }
 }

@@ -25,19 +25,23 @@ pub struct TreeLabeling {
     first_occurrence: Vec<u32>,
     /// Euler tour of node indices.
     euler: Vec<u32>,
-    /// Sparse table over the Euler tour: `sparse[k][i]` packs
-    /// `depth << 32 | euler_index` for the minimum-depth node in the window
-    /// `[i, i + 2^k)`. Packing the comparison key next to the index makes the
-    /// table build a sequential branch-free `min` scan (no indirection through
-    /// `euler` and `depth` per cell) and ties break toward the lower euler
-    /// index — the same leftward preference the unpacked table had.
+    /// Sparse table over the Euler tour, one flat array of levels: level `k`
+    /// holds, for every window `[i, i + 2^k)` of the tour, the packed key
+    /// `depth << 32 | euler_index` of its minimum-depth entry, and starts at
+    /// [`row_offset`]`(m, k)` for a tour of `m` entries (each level is as long
+    /// as it has windows, so nothing is padded). Packing the comparison key
+    /// next to the index makes the table build a sequential branch-free `min`
+    /// scan, ties break toward the lower euler index (the leftward preference
+    /// of the classic formulation), and a query has its answer's depth in the
+    /// key's high half and its tour position in the low half: `distance`
+    /// reads no `euler` or `depth` entry for the ancestor.
     ///
     /// Built **on the first range-minimum query** (thread-safe; concurrent
     /// first calls race benignly): the depth/pre/post labels answer the
     /// ancestor tests and depth lookups that dominate many workloads, and a
     /// snapshot-loaded repository should not spend startup time on RMQ tables
     /// for trees no LCA query ever touches.
-    sparse: std::sync::OnceLock<Vec<Vec<u64>>>,
+    sparse: std::sync::OnceLock<Vec<u64>>,
     /// Pre-order entry numbers (for ancestor tests).
     pre: Vec<u32>,
     /// Pre-order exit numbers (size of subtree encoded as interval end).
@@ -171,17 +175,16 @@ impl TreeLabeling {
     /// cover or the tour never entered (its first occurrence is the `u32::MAX`
     /// sentinel, past the end of any tour, so the range query declines it).
     pub fn lca(&self, a: NodeId, b: NodeId) -> Option<NodeId> {
-        let fa = *self.first_occurrence.get(a.index())? as usize;
-        let fb = *self.first_occurrence.get(b.index())? as usize;
-        let (lo, hi) = if fa <= fb { (fa, fb) } else { (fb, fa) };
-        let idx = self.range_min(lo, hi)?;
-        Some(NodeId(self.euler[idx]))
+        let key = self.lca_key(a, b)?;
+        Some(NodeId(self.euler[(key & 0xffff_ffff) as usize]))
     }
 
-    /// Path length (number of edges) between two nodes, in `O(1)`.
+    /// Path length (number of edges) between two nodes, in `O(1)`; `None` where
+    /// [`TreeLabeling::lca`] is.
+    #[inline]
     pub fn distance(&self, a: NodeId, b: NodeId) -> Option<u32> {
-        let l = self.lca(a, b)?;
-        Some(self.depth[a.index()] + self.depth[b.index()] - 2 * self.depth[l.index()])
+        let lca_depth = (self.lca_key(a, b)? >> 32) as u32;
+        Some(self.depth[a.index()] + self.depth[b.index()] - 2 * lca_depth)
     }
 
     /// `true` if `ancestor` is an ancestor of (or equal to) `descendant`.
@@ -204,9 +207,16 @@ impl TreeLabeling {
         Some(q - p + 1)
     }
 
-    /// Index (into the euler tour) of the minimum-depth entry in `[lo, hi]`.
-    fn range_min(&self, lo: usize, hi: usize) -> Option<usize> {
-        if self.euler.is_empty() || hi >= self.euler.len() {
+    /// The packed sparse-table key (`depth << 32 | euler_index`) of the two
+    /// nodes' lowest common ancestor: the minimum-depth tour entry between
+    /// their first occurrences.
+    #[inline]
+    fn lca_key(&self, a: NodeId, b: NodeId) -> Option<u64> {
+        let fa = *self.first_occurrence.get(a.index())? as usize;
+        let fb = *self.first_occurrence.get(b.index())? as usize;
+        let (lo, hi) = if fa <= fb { (fa, fb) } else { (fb, fa) };
+        let m = self.euler.len();
+        if hi >= m {
             return None;
         }
         let span = hi - lo + 1;
@@ -214,43 +224,50 @@ impl TreeLabeling {
         let sparse = self
             .sparse
             .get_or_init(|| build_sparse_table(&self.euler, &self.depth));
-        let left = sparse[k][lo];
-        let right = sparse[k][hi + 1 - (1 << k)];
-        Some((left.min(right) & 0xffff_ffff) as usize)
+        let row = &sparse[row_offset(m, k)..];
+        Some(row[lo].min(row[hi + 1 - (1 << k)]))
     }
 }
 
-/// Build the sparse table for range-minimum (by depth) queries over the Euler tour.
+/// Where level `k` of the sparse table over a tour of `m` entries starts: level
+/// `j` holds `m - 2^j + 1` windows, so the levels below `k` hold
+/// `k·(m + 1) − (2^k − 1)` cells together.
+#[inline]
+fn row_offset(m: usize, k: usize) -> usize {
+    k * (m + 1) + 1 - (1 << k)
+}
+
+/// Build the sparse table for range-minimum (by depth) queries over the Euler
+/// tour, level after level into one array (see [`row_offset`]).
 ///
 /// Cells pack `depth << 32 | euler_index`, so each level is a plain sequential
 /// `min` over the previous level with no lookups into `euler`/`depth`. On ties
 /// the lower euler index (the packed low bits) wins, preserving the leftward
 /// preference of the classic formulation.
-fn build_sparse_table(euler: &[u32], depth: &[u32]) -> Vec<Vec<u64>> {
+fn build_sparse_table(euler: &[u32], depth: &[u32]) -> Vec<u64> {
     let m = euler.len();
     if m == 0 {
         return vec![];
     }
     let levels = (usize::BITS - m.leading_zeros()) as usize;
-    let mut sparse: Vec<Vec<u64>> = Vec::with_capacity(levels);
-    sparse.push(
+    let mut table = Vec::with_capacity(row_offset(m, levels));
+    table.extend(
         euler
             .iter()
             .enumerate()
-            .map(|(i, &e)| (depth[e as usize] as u64) << 32 | i as u64)
-            .collect(),
+            .map(|(i, &e)| (depth[e as usize] as u64) << 32 | i as u64),
     );
-    let mut k = 1usize;
-    while (1 << k) <= m {
-        let prev = &sparse[k - 1];
+    for k in 1..levels {
+        let start = table.len();
+        table.resize(start + m + 1 - (1 << k), 0);
+        let (done, row) = table.split_at_mut(start);
+        let prev = &done[row_offset(m, k - 1)..];
         let width = 1 << (k - 1);
-        let row = (0..=(m - (1 << k)))
-            .map(|i| prev[i].min(prev[i + width]))
-            .collect();
-        sparse.push(row);
-        k += 1;
+        for (cell, (&left, &right)) in row.iter_mut().zip(prev.iter().zip(&prev[width..])) {
+            *cell = left.min(right);
+        }
     }
-    sparse
+    table
 }
 
 #[cfg(test)]
@@ -292,6 +309,75 @@ mod tests {
         assert_eq!(l.lca(NodeId(0), NodeId(0)), Some(NodeId(0)));
         // The same holds before and after the sparse table exists.
         assert_eq!(l.lca(NodeId(0), NodeId(1)), None);
+    }
+
+    /// A tree of `n` nodes from a seeded xorshift, each node hung under one of
+    /// the `reach` nodes before it: chains for a small reach, bushes for a large.
+    fn seeded_tree(seed: u64, n: usize, reach: usize) -> SchemaTree {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut t = SchemaTree::new("random");
+        let mut ids = vec![t.add_root(SchemaNode::element("r")).unwrap()];
+        for i in 1..n {
+            let back = (next() % reach.min(ids.len()) as u64) as usize;
+            let parent = ids[ids.len() - 1 - back];
+            ids.push(
+                t.add_child(parent, SchemaNode::element(format!("n{i}")))
+                    .unwrap(),
+            );
+        }
+        t
+    }
+
+    #[test]
+    fn seeded_random_trees_agree_with_the_tree_before_and_after_the_table() {
+        for seed in 1..=40u64 {
+            // Tours of 2n − 1 entries around and across powers of two.
+            let n = [1, 2, 3, 9, 17, 33, 64, 65, 129, 300][seed as usize % 10];
+            let reach = [1, 2, 4, 16, 1000][seed as usize % 5];
+            let t = seeded_tree(seed, n, reach);
+            // One node past the tree carries the never-entered sentinel; one id
+            // past that is not covered at all. The tree knows neither.
+            let built = TreeLabeling::build(&t);
+            let (depth, first, euler, pre, post) = built.raw_parts();
+            let extend = |v: &[u32], x: u32| v.iter().copied().chain([x]).collect();
+            let l = TreeLabeling::from_raw_parts(
+                extend(depth, 1),
+                extend(first, u32::MAX),
+                euler.to_vec(),
+                extend(pre, n as u32),
+                extend(post, n as u32),
+            );
+            let ids: Vec<NodeId> = (0..n as u32 + 2).map(NodeId).collect();
+            let (sentinel, outside) = (NodeId(n as u32), NodeId(n as u32 + 1));
+            let check = |a: NodeId, b: NodeId| {
+                assert_eq!(l.distance(a, b), t.distance(a, b), "seed {seed} d({a},{b})");
+                assert_eq!(l.lca(a, b), t.lca(a, b), "seed {seed} lca({a},{b})");
+            };
+            // Before the table: nodes off the tour are declined without building it.
+            for &a in &ids {
+                for b in [sentinel, outside] {
+                    check(a, b);
+                    check(b, a);
+                }
+            }
+            assert!(l.sparse.get().is_none(), "seed {seed}: table built early");
+            for &a in &ids {
+                for &b in &ids {
+                    check(a, b);
+                }
+            }
+            assert!(l.sparse.get().is_some());
+            for &a in &ids {
+                check(a, sentinel);
+                check(sentinel, a);
+            }
+        }
     }
 
     #[test]
