@@ -10,10 +10,13 @@
 //!   the range `node_start[slot]..node_start[slot + 1]` of it;
 //! * an assignment is one `u32` per slot (an index into the sorted centroid list),
 //!   clusters are ranges over a slot array built by counting sort ([`FlatClusters`]),
-//!   the join step is a union-find over `u32` cluster indexes, and a medoid is a sum
-//!   over a slice of slots;
-//! * the tree's labelling is looked up once, and every distance goes through
-//!   [`ClusterDistance::distance_in_tree`] with it;
+//!   and the join step is a union-find over `u32` cluster indexes;
+//! * path lengths come from one virtual tree per seeded tree, built once per query
+//!   from the tree's labelling ([`SlotPaths`]): the assignment is one
+//!   nearest-centroid sweep pair per pass and a medoid one count-and-sum sweep pair
+//!   per cluster, so the labelling is asked about once per slot, plus the join
+//!   step's medoid pairs and any medoid too large to sum over every member (a tree
+//!   no seed falls into builds nothing);
 //! * all of these buffers live in one [`Scratch`] that the next tree reuses, so a
 //!   forest of hundreds of tiny trees allocates per *query*, not per tree, node or
 //!   iteration. The only per-tree allocations left are the outputs: the seed list the
@@ -38,11 +41,10 @@ use xsm_matcher::{CandidateSet, MappingElement};
 use xsm_repo::SchemaRepository;
 use xsm_schema::{GlobalNodeId, NodeId, TreeId};
 
-use crate::centroid::medoid_of;
 use crate::cluster::{Cluster, ClusterSet, ClusteredNode};
 use crate::config::{ClusteringConfig, ReclusterStrategy};
 use crate::convergence::ConvergenceTracker;
-use crate::distance::ClusterDistance;
+use crate::distance::SlotPaths;
 use crate::init::CentroidInit;
 use crate::kmeans::KMeansStats;
 
@@ -50,6 +52,14 @@ use crate::kmeans::KMeansStats;
 /// every cluster. Slots, centroid indexes and cluster indexes all count mapping
 /// elements of one query, far below `u32::MAX`.
 const NONE: u32 = u32::MAX;
+
+/// A centroid node and its vertex in the tree's [`SlotPaths`] (`NONE` when the
+/// labelling declines it). Ordered by node.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Centroid {
+    node: NodeId,
+    vertex: u32,
+}
 
 /// One mapping element of the arena, with the index of the per-node list of the
 /// candidate set it came from.
@@ -135,7 +145,7 @@ fn accumulate(acc: &mut Vec<usize>, add: &[usize]) {
 
 /// Every buffer one tree's clustering needs, kept across trees.
 #[derive(Default)]
-struct Scratch {
+struct Scratch<'a> {
     /// The tree's slice of the query's candidate set, list for list in the set's own
     /// order — what the [`CentroidInit`] seeds from.
     tree_set: CandidateSet,
@@ -146,11 +156,13 @@ struct Scratch {
     node_ids: Vec<NodeId>,
     /// Slot → start of its elements in `grouped`; one trailing entry.
     node_start: Vec<u32>,
+    /// Path lengths among the slots (points `0..n`) and the seeds (after them).
+    paths: SlotPaths<'a>,
     /// The centroids the next pass assigns to, ascending and distinct.
-    centroids: Vec<NodeId>,
+    centroids: Vec<Centroid>,
     /// The centroids the previous pass assigned to.
-    prev_centroids: Vec<NodeId>,
-    next_centroids: Vec<NodeId>,
+    prev_centroids: Vec<Centroid>,
+    next_centroids: Vec<Centroid>,
     /// Slot → index into `centroids` (or `NONE`), as the latest pass chose.
     assigned: Vec<u32>,
     /// Slot → index into `prev_centroids` (or `NONE`), as the pass before chose.
@@ -165,7 +177,7 @@ struct Scratch {
     tracker: ConvergenceTracker,
 }
 
-impl Scratch {
+impl Scratch<'_> {
     /// Load one tree: its candidate set, its elements grouped per node, its slots.
     fn load(&mut self, entries: &[Entry]) {
         self.tree_set.clear();
@@ -186,28 +198,21 @@ impl Scratch {
         self.node_start.push(self.grouped.len() as u32);
     }
 
-    /// Lines 3–8: assign every slot to its nearest centroid. Returns how many slots
-    /// now follow a different centroid node than after the previous pass.
-    fn assign(&mut self, dist: &impl Fn(NodeId, NodeId) -> Option<f64>) -> usize {
+    /// Lines 3–8: assign every slot to its nearest centroid — centroids ascend, so
+    /// a tie stays with the smaller one. Returns how many slots now follow a
+    /// different centroid node than after the previous pass.
+    fn assign(&mut self) -> usize {
+        self.paths
+            .spread(self.centroids.iter().map(|centroid| centroid.vertex));
         self.assigned.clear();
         let mut moved = 0;
-        for (slot, &node) in self.node_ids.iter().enumerate() {
-            // Centroids ascend, so a tie within the tolerance stays with the
-            // smaller centroid: only a strictly nearer one takes over.
-            let mut best: Option<(f64, u32)> = None;
-            for (index, &centroid) in self.centroids.iter().enumerate() {
-                if let Some(d) = dist(node, centroid) {
-                    if best.is_none_or(|(nearest, _)| d < nearest - 1e-12) {
-                        best = Some((d, index as u32));
-                    }
-                }
-            }
-            let chosen = best.map_or(NONE, |(_, index)| index);
+        for slot in 0..self.node_ids.len() {
+            let chosen = self.paths.nearest(slot).map_or(NONE, |(_, index)| index);
             let stayed = match (self.prev_assigned[slot], chosen) {
                 (NONE, NONE) => true,
                 (NONE, _) | (_, NONE) => false,
                 (before, now) => {
-                    self.prev_centroids[before as usize] == self.centroids[now as usize]
+                    self.prev_centroids[before as usize].node == self.centroids[now as usize].node
                 }
             };
             moved += usize::from(!stayed);
@@ -217,11 +222,11 @@ impl Scratch {
     }
 
     /// Line 9: one cluster per centroid that attracted a slot, each with its medoid.
-    fn build(&mut self, dist: &impl Fn(NodeId, NodeId) -> Option<f64>) {
+    fn build(&mut self) {
         self.built
             .group(&self.assigned, self.centroids.len(), &mut self.cursor);
         for q in 0..self.built.len() {
-            let medoid = self.medoid(self.built.members(q), dist);
+            let medoid = self.paths.medoid(self.built.members(q), &self.node_ids);
             self.built.centroid.push(medoid);
         }
     }
@@ -230,7 +235,7 @@ impl Scratch {
     /// of each other, transitively, into `joined` — ordered by the smallest built
     /// cluster of each union, members ascending, medoid recomputed where clusters
     /// actually merged. Returns `false`, leaving `joined` stale, when nothing merged.
-    fn join(&mut self, join_distance: u32, dist: &impl Fn(NodeId, NodeId) -> Option<f64>) -> bool {
+    fn join(&mut self, join_distance: u32) -> bool {
         let n = self.built.len();
         if n <= 1 {
             return false;
@@ -242,7 +247,11 @@ impl Scratch {
             for j in (i + 1)..n {
                 let a = self.node_ids[self.built.centroid[i] as usize];
                 let b = self.node_ids[self.built.centroid[j] as usize];
-                if dist(a, b).is_some_and(|d| d <= join_distance as f64) {
+                if self
+                    .paths
+                    .distance(a, b)
+                    .is_some_and(|d| d <= join_distance)
+                {
                     let ri = find(&mut self.parent, i as u32);
                     let rj = find(&mut self.parent, j as u32);
                     if ri != rj {
@@ -271,31 +280,19 @@ impl Scratch {
             let medoid = if members.len() == self.built.members(root).len() {
                 self.built.centroid[root]
             } else {
-                self.medoid(members, dist)
+                self.paths.medoid(members, &self.node_ids)
             };
             self.joined.centroid.push(medoid);
         }
         true
     }
 
-    fn medoid(&self, members: &[u32], dist: &impl Fn(NodeId, NodeId) -> Option<f64>) -> u32 {
-        medoid_of(members, |a, b| {
-            dist(self.node_ids[a as usize], self.node_ids[b as usize])
-        })
-        .expect("a cluster holds the slot that formed it")
-    }
-
     /// One pass of lines 3–10 short of the remove step. Returns the moved count and
     /// whether the pass's clusters are in `joined` (else in `built`).
-    fn pass(
-        &mut self,
-        config: &ClusteringConfig,
-        dist: &impl Fn(NodeId, NodeId) -> Option<f64>,
-    ) -> (usize, bool) {
-        let moved = self.assign(dist);
-        self.build(dist);
-        let joined =
-            config.recluster != ReclusterStrategy::None && self.join(config.join_distance, dist);
+    fn pass(&mut self, config: &ClusteringConfig) -> (usize, bool) {
+        let moved = self.assign();
+        self.build();
+        let joined = config.recluster != ReclusterStrategy::None && self.join(config.join_distance);
         (moved, joined)
     }
 
@@ -312,23 +309,20 @@ impl Scratch {
 pub(crate) struct TreeKernel<'a> {
     repo: &'a SchemaRepository,
     config: &'a ClusteringConfig,
-    distance: &'a dyn ClusterDistance,
     init: &'a dyn CentroidInit,
-    scratch: Scratch,
+    scratch: Scratch<'a>,
 }
 
 impl<'a> TreeKernel<'a> {
     pub(crate) fn new(
         repo: &'a SchemaRepository,
         config: &'a ClusteringConfig,
-        distance: &'a dyn ClusterDistance,
         init: &'a dyn CentroidInit,
         personal_nodes: &[NodeId],
     ) -> Self {
         TreeKernel {
             repo,
             config,
-            distance,
             init,
             scratch: Scratch {
                 tree_set: CandidateSet::new(personal_nodes.to_vec()),
@@ -346,7 +340,7 @@ impl<'a> TreeKernel<'a> {
         out: &mut ClusterSet,
         stats: &mut KMeansStats,
     ) {
-        let (repo, config, distance) = (self.repo, self.config, self.distance);
+        let (repo, config) = (self.repo, self.config);
         let s = &mut self.scratch;
         let tree = entries[0].element.repo.tree;
         s.load(entries);
@@ -367,16 +361,18 @@ impl<'a> TreeKernel<'a> {
         }
         // A seed in another tree can attract nothing here, but it keeps the seed
         // set from counting as this tree's fixed point below.
+        let in_tree = seeds.iter().filter(|g| g.tree == tree).map(|g| g.node);
+        s.paths.build(
+            repo.labeling(tree),
+            s.node_ids.iter().copied().chain(in_tree.clone()),
+        );
         s.centroids.clear();
         s.centroids
-            .extend(seeds.iter().filter(|g| g.tree == tree).map(|g| g.node));
+            .extend(in_tree.enumerate().map(|(j, node)| Centroid {
+                node,
+                vertex: s.paths.vertex(n + j),
+            }));
         let foreign_seeds = s.centroids.len() != seeds.len();
-
-        let labeling = repo.labeling(tree);
-        let dist = |a: NodeId, b: NodeId| match labeling {
-            Some(labeling) => distance.distance_in_tree(repo, tree, labeling, a, b),
-            None => distance.distance(repo, GlobalNodeId::new(tree, a), GlobalNodeId::new(tree, b)),
-        };
 
         let remove_below = match config.recluster {
             ReclusterStrategy::JoinAndRemove => config.remove_min_size,
@@ -391,7 +387,7 @@ impl<'a> TreeKernel<'a> {
         let (mut settled, mut joined) = (false, false);
         while s.tracker.iterations() < config.max_iterations {
             let moved;
-            (moved, joined) = s.pass(config, &dist);
+            (moved, joined) = s.pass(config);
 
             // Line 10, remove: clusters below the minimum size seed nothing, so
             // their members are free to join a neighbour in the next pass. The
@@ -400,8 +396,11 @@ impl<'a> TreeKernel<'a> {
             s.next_centroids.clear();
             for q in 0..clusters.len() {
                 if clusters.members(q).len() >= remove_below {
-                    s.next_centroids
-                        .push(s.node_ids[clusters.centroid[q] as usize]);
+                    let slot = clusters.centroid[q] as usize;
+                    s.next_centroids.push(Centroid {
+                        node: s.node_ids[slot],
+                        vertex: s.paths.vertex(slot),
+                    });
                 }
             }
             let cluster_count = s.next_centroids.len();
@@ -436,7 +435,7 @@ impl<'a> TreeKernel<'a> {
         if settled {
             std::mem::swap(&mut s.prev_assigned, &mut s.assigned);
         } else {
-            (_, joined) = s.pass(config, &dist);
+            (_, joined) = s.pass(config);
         }
         let clusters = if joined { &s.joined } else { &s.built };
         out.clusters.extend((0..clusters.len()).map(|q| {
@@ -457,6 +456,7 @@ impl<'a> TreeKernel<'a> {
                 .map(|slot| s.clustered_node(tree, slot)),
         );
         stats.unassigned_nodes += out.unassigned.len() - assigned_before;
+        stats.labelling_queries += s.paths.take_queries();
         stats.iterations = stats.iterations.max(s.tracker.iterations());
         accumulate(&mut stats.moved_per_iteration, &s.tracker.moved_history);
         accumulate(
@@ -469,7 +469,6 @@ impl<'a> TreeKernel<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::PathLengthDistance;
     use xsm_schema::tree::paper_repository_fragment;
 
     #[test]
@@ -487,8 +486,11 @@ mod tests {
 
     /// One pass over the named nodes of the paper's repository fragment, every
     /// node seeding its own centroid.
-    fn pass_over(names: &[&str], join_distance: u32) -> (Scratch, bool, Vec<NodeId>) {
-        let repo = SchemaRepository::from_trees(vec![paper_repository_fragment()]);
+    fn pass_over<'a>(
+        repo: &'a SchemaRepository,
+        names: &[&str],
+        join_distance: u32,
+    ) -> (Scratch<'a>, bool, Vec<NodeId>) {
         let tree = repo.tree(TreeId(0)).unwrap();
         let mut nodes: Vec<NodeId> = names
             .iter()
@@ -497,24 +499,34 @@ mod tests {
         nodes.sort();
         let mut s = Scratch {
             node_ids: nodes.clone(),
-            centroids: nodes.clone(),
             prev_assigned: vec![NONE; nodes.len()],
             ..Scratch::default()
         };
+        s.paths
+            .build(repo.labeling(TreeId(0)), nodes.iter().copied());
+        s.centroids = (0..nodes.len())
+            .map(|slot| Centroid {
+                node: nodes[slot],
+                vertex: s.paths.vertex(slot),
+            })
+            .collect();
         let config = ClusteringConfig::default()
             .with_recluster(ReclusterStrategy::Join)
             .with_join_distance(join_distance);
-        let labeling = repo.labeling(TreeId(0)).unwrap();
-        let dist = |a, b| PathLengthDistance.distance_in_tree(&repo, TreeId(0), labeling, a, b);
-        let (moved, joined) = s.pass(&config, &dist);
+        let (moved, joined) = s.pass(&config);
         assert_eq!(moved, nodes.len(), "every node was unassigned before");
         (s, joined, nodes)
+    }
+
+    fn fig1() -> SchemaRepository {
+        SchemaRepository::from_trees(vec![paper_repository_fragment()])
     }
 
     #[test]
     fn join_merges_nearby_clusters_only() {
         // title and authorName are 2 apart; address is 4 from title.
-        let (s, joined, nodes) = pass_over(&["title", "authorName", "address"], 2);
+        let repo = fig1();
+        let (s, joined, nodes) = pass_over(&repo, &["title", "authorName", "address"], 2);
         assert!(joined);
         assert_eq!(s.built.len(), 3);
         let mut sizes: Vec<usize> = (0..s.joined.len())
@@ -531,8 +543,12 @@ mod tests {
 
     #[test]
     fn join_with_a_large_threshold_merges_the_whole_tree() {
-        let (s, joined, nodes) =
-            pass_over(&["title", "authorName", "shelf", "address", "book"], 10);
+        let repo = fig1();
+        let (s, joined, nodes) = pass_over(
+            &repo,
+            &["title", "authorName", "shelf", "address", "book"],
+            10,
+        );
         assert!(joined);
         assert_eq!(s.joined.len(), 1);
         assert_eq!(s.joined.members(0).len(), nodes.len());
@@ -540,9 +556,10 @@ mod tests {
 
     #[test]
     fn join_leaves_distant_or_lone_clusters_as_built() {
-        let (_, joined, _) = pass_over(&["title", "address"], 2);
+        let repo = fig1();
+        let (_, joined, _) = pass_over(&repo, &["title", "address"], 2);
         assert!(!joined, "4 apart under a threshold of 2");
-        let (s, joined, _) = pass_over(&["title"], 10);
+        let (s, joined, _) = pass_over(&repo, &["title"], 10);
         assert!(!joined);
         assert_eq!(s.built.len(), 1);
     }

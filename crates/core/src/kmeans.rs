@@ -15,9 +15,11 @@
 //! ```
 //!
 //! Elements are distinct repository nodes carrying their mapping elements; distance is
-//! the tree path length (or any [`ClusterDistance`]); centroids are medoids; the
-//! reclustering step joins nearby clusters and removes tiny ones. Complexity is
-//! `O(c · i · |ME|)` as the paper states, with `c` and `i` counted per tree.
+//! the tree path length; centroids are medoids; the reclustering step joins nearby
+//! clusters and removes tiny ones. The paper states the cost as `O(c · i · |ME|)`,
+//! with `c` and `i` counted per tree; the kernel's assignment and medoids are linear
+//! sweeps over one virtual tree per tree (see the `distance` module), so a pass costs
+//! `O(|ME|)` for the assignment and at most that per cluster for the medoids.
 //!
 //! ## Layout
 //!
@@ -25,8 +27,8 @@
 //! contiguous arena, sorts it by tree once, and walks it range by range; the per-tree
 //! algorithm (the private `kernel` module) works on `u32` node slots over buffers it
 //! reuses from tree to tree, and builds [`Cluster`](crate::Cluster) values only for
-//! the final result. The whole stage is `O(|ME| log |ME|)` plus the distance
-//! computations, with a handful of allocations per query beyond its output — a
+//! the final result. The whole stage is `O(|ME| log |ME|)` plus the sweeps, with a
+//! handful of allocations per query beyond its output — a
 //! served query touches hundreds of trees holding a few candidate nodes each, and
 //! must not pay a fixed bill for every one of them.
 //!
@@ -57,7 +59,6 @@ use xsm_repo::SchemaRepository;
 
 use crate::cluster::ClusterSet;
 use crate::config::ClusteringConfig;
-use crate::distance::{ClusterDistance, PathLengthDistance};
 use crate::init::{CentroidInit, MeMinSeeding};
 use crate::kernel::{Entry, TreeKernel};
 
@@ -79,6 +80,12 @@ pub struct KMeansStats {
     pub unassigned_nodes: usize,
     /// Total number of distinct repository nodes clustered.
     pub total_nodes: usize,
+    /// Labelling queries (LCAs and path lengths) the clustering asked: one LCA
+    /// per point of a seeded tree after its first, the join step's medoid pairs,
+    /// and the pairs of any medoid summed over a sample. A count of work, exact
+    /// and repeatable, not a timing.
+    #[serde(default)]
+    pub labelling_queries: usize,
     /// Wall-clock time of the clustering step (the `12.0 sec` style figure of Sec. 5).
     #[serde(skip)]
     pub elapsed: Duration,
@@ -87,7 +94,6 @@ pub struct KMeansStats {
 /// The adapted k-means clusterer.
 pub struct KMeansClusterer {
     config: ClusteringConfig,
-    distance: Box<dyn ClusterDistance>,
     init: Box<dyn CentroidInit>,
 }
 
@@ -96,15 +102,8 @@ impl KMeansClusterer {
     pub fn new(config: ClusteringConfig) -> Self {
         KMeansClusterer {
             config,
-            distance: Box::new(PathLengthDistance),
             init: Box::new(MeMinSeeding),
         }
-    }
-
-    /// Replace the distance measure (ablation / future-work hybrid measures).
-    pub fn with_distance(mut self, distance: Box<dyn ClusterDistance>) -> Self {
-        self.distance = distance;
-        self
     }
 
     /// Replace the centroid-initialisation strategy.
@@ -149,7 +148,6 @@ impl KMeansClusterer {
         let mut kernel = TreeKernel::new(
             repo,
             &self.config,
-            self.distance.as_ref(),
             self.init.as_ref(),
             candidates.personal_nodes(),
         );
@@ -314,11 +312,10 @@ mod tests {
     }
 
     #[test]
-    fn custom_init_and_distance_are_honoured() {
+    fn custom_init_is_honoured() {
         let (_, repo, candidates) = scenario();
         let clusterer = KMeansClusterer::new(ClusteringConfig::default())
-            .with_init(Box::new(crate::init::RandomSeeding::new(20, 7)))
-            .with_distance(Box::new(crate::distance::HybridDistance::default()));
+            .with_init(Box::new(crate::init::RandomSeeding::new(20, 7)));
         let (set, stats) = clusterer.cluster(&repo, &candidates);
         // Seeding runs per tree, so the custom strategy's count caps each tree's
         // seeds, not the forest's.

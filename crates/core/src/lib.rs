@@ -9,7 +9,8 @@
 //! elements* into [`cluster::Cluster`]s using an adapted k-means:
 //!
 //! * **distance measure** — the tree (path-length) distance between a mapping element
-//!   and a centroid, computed in O(1) from the node labelling ([`distance`]),
+//!   and a centroid; the kernel reads it off one virtual tree per clustered tree,
+//!   built from the node labelling, so every pass is a few linear sweeps,
 //! * **centroid initialisation** — every element of `ME_min` (the personal node with
 //!   the fewest mapping elements) seeds one centroid ([`init`]),
 //! * **medoid centroids** — the member that is the "center of weight" of its cluster
@@ -33,7 +34,7 @@ pub mod centroid;
 pub mod cluster;
 pub mod config;
 pub mod convergence;
-pub mod distance;
+mod distance;
 pub mod init;
 mod kernel;
 pub mod kmeans;

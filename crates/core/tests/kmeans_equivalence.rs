@@ -5,13 +5,17 @@
 //! served workloads (hundreds of tiny trees, a few candidates each) and unlike them
 //! (one huge tree, single-node trees, trees no seed falls into).
 //!
-//! The complexity claims are pinned as *work bounds*, not timings: a counting
-//! distance shows that scopes cost no distance computation at all and that the
-//! kernel never computes more distances than the oracle.
+//! The kernel reads its path lengths off one virtual tree per clustered tree; the
+//! oracle asks the repository for every pair as an `f64`. Beside the served shapes
+//! the forests hold what the sweeps must get exactly right: nodes the labelling
+//! declines, seeds that are no candidate, ids out of pre-order.
+//!
+//! The complexity claims are pinned as *work bounds*, not timings: the kernel's
+//! `labelling_queries` counter and the oracle's call count show that scopes cost no
+//! distance computation at all, that the kernel never asks more than the oracle,
+//! and that it asks about once per slot plus the join step's medoid pairs.
 
 mod oracle;
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use oracle::{scope_by_restriction, OracleClusterer};
 use proptest::prelude::*;
@@ -19,7 +23,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xsm_core::cluster::ClusterSet;
 use xsm_core::config::ReclusterStrategy;
-use xsm_core::distance::{ClusterDistance, HybridDistance, PathLengthDistance};
 use xsm_core::init::{CentroidInit, MeMinSeeding, RandomSeeding};
 use xsm_core::{ClusteringConfig, KMeansClusterer, KMeansStats};
 use xsm_matcher::{CandidateSet, MappingElement};
@@ -180,26 +183,18 @@ fn assert_scopes_identical(set: &ClusterSet, candidates: &CandidateSet) {
     }
 }
 
-/// Cluster with the kernel and with the oracle under the same distance and seeding
-/// and hold the kernel to the oracle on everything it returns.
-fn assert_equivalent<D, I>(
+/// Cluster with the kernel and with the oracle under the same seeding and hold the
+/// kernel to the oracle on everything it returns.
+fn assert_equivalent<I>(
     repo: &SchemaRepository,
     candidates: &CandidateSet,
     config: ClusteringConfig,
-    distance: D,
     init: I,
 ) where
-    D: ClusterDistance + Clone + 'static,
     I: CentroidInit + Clone + 'static,
 {
-    let oracle = OracleClusterer {
-        config,
-        distance: &distance,
-        init: &init,
-    }
-    .cluster(repo, candidates);
+    let oracle = OracleClusterer::new(config, &init).cluster(repo, candidates);
     let kernel = KMeansClusterer::new(config)
-        .with_distance(Box::new(distance.clone()))
         .with_init(Box::new(init.clone()))
         .cluster(repo, candidates);
     assert_sets_identical(&kernel.0, &oracle.0);
@@ -221,13 +216,12 @@ proptest! {
             &repo,
             &candidates,
             config(strategy, join_distance, knobs),
-            PathLengthDistance,
             MeMinSeeding,
         );
     }
 
     #[test]
-    fn kernel_equals_oracle_under_random_seeding_and_hybrid_distance(
+    fn kernel_equals_oracle_under_random_seeding(
         seed in 0u64..u64::MAX,
         trees in 1usize..24,
         shape in (0usize..3, 2u32..6, 0usize..2),
@@ -239,9 +233,152 @@ proptest! {
             &repo,
             &candidates,
             config(strategy, join_distance, seed % 120),
-            HybridDistance::default(),
             RandomSeeding::new(seeds_per_tree, seed),
         );
+    }
+
+    #[test]
+    fn kernel_equals_oracle_with_nodes_the_labelling_declines(
+        seed in 0u64..u64::MAX,
+        trees in 1usize..32,
+        shape in (0usize..3, 2u32..6, 0usize..2),
+        knobs in 0u64..120,
+    ) {
+        let (strategy, join_distance, floor) = shape;
+        let (repo, candidates) = random_forest(seed, trees, 0, FLOORS[floor]);
+        let candidates = with_declined_nodes(seed, &repo, &candidates);
+        assert_equivalent(
+            &repo,
+            &candidates,
+            config(strategy, join_distance, knobs),
+            MeMinSeeding,
+        );
+    }
+
+    #[test]
+    fn kernel_equals_oracle_when_seeds_are_not_candidates(
+        seed in 0u64..u64::MAX,
+        trees in 1usize..32,
+        shape in (0usize..3, 2u32..6, 0usize..2),
+        knobs in 0u64..120,
+    ) {
+        let (strategy, join_distance, floor) = shape;
+        let (repo, candidates) = random_forest(seed, trees, 0, FLOORS[floor]);
+        assert_equivalent(
+            &repo,
+            &candidates,
+            config(strategy, join_distance, knobs),
+            OffCandidateSeeding { seed },
+        );
+    }
+
+    #[test]
+    fn kernel_equals_oracle_on_trees_numbered_out_of_pre_order(
+        seed in 0u64..u64::MAX,
+        nodes in 24usize..160,
+        shape in (0usize..3, 2u32..6, 0usize..2),
+        knobs in 0u64..120,
+    ) {
+        let (strategy, join_distance, floor) = shape;
+        let (repo, candidates) = bushy_forest(seed, nodes, FLOORS[floor]);
+        assert_equivalent(
+            &repo,
+            &candidates,
+            config(strategy, join_distance, knobs),
+            MeMinSeeding,
+        );
+        assert_equivalent(
+            &repo,
+            &candidates,
+            config(strategy, join_distance, knobs),
+            RandomSeeding::new(1 + (knobs % 7) as usize, seed),
+        );
+    }
+}
+
+/// `candidates` plus, in about half of the trees, mapping elements on ids past the
+/// tree's last node — nodes the labelling declines. Personal node 0 gets some of
+/// them, so `ME_min` seeding sometimes seeds one.
+fn with_declined_nodes(
+    seed: u64,
+    repo: &SchemaRepository,
+    candidates: &CandidateSet,
+) -> CandidateSet {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let mut out = candidates.clone();
+    let personal = candidates.personal_nodes();
+    for (tree, schema) in repo.trees() {
+        if rng.gen_range(0..2) == 0 {
+            continue;
+        }
+        for _ in 0..rng.gen_range(1..4) {
+            let node = NodeId(schema.len() as u32 + rng.gen_range(0..3u32));
+            let p = personal[rng.gen_range(0..personal.len())];
+            let similarity = rng.gen_range(10..21) as f64 * 0.05;
+            out.push(MappingElement::new(
+                p,
+                GlobalNodeId::new(tree, node),
+                similarity,
+            ));
+        }
+    }
+    out.sort();
+    out
+}
+
+/// A forest of a few trees in which every node hangs under a random earlier node,
+/// so ids are far from pre-order; at least one tree is out of pre-order.
+fn bushy_forest(seed: u64, nodes: usize, floor: f64) -> (SchemaRepository, CandidateSet) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let trees: Vec<SchemaTree> = (0..rng.gen_range(1..4))
+        .map(|i| random_tree(&mut rng, i, nodes, nodes))
+        .collect();
+    assert!(
+        trees
+            .iter()
+            .any(|t| t.preorder() != t.node_ids().collect::<Vec<_>>()),
+        "the forest must number some tree out of pre-order"
+    );
+    let repo = SchemaRepository::from_trees(trees);
+    let personal: Vec<NodeId> = (0..rng.gen_range(1..4u32)).map(NodeId).collect();
+    let mut candidates = CandidateSet::new(personal.clone());
+    for (tree, schema) in repo.trees() {
+        for node in schema.node_ids() {
+            for &p in &personal {
+                let similarity = rng.gen_range(6..21) as f64 * 0.05;
+                if similarity >= floor && rng.gen_range(0..3) > 0 {
+                    let repo_node = GlobalNodeId::new(tree, node);
+                    candidates.push(MappingElement::new(p, repo_node, similarity));
+                }
+            }
+        }
+    }
+    candidates.sort();
+    (repo, candidates)
+}
+
+/// `ME_min` seeding plus, per seed, a node of the same tree derived from it that is
+/// usually no candidate at all (and sometimes one past the tree).
+#[derive(Clone)]
+struct OffCandidateSeeding {
+    seed: u64,
+}
+
+impl CentroidInit for OffCandidateSeeding {
+    fn seed(&self, candidates: &CandidateSet) -> Vec<GlobalNodeId> {
+        let mut seeds = MeMinSeeding.seed(candidates);
+        let derived: Vec<GlobalNodeId> = seeds
+            .iter()
+            .map(|g| {
+                let node = (g.node.0 ^ (self.seed % 8) as u32) / 2 + (self.seed % 3) as u32;
+                GlobalNodeId::new(g.tree, NodeId(node))
+            })
+            .collect();
+        seeds.extend(derived);
+        seeds
+    }
+    fn name(&self) -> &'static str {
+        "off-candidate"
     }
 }
 
@@ -259,13 +396,7 @@ fn kernel_equals_oracle_on_a_huge_tree_with_sampled_medoids() {
             set.sizes(),
             candidates.distinct_repo_nodes()
         );
-        assert_equivalent(
-            &repo,
-            &candidates,
-            config(strategy, 3, 3),
-            PathLengthDistance,
-            MeMinSeeding,
-        );
+        assert_equivalent(&repo, &candidates, config(strategy, 3, 3), MeMinSeeding);
     }
 }
 
@@ -296,7 +427,6 @@ fn kernel_equals_oracle_when_seeds_stray_outside_the_tree() {
             &repo,
             &candidates,
             config((seed % 3) as usize, 2 + (seed % 4) as u32, seed * 7),
-            PathLengthDistance,
             StraySeeding,
         );
     }
@@ -317,56 +447,48 @@ fn empty_and_single_element_sets() {
             &repo,
             &candidates,
             ClusteringConfig::default(),
-            PathLengthDistance,
             MeMinSeeding,
         );
     }
 }
 
-/// Path-length distance that counts how often it is asked.
-#[derive(Clone, Default)]
-struct CountingDistance {
-    calls: std::sync::Arc<AtomicUsize>,
-}
-
-impl CountingDistance {
-    fn take(&self) -> usize {
-        self.calls.swap(0, Ordering::Relaxed)
-    }
-}
-
-impl ClusterDistance for CountingDistance {
-    fn distance(&self, repo: &SchemaRepository, a: GlobalNodeId, b: GlobalNodeId) -> Option<f64> {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        PathLengthDistance.distance(repo, a, b)
-    }
-    fn name(&self) -> &'static str {
-        "counting(path-length)"
-    }
-}
-
 #[test]
 fn the_kernel_never_computes_more_distances_than_the_oracle() {
-    let counter = CountingDistance::default();
+    let (repo, candidates) = random_forest(2006, 500, 0, 0.5);
     for strategy in STRATEGIES {
-        let (repo, candidates) = random_forest(2006, 500, 0, 0.5);
         let config = ClusteringConfig::default().with_recluster(strategy);
-        let oracle = OracleClusterer {
-            config,
-            distance: &counter,
-            init: &MeMinSeeding,
-        };
+        let oracle = OracleClusterer::new(config, &MeMinSeeding);
         let (reference, _) = oracle.cluster(&repo, &candidates);
-        let oracle_calls = counter.take();
+        let oracle_calls = oracle.distance_calls.get();
 
-        let kernel = KMeansClusterer::new(config).with_distance(Box::new(counter.clone()));
-        let (set, _) = kernel.cluster(&repo, &candidates);
-        let kernel_calls = counter.take();
+        let (set, stats) = KMeansClusterer::new(config).cluster(&repo, &candidates);
+        let kernel_calls = stats.labelling_queries;
         assert_sets_identical(&set, &reference);
         assert!(oracle_calls > 0, "the forest must form clusters");
         assert!(
             kernel_calls <= oracle_calls,
             "{strategy:?}: kernel asked for {kernel_calls} distances, oracle for {oracle_calls}"
+        );
+
+        // At most one LCA per slot of a seeded tree, plus every pass's join
+        // pairs: the join compares at most as many medoids as the tree has seeds,
+        // and no cluster here is large enough for a sampled medoid. Clustering
+        // decomposes over trees, so each tree is bounded on its own.
+        let mut bound = 0;
+        for tree in candidates.trees() {
+            let (_, tree_stats) =
+                KMeansClusterer::new(config).cluster(&repo, &candidates.restrict_to_tree(tree));
+            let seeds = tree_stats.initial_centroids;
+            let join_pairs = match strategy {
+                ReclusterStrategy::None => 0,
+                _ => seeds * seeds.saturating_sub(1) / 2,
+            };
+            let passes = tree_stats.iterations + 1;
+            bound += tree_stats.total_nodes + passes * join_pairs;
+        }
+        assert!(
+            kernel_calls <= bound,
+            "{strategy:?}: kernel asked for {kernel_calls} distances, bound {bound}"
         );
 
         // Scopes are assembled from what the clusters own: no distance at all.
@@ -376,6 +498,5 @@ fn the_kernel_never_computes_more_distances_than_the_oracle() {
             .map(|c| c.scope(&candidates).total_candidates())
             .sum();
         assert_eq!(scoped, set.clusters.iter().map(|c| c.element_count()).sum());
-        assert_eq!(counter.take(), 0, "building scopes computed distances");
     }
 }

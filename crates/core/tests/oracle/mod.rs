@@ -6,14 +6,16 @@
 //! every iteration, `BTreeMap`s keyed by node id. It is slow and obviously follows
 //! Algorithm 1 line by line, which is the point: `kmeans_equivalence.rs` holds the
 //! kernel to its clusters *and* its statistics. Only the public API of the product
-//! crates is used.
+//! crates is used. Its distance is its own: the path length as an `f64`, asked of
+//! the repository pair by pair and compared with `1e-12` tolerances, independent
+//! of the kernel's integer sweeps.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use xsm_core::cluster::{Cluster, ClusterSet, ClusteredNode};
 use xsm_core::config::{ClusteringConfig, ReclusterStrategy};
 use xsm_core::convergence::ConvergenceTracker;
-use xsm_core::distance::ClusterDistance;
 use xsm_core::init::CentroidInit;
 use xsm_core::KMeansStats;
 use xsm_matcher::{CandidateSet, MappingElement};
@@ -23,14 +25,30 @@ use xsm_schema::GlobalNodeId;
 const MEDOID_SAMPLE_LIMIT: usize = 256;
 
 /// The reference clusterer: same inputs and outputs as `KMeansClusterer::cluster`
-/// (`KMeansStats::elapsed` aside).
+/// (`KMeansStats::elapsed` and `labelling_queries` aside).
 pub struct OracleClusterer<'a> {
     pub config: ClusteringConfig,
-    pub distance: &'a dyn ClusterDistance,
     pub init: &'a dyn CentroidInit,
+    /// Path lengths computed so far.
+    pub distance_calls: Cell<usize>,
 }
 
-impl OracleClusterer<'_> {
+impl<'a> OracleClusterer<'a> {
+    pub fn new(config: ClusteringConfig, init: &'a dyn CentroidInit) -> Self {
+        OracleClusterer {
+            config,
+            init,
+            distance_calls: Cell::new(0),
+        }
+    }
+
+    /// The paper's distance: the tree path length, `None` across trees or for a
+    /// node the labelling declines.
+    fn distance(&self, repo: &SchemaRepository, a: GlobalNodeId, b: GlobalNodeId) -> Option<f64> {
+        self.distance_calls.set(self.distance_calls.get() + 1);
+        repo.distance(a, b).map(f64::from)
+    }
+
     pub fn cluster(
         &self,
         repo: &SchemaRepository,
@@ -166,7 +184,7 @@ impl OracleClusterer<'_> {
                 if c.tree != node.node.tree {
                     continue;
                 }
-                if let Some(d) = self.distance.distance(repo, node.node, c) {
+                if let Some(d) = self.distance(repo, node.node, c) {
                     let better = match best {
                         None => true,
                         Some((bd, bc)) => d < bd - 1e-12 || (d < bd + 1e-12 && c < bc),
@@ -227,9 +245,7 @@ impl OracleClusterer<'_> {
                 if clusters[i].tree != clusters[j].tree {
                     continue;
                 }
-                let d = self
-                    .distance
-                    .distance(repo, clusters[i].centroid, clusters[j].centroid);
+                let d = self.distance(repo, clusters[i].centroid, clusters[j].centroid);
                 if d.is_some_and(|d| d <= self.config.join_distance as f64) {
                     let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
                     if ri != rj {
@@ -269,7 +285,6 @@ impl OracleClusterer<'_> {
             let mut sum = 0.0;
             for &other in &reference {
                 sum += self
-                    .distance
                     .distance(repo, candidate.node, other)
                     .unwrap_or(f64::MAX / reference.len() as f64);
             }

@@ -93,10 +93,11 @@ pub fn match_elements(
 /// are scored, instead of scanning the whole forest.
 ///
 /// `min_overlap` is the q-gram overlap fraction of the index's count filter
-/// ([`NameIndex::lookup_candidates_resolved`]); it is conservative for moderate
-/// similarity floors, but a very low floor combined with a high `min_overlap` can
-/// prune pairs the exhaustive scan would keep — which is exactly the recall/latency
-/// trade a serving layer plans per query.
+/// ([`NameIndex::lookup_candidates_resolved`]). The filter is not lossless at any
+/// similarity floor: it prunes pairs the exhaustive scan would keep, even at the
+/// default floor 0.5 with `min_overlap` 0.5 (a few edits can remove most grams of a
+/// short name) — which is exactly the recall/latency trade a serving layer plans
+/// per query.
 pub fn match_elements_with_index(
     personal: &SchemaTree,
     repo: &SchemaRepository,

@@ -179,11 +179,19 @@ impl TreeLabeling {
         Some(NodeId(self.euler[(key & 0xffff_ffff) as usize]))
     }
 
+    /// Depth of the lowest common ancestor of two nodes, in `O(1)`; `None` where
+    /// [`TreeLabeling::lca`] is. Read from the range-minimum key, like
+    /// [`TreeLabeling::distance`]: no lookup of the ancestor itself.
+    #[inline]
+    pub fn lca_depth(&self, a: NodeId, b: NodeId) -> Option<u32> {
+        Some((self.lca_key(a, b)? >> 32) as u32)
+    }
+
     /// Path length (number of edges) between two nodes, in `O(1)`; `None` where
     /// [`TreeLabeling::lca`] is.
     #[inline]
     pub fn distance(&self, a: NodeId, b: NodeId) -> Option<u32> {
-        let lca_depth = (self.lca_key(a, b)? >> 32) as u32;
+        let lca_depth = self.lca_depth(a, b)?;
         Some(self.depth[a.index()] + self.depth[b.index()] - 2 * lca_depth)
     }
 
@@ -193,6 +201,16 @@ impl TreeLabeling {
         let qa = *self.post.get(ancestor.index())?;
         let pd = *self.pre.get(descendant.index())?;
         Some(pa <= pd && pd <= qa)
+    }
+
+    /// Where the Euler tour first enters a node: ascending in pre-order, so
+    /// sorting nodes by it sorts them in pre-order. `None` exactly for the
+    /// nodes every [`TreeLabeling::lca`] and [`TreeLabeling::distance`] query
+    /// declines (not covered, or carrying the `u32::MAX` sentinel). A plain
+    /// array read: no range-minimum query, no sparse table.
+    pub fn tour_position(&self, id: NodeId) -> Option<u32> {
+        let first = *self.first_occurrence.get(id.index())?;
+        ((first as usize) < self.euler.len()).then_some(first)
     }
 
     /// Pre-order rank of a node.
@@ -358,6 +376,11 @@ mod tests {
             let check = |a: NodeId, b: NodeId| {
                 assert_eq!(l.distance(a, b), t.distance(a, b), "seed {seed} d({a},{b})");
                 assert_eq!(l.lca(a, b), t.lca(a, b), "seed {seed} lca({a},{b})");
+                assert_eq!(
+                    l.lca_depth(a, b),
+                    t.lca(a, b).map(|c| t.depth(c)),
+                    "seed {seed} lca_depth({a},{b})"
+                );
             };
             // Before the table: nodes off the tour are declined without building it.
             for &a in &ids {
@@ -366,6 +389,13 @@ mod tests {
                     check(b, a);
                 }
             }
+            // The tour position declines exactly those two and orders the rest
+            // in pre-order, without building the table either.
+            assert_eq!(l.tour_position(sentinel), None);
+            assert_eq!(l.tour_position(outside), None);
+            let mut by_tour: Vec<NodeId> = ids[..n].to_vec();
+            by_tour.sort_by_key(|&id| l.tour_position(id).expect("on the tour"));
+            assert_eq!(by_tour, t.preorder(), "seed {seed}: tour order");
             assert!(l.sparse.get().is_none(), "seed {seed}: table built early");
             for &a in &ids {
                 for &b in &ids {

@@ -268,12 +268,8 @@ struct EngineState {
 impl EngineState {
     /// The centroid table, computing it on first use.
     fn centroids(&self) -> &[Option<GlobalNodeId>] {
-        self.centroids.get_or_init(|| {
-            xsm_core::centroid::tree_centroids(
-                self.live.repo(),
-                &xsm_core::distance::PathLengthDistance,
-            )
-        })
+        self.centroids
+            .get_or_init(|| xsm_core::centroid::tree_centroids(self.live.repo()))
     }
 
     /// Keep an already-materialised centroid table covering newly appended
@@ -284,7 +280,6 @@ impl EngineState {
             for &tid in appended {
                 table.push(xsm_core::centroid::tree_medoid(
                     live.repo(),
-                    &xsm_core::distance::PathLengthDistance,
                     &live.repo().tree_node_ids(tid),
                 ));
             }

@@ -16,7 +16,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use xsm_core::centroid::tree_centroids;
-use xsm_core::distance::PathLengthDistance;
 use xsm_repo::snapshot::{SnapshotError, SnapshotWriter};
 use xsm_repo::{NameIndex, RepositoryPartition, SchemaRepository, ShardPlacement};
 
@@ -88,7 +87,7 @@ pub fn write_shard_snapshots(
     let mut paths = Vec::with_capacity(shards.len());
     for (i, (shard, tree_map)) in shards.into_iter().zip(tree_maps).enumerate() {
         let index = NameIndex::build(&shard);
-        let centroids = tree_centroids(&shard, &PathLengthDistance);
+        let centroids = tree_centroids(&shard);
         let path = dir.as_ref().join(format!("shard-{i}.xsmsnap"));
         SnapshotWriter::new(generation)
             .with_tree_map(tree_map)
