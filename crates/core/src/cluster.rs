@@ -1,103 +1,63 @@
 //! Clusters of mapping elements.
 //!
-//! A cluster is a set of repository nodes (each carrying the mapping elements that
-//! reference it) within a single repository tree, represented by a *centroid* node.
+//! A cluster is a set of repository nodes within a single repository tree,
+//! represented by a *centroid* node, together with its *scope*: the mapping elements
+//! that reference its members, as the candidate set the mapping generator runs on.
 //! Clusters never span trees because the clustering distance (path length) is only
 //! defined within a tree.
 
 use serde::{Deserialize, Serialize};
-use xsm_matcher::{CandidateSet, MappingElement};
+use xsm_matcher::CandidateSet;
 use xsm_schema::{GlobalNodeId, TreeId};
 
-/// A clustered repository node: the node plus every mapping element referencing it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClusteredNode {
-    /// The repository node.
-    pub node: GlobalNodeId,
-    /// Mapping elements `(personal, repo = node, sim)` that reference the node.
-    pub elements: Vec<MappingElement>,
-}
-
-impl ClusteredNode {
-    /// Number of mapping elements carried by the node.
-    pub fn element_count(&self) -> usize {
-        self.elements.len()
-    }
-}
-
 /// One cluster of mapping elements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Cluster {
     /// The repository tree every member belongs to.
     pub tree: TreeId,
     /// The centroid (a member node — a medoid in k-means terms).
     pub centroid: GlobalNodeId,
-    /// Member nodes.
-    pub members: Vec<ClusteredNode>,
+    /// Member nodes, ascending.
+    pub members: Vec<GlobalNodeId>,
+    /// The clustered candidate set restricted to the members: same personal nodes,
+    /// every list in that set's order. The scope the mapping generator runs on for
+    /// this cluster.
+    pub scope: CandidateSet,
 }
 
 impl Cluster {
-    /// Create a cluster with a centroid and members (members may be empty).
-    pub fn new(tree: TreeId, centroid: GlobalNodeId, members: Vec<ClusteredNode>) -> Self {
-        Cluster {
-            tree,
-            centroid,
-            members,
-        }
-    }
-
     /// Number of member repository nodes (the "size" used by Fig. 4's histogram).
     pub fn size(&self) -> usize {
         self.members.len()
     }
 
-    /// Total number of mapping elements across the members.
+    /// Total number of mapping elements in the scope.
     pub fn element_count(&self) -> usize {
-        self.members.iter().map(|m| m.element_count()).sum()
+        self.scope.total_candidates()
     }
 
-    /// The member node ids.
-    pub fn node_ids(&self) -> Vec<GlobalNodeId> {
-        self.members.iter().map(|m| m.node).collect()
-    }
-
-    /// The slice of `candidates` that falls inside this cluster — the scope handed
-    /// to the mapping generator for this cluster.
-    ///
-    /// **Precondition:** `candidates` is the set this cluster was formed from, with
-    /// its lists in [`CandidateSet::sort`] order (as element matching leaves them).
-    /// The members then already carry exactly the elements a scan of the whole set
-    /// would keep, so the scope is assembled from them in `O(|cluster| log
-    /// |cluster|)` — per node by descending similarity, then ascending repository
-    /// id — instead of filtering `|ME|` elements once per cluster. Every call site
-    /// scopes a clustering against the set it just clustered; debug builds check
-    /// that the elements fit the set.
-    pub fn scope(&self, candidates: &CandidateSet) -> CandidateSet {
-        let scope = candidates.subset(self.members.iter().flat_map(|m| &m.elements));
-        debug_assert!(
-            scope.total_candidates() == self.element_count()
-                && (0..scope.node_count())
-                    .all(|i| scope.candidates_at(i).len() <= candidates.candidates_at(i).len()),
-            "Cluster::scope: the cluster was not formed from this candidate set"
-        );
-        scope
+    /// A copy of the cluster's [`scope`](Cluster#structfield.scope); `candidates`
+    /// is not read. It stays only for bellbench's staged replay (`layers.rs`),
+    /// which calls it, and goes when the trace moves into the engine (ROADMAP
+    /// direction 3).
+    pub fn scope(&self, _candidates: &CandidateSet) -> CandidateSet {
+        self.scope.clone()
     }
 
     /// A cluster is *useful* if it holds at least one mapping element for every
     /// personal-schema node (only useful clusters can produce complete mappings).
-    pub fn is_useful(&self, candidates: &CandidateSet) -> bool {
-        self.scope(candidates).is_useful()
+    pub fn is_useful(&self) -> bool {
+        self.scope.is_useful()
     }
 }
 
-/// The result of a clustering pass: clusters plus the nodes that could not be assigned
-/// to any centroid (their tree received no centroid).
+/// The result of a clustering pass: the clusters, in ascending tree order. A node
+/// in no cluster is unassigned (its tree received no centroid that reaches it);
+/// [`crate::KMeansStats::unassigned_nodes`] counts them.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ClusterSet {
     /// The clusters.
     pub clusters: Vec<Cluster>,
-    /// Repository nodes left unassigned (no centroid in their tree).
-    pub unassigned: Vec<ClusteredNode>,
 }
 
 impl ClusterSet {
@@ -121,40 +81,29 @@ impl ClusterSet {
         self.clusters.iter().map(|c| c.size()).collect()
     }
 
-    /// Only the useful clusters with respect to a candidate set.
-    pub fn useful<'a>(
-        &'a self,
-        candidates: &'a CandidateSet,
-    ) -> impl Iterator<Item = &'a Cluster> + 'a {
-        self.clusters.iter().filter(|c| c.is_useful(candidates))
+    /// Only the useful clusters.
+    pub fn useful(&self) -> impl Iterator<Item = &Cluster> + '_ {
+        self.clusters.iter().filter(|c| c.is_useful())
     }
 
     /// Count of useful clusters (Tab. 1a, first column).
-    pub fn useful_count(&self, candidates: &CandidateSet) -> usize {
-        self.useful(candidates).count()
+    pub fn useful_count(&self) -> usize {
+        self.useful().count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ReclusterStrategy;
+    use crate::{ClusteringConfig, KMeansClusterer};
+    use xsm_matcher::MappingElement;
+    use xsm_repo::SchemaRepository;
+    use xsm_schema::tree::paper_repository_fragment;
     use xsm_schema::NodeId;
 
     fn gid(tree: u32, node: u32) -> GlobalNodeId {
         GlobalNodeId::new(TreeId(tree), NodeId(node))
-    }
-
-    /// The distinct repository nodes of a candidate set, each with its elements.
-    fn collect_clustered_nodes(candidates: &CandidateSet) -> Vec<ClusteredNode> {
-        let mut by_node: std::collections::BTreeMap<GlobalNodeId, Vec<MappingElement>> =
-            Default::default();
-        for m in candidates.iter() {
-            by_node.entry(m.repo).or_default().push(*m);
-        }
-        by_node
-            .into_iter()
-            .map(|(node, elements)| ClusteredNode { node, elements })
-            .collect()
     }
 
     fn sample_candidates() -> CandidateSet {
@@ -168,89 +117,72 @@ mod tests {
         set
     }
 
-    #[test]
-    fn collect_groups_elements_by_repo_node() {
-        let nodes = collect_clustered_nodes(&sample_candidates());
-        assert_eq!(nodes.len(), 4);
-        let shared = nodes.iter().find(|n| n.node == gid(0, 3)).unwrap();
-        assert_eq!(shared.element_count(), 2);
+    /// A cluster of `members` (ascending) of one tree, scoped by restriction.
+    fn cluster_of(candidates: &CandidateSet, members: &[GlobalNodeId]) -> Cluster {
+        Cluster {
+            tree: members[0].tree,
+            centroid: members[0],
+            members: members.to_vec(),
+            scope: candidates.restrict(|m| members.contains(&m.repo)),
+        }
     }
 
     #[test]
     fn cluster_scope_and_usefulness() {
         let candidates = sample_candidates();
-        let nodes = collect_clustered_nodes(&candidates);
-        let members: Vec<ClusteredNode> = nodes
-            .iter()
-            .filter(|n| n.node.tree == TreeId(0))
-            .cloned()
-            .collect();
-        let cluster = Cluster::new(TreeId(0), gid(0, 1), members);
+        let cluster = cluster_of(&candidates, &[gid(0, 1), gid(0, 3), gid(0, 5)]);
         assert_eq!(cluster.size(), 3);
         assert_eq!(cluster.element_count(), 4);
-        let scope = cluster.scope(&candidates);
-        assert_eq!(scope.total_candidates(), 4);
-        assert!(cluster.is_useful(&candidates));
+        assert_eq!(cluster.scope(&candidates).total_candidates(), 4);
+        assert!(cluster.is_useful());
 
         // A cluster holding only node 5 covers personal node 1 but not node 0.
-        let narrow = Cluster::new(
-            TreeId(0),
-            gid(0, 5),
-            nodes
-                .iter()
-                .filter(|n| n.node == gid(0, 5))
-                .cloned()
-                .collect(),
-        );
-        assert!(!narrow.is_useful(&candidates));
+        let narrow = cluster_of(&candidates, &[gid(0, 5)]);
+        assert!(!narrow.is_useful());
     }
 
     #[test]
     fn scope_equals_restricting_the_clustered_set_to_the_members() {
-        let candidates = sample_candidates();
-        let members: Vec<ClusteredNode> = collect_clustered_nodes(&candidates)
-            .into_iter()
-            .filter(|n| n.node != gid(0, 1))
-            .rev() // member order must not matter
-            .collect();
-        let cluster = Cluster::new(TreeId(0), gid(0, 3), members);
-        let (fast, reference) = (
-            cluster.scope(&candidates),
-            candidates.restrict(|m| m.repo != gid(0, 1)),
-        );
-        assert_eq!(fast.personal_nodes(), reference.personal_nodes());
-        for &n in candidates.personal_nodes() {
-            assert_eq!(fast.candidates_for(n), reference.candidates_for(n));
+        // Fig. 1's tree, every node a candidate of two personal nodes at similarities
+        // that put each list out of id order.
+        let repo = SchemaRepository::from_trees(vec![paper_repository_fragment()]);
+        let mut candidates = CandidateSet::new(vec![NodeId(0), NodeId(1)]);
+        for (i, (node, _)) in repo.nodes().enumerate() {
+            candidates.push(MappingElement::new(NodeId(0), node, [0.6, 0.9, 0.7][i % 3]));
+            if i % 2 == 0 {
+                candidates.push(MappingElement::new(NodeId(1), node, [0.8, 0.5][i % 4 / 2]));
+            }
+        }
+        candidates.sort();
+        let config = ClusteringConfig::default().with_recluster(ReclusterStrategy::None);
+        let (set, _) = KMeansClusterer::new(config).cluster(&repo, &candidates);
+        assert!(set.len() > 1, "the scenario must split the tree");
+        for cluster in &set.clusters {
+            let reference = candidates.restrict(|m| cluster.members.contains(&m.repo));
+            assert_eq!(cluster.scope.personal_nodes(), reference.personal_nodes());
+            for i in 0..reference.node_count() {
+                assert_eq!(cluster.scope.candidates_at(i), reference.candidates_at(i));
+            }
+            let copy = cluster.scope(&candidates);
+            assert_eq!(copy.total_candidates(), reference.total_candidates());
         }
     }
 
     #[test]
     fn cluster_set_statistics() {
         let candidates = sample_candidates();
-        let nodes = collect_clustered_nodes(&candidates);
-        let tree0: Vec<ClusteredNode> = nodes
-            .iter()
-            .filter(|n| n.node.tree == TreeId(0))
-            .cloned()
-            .collect();
-        let tree1: Vec<ClusteredNode> = nodes
-            .iter()
-            .filter(|n| n.node.tree == TreeId(1))
-            .cloned()
-            .collect();
         let set = ClusterSet {
             clusters: vec![
-                Cluster::new(TreeId(0), gid(0, 1), tree0),
-                Cluster::new(TreeId(1), gid(1, 2), tree1),
+                cluster_of(&candidates, &[gid(0, 1), gid(0, 3), gid(0, 5)]),
+                cluster_of(&candidates, &[gid(1, 2)]),
             ],
-            unassigned: vec![],
         };
         assert_eq!(set.len(), 2);
         assert!(!set.is_empty());
         assert_eq!(set.total_members(), 4);
         assert_eq!(set.sizes(), vec![3, 1]);
         // Tree-1 cluster only covers personal node 1 → not useful.
-        assert_eq!(set.useful_count(&candidates), 1);
+        assert_eq!(set.useful_count(), 1);
     }
 
     #[test]
@@ -258,6 +190,6 @@ mod tests {
         let set = ClusterSet::default();
         assert!(set.is_empty());
         assert_eq!(set.total_members(), 0);
-        assert_eq!(set.useful_count(&CandidateSet::new(vec![])), 0);
+        assert_eq!(set.useful_count(), 0);
     }
 }

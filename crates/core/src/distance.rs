@@ -9,11 +9,12 @@
 //! centroid (Algorithm 1, lines 3–8) and every member to all members of its cluster
 //! (the medoid, line 9) — and asking the labelling pair by pair costs `n · c` and
 //! `m²` queries per pass. [`SlotPaths`] instead asks it about `n` times per tree,
-//! once per query: it builds the tree's **virtual tree** — the tree's slots (and
-//! seeds), plus the lowest common ancestor of every two that are neighbours in
-//! pre-order, with edges weighted by depth difference. That vertex set is closed
-//! under LCA, so a path length between two vertices in the virtual tree *is* their
-//! path length in the schema tree, and both bulk shapes become linear sweeps over it:
+//! once per query: it builds the tree's **virtual tree** — the tree's slots (every
+//! seed and every medoid is one), plus the lowest common ancestor of every two that
+//! are neighbours in pre-order, with edges weighted by depth difference. That vertex
+//! set is closed under LCA, so a path length between two vertices in the virtual
+//! tree *is* their path length in the schema tree, and both bulk shapes become
+//! linear sweeps over it:
 //!
 //! * **nearest centroid** — a two-sweep multi-source search over
 //!   `(distance, centroid index)` keys, compared lexicographically, which is exactly
@@ -35,8 +36,8 @@ const NONE: u32 = u32::MAX;
 /// A nearest-centroid key nothing reached.
 const UNREACHED: u64 = u64::MAX;
 
-/// The path lengths among one tree's points — its slots, then its seeds — as the
-/// kernel asks for them, over buffers kept from tree to tree.
+/// The path lengths among one tree's points — its slots — as the kernel asks for
+/// them, over buffers kept from tree to tree.
 ///
 /// Vertices are numbered in the order the construction finishes them: children
 /// before parents, the root last. So an upward sweep is a forward loop, a downward
@@ -69,9 +70,10 @@ pub(crate) struct SlotPaths<'a> {
 }
 
 impl<'a> SlotPaths<'a> {
-    /// Build the virtual tree over `points` (the tree's slots first, then its seeds;
-    /// a seed may repeat a slot) under the tree's labelling — none: every point is
-    /// declined. One LCA query per labelled point after the first.
+    /// Build the virtual tree over `points` (the tree's slots) under the tree's
+    /// labelling — none: every point is declined. One LCA query per labelled point
+    /// after the first. A repeated point gets a vertex of its own, a zero-length
+    /// edge below the first.
     pub(crate) fn build(
         &mut self,
         labeling: Option<&'a TreeLabeling>,
@@ -108,12 +110,7 @@ impl<'a> SlotPaths<'a> {
         let order = std::mem::take(&mut self.order);
         let mut previous = None;
         for &(_, point, node) in &order {
-            if let Some((seen, seen_point)) = previous {
-                if seen == node {
-                    // A seed on a slot: one vertex.
-                    self.vertex[point as usize] = self.vertex[seen_point as usize];
-                    continue;
-                }
+            if let Some(seen) = previous {
                 self.queries += 1;
                 let lca_depth = labeling
                     .lca_depth(seen, node)
@@ -131,7 +128,7 @@ impl<'a> SlotPaths<'a> {
                     self.stack.push(joint);
                 }
             }
-            previous = Some((node, point));
+            previous = Some(node);
             let depth = labeling.depth(node).expect("a labelled node has a depth");
             let v = self.add(depth);
             self.stack.push(v);
@@ -196,6 +193,7 @@ impl<'a> SlotPaths<'a> {
     }
 
     /// The vertex of a point, or `NONE` for one the labelling declines.
+    #[cfg(test)]
     pub(crate) fn vertex(&self, point: usize) -> u32 {
         self.vertex[point]
     }
@@ -205,14 +203,15 @@ impl<'a> SlotPaths<'a> {
         std::mem::take(&mut self.queries)
     }
 
-    /// Run the nearest-centroid sweeps for `sources`, the centroids' vertices in
-    /// index order (`NONE` for a declined one); [`SlotPaths::nearest`] then answers
-    /// for every point. Each vertex ends with its nearest source's key
+    /// Run the nearest-centroid sweeps for `sources`, the centroids' points in
+    /// index order (a declined one attracts nothing); [`SlotPaths::nearest`] then
+    /// answers for every point. Each vertex ends with its nearest source's key
     /// `distance << 32 | index`: the smallest, so ties go to the smaller index.
-    pub(crate) fn spread(&mut self, sources: impl Iterator<Item = u32>) {
+    pub(crate) fn spread(&mut self, sources: impl Iterator<Item = usize>) {
         let key = &mut self.key[..];
         key.fill(UNREACHED);
-        for (index, v) in sources.enumerate() {
+        for (index, point) in sources.enumerate() {
+            let v = self.vertex[point];
             if v != NONE {
                 let cell = &mut key[v as usize];
                 *cell = (*cell).min(index as u64);
@@ -344,7 +343,7 @@ mod tests {
         let mut paths = SlotPaths::default();
         paths.build(labeling, points.iter().copied());
         for (i, &source) in points.iter().enumerate() {
-            paths.spread([paths.vertex(i)].into_iter());
+            paths.spread([i].into_iter());
             for (j, &node) in points.iter().enumerate() {
                 let expected = repo.distance(
                     GlobalNodeId::new(TreeId(0), source),
@@ -367,15 +366,15 @@ mod tests {
         let mut paths = SlotPaths::default();
         paths.build(repo.labeling(TreeId(0)), [title, shelf].into_iter());
         assert_eq!(paths.take_queries(), 1, "one LCA for two points");
-        paths.spread([paths.vertex(1)].into_iter());
+        paths.spread([1].into_iter());
         assert_eq!(paths.nearest(0), Some((3, 0)), "title is 3 from shelf");
         assert_eq!(paths.nearest(1), Some((0, 0)));
     }
 
     #[test]
     fn in_tree_distance_agrees_with_the_global_form() {
-        // Every node as a point, a handful of points, points repeated (a seed on a
-        // slot), and ids out of pre-order.
+        // Every node as a point, a handful of points, a point repeated, and ids
+        // out of pre-order.
         let repo = SchemaRepository::from_trees(vec![paper_repository_fragment()]);
         let all: Vec<NodeId> = repo.tree(TreeId(0)).unwrap().node_ids().collect();
         assert_single_sources_agree(&repo, &all);
@@ -403,7 +402,7 @@ mod tests {
         paths.build(Some(&labeling), points.into_iter());
         assert_eq!(paths.vertex(1), NONE);
         assert_eq!(paths.vertex(3), NONE);
-        paths.spread([paths.vertex(1), paths.vertex(2)].into_iter());
+        paths.spread([1, 2].into_iter());
         assert_eq!(paths.nearest(0), Some((1, 1)), "the root is 1 from node 2");
         assert_eq!(paths.nearest(1), None);
         assert_eq!(paths.nearest(3), None);

@@ -3,25 +3,27 @@
 //! [`crate::KMeansClusterer::cluster`] sorts a query's mapping elements by tree once
 //! into one contiguous arena and hands each tree's range to
 //! [`TreeKernel::cluster_tree`]. Inside a tree nothing is keyed by id and nothing is
-//! cloned:
+//! cloned before the output:
 //!
-//! * the tree's elements are copied into `grouped`, ordered by repository node, and
-//!   every distinct node becomes a **slot** (`u32`, ascending with the node id) owning
-//!   the range `node_start[slot]..node_start[slot + 1]` of it;
-//! * an assignment is one `u32` per slot (an index into the sorted centroid list),
-//!   clusters are ranges over a slot array built by counting sort ([`FlatClusters`]),
-//!   and the join step is a union-find over `u32` cluster indexes;
+//! * every distinct repository node of the range becomes a **slot** (`u32`,
+//!   ascending with the node id), and every entry of the range knows its slot;
+//! * the seeds are `ME_min`'s: the slots of the tree's first smallest personal list
+//!   (a list with no entry in the tree seeds nothing), found by counting the range;
+//! * an assignment is one `u32` per slot (an index into the ascending centroid
+//!   slots), clusters are ranges over a slot array built by counting sort
+//!   ([`FlatClusters`]), and the join step is a union-find over `u32` cluster indexes;
 //! * path lengths come from one virtual tree per seeded tree, built once per query
 //!   from the tree's labelling ([`SlotPaths`]): the assignment is one
 //!   nearest-centroid sweep pair per pass and a medoid one count-and-sum sweep pair
 //!   per cluster, so the labelling is asked about once per slot, plus the join
 //!   step's medoid pairs and any medoid too large to sum over every member (a tree
 //!   no seed falls into builds nothing);
-//! * all of these buffers live in one [`Scratch`] that the next tree reuses, so a
-//!   forest of hundreds of tiny trees allocates per *query*, not per tree, node or
-//!   iteration. The only per-tree allocations left are the outputs: the seed list the
-//!   [`CentroidInit`] returns and the [`Cluster`] / [`ClusteredNode`] values, which are
-//!   materialised exactly once, after the tree has converged.
+//! * all of these buffers live in one [`Scratch`] that the next tree reuses and that
+//!   only grows, so a forest of hundreds of tiny trees allocates per *query*, not
+//!   per tree, node or iteration. The only allocations past the scratch are the
+//!   outputs, made once, after the tree has converged: per final cluster its member
+//!   list and its scope, which one walk over the tree's range fills in the
+//!   candidate set's own order. `tests/clustering_allocations.rs` pins both claims.
 //!
 //! Two shortcuts skip passes whose outcome is already known; both leave the clusters
 //! *and* the statistics exactly as the straightforward loop would:
@@ -34,32 +36,23 @@
 //!   iteration formed before its remove step — they are kept, not rebuilt.
 //!
 //! The straightforward, clone-based formulation of the same algorithm lives in
-//! `tests/oracle` and is compared against this kernel, clusters and statistics, by
-//! `tests/kmeans_equivalence.rs`.
+//! `tests/oracle` and is compared against this kernel, clusters, scopes and
+//! statistics, by `tests/kmeans_equivalence.rs`.
 
 use xsm_matcher::{CandidateSet, MappingElement};
 use xsm_repo::SchemaRepository;
-use xsm_schema::{GlobalNodeId, NodeId, TreeId};
+use xsm_schema::{GlobalNodeId, NodeId};
 
-use crate::cluster::{Cluster, ClusterSet, ClusteredNode};
+use crate::cluster::{Cluster, ClusterSet};
 use crate::config::{ClusteringConfig, ReclusterStrategy};
 use crate::convergence::ConvergenceTracker;
 use crate::distance::SlotPaths;
-use crate::init::CentroidInit;
 use crate::kmeans::KMeansStats;
 
 /// The assignment of a slot no centroid can reach, and the label of a slot outside
 /// every cluster. Slots, centroid indexes and cluster indexes all count mapping
 /// elements of one query, far below `u32::MAX`.
 const NONE: u32 = u32::MAX;
-
-/// A centroid node and its vertex in the tree's [`SlotPaths`] (`NONE` when the
-/// labelling declines it). Ordered by node.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Centroid {
-    node: NodeId,
-    vertex: u32,
-}
 
 /// One mapping element of the arena, with the index of the per-node list of the
 /// candidate set it came from.
@@ -146,23 +139,21 @@ fn accumulate(acc: &mut Vec<usize>, add: &[usize]) {
 /// Every buffer one tree's clustering needs, kept across trees.
 #[derive(Default)]
 struct Scratch<'a> {
-    /// The tree's slice of the query's candidate set, list for list in the set's own
-    /// order — what the [`CentroidInit`] seeds from.
-    tree_set: CandidateSet,
-    /// The tree's elements ordered by repository node (stably, so each node keeps
-    /// its elements in candidate-set order).
-    grouped: Vec<MappingElement>,
+    /// Entry of the tree's range → its slot.
+    slot_of: Vec<u32>,
+    /// `node << 32 | entry` over the range, sorted: how slots are numbered.
+    keys: Vec<u64>,
     /// Slot → node, ascending.
     node_ids: Vec<NodeId>,
-    /// Slot → start of its elements in `grouped`; one trailing entry.
-    node_start: Vec<u32>,
-    /// Path lengths among the slots (points `0..n`) and the seeds (after them).
+    /// Personal list → how many entries of the range it holds.
+    list_len: Vec<u32>,
+    /// Path lengths among the slots.
     paths: SlotPaths<'a>,
-    /// The centroids the next pass assigns to, ascending and distinct.
-    centroids: Vec<Centroid>,
-    /// The centroids the previous pass assigned to.
-    prev_centroids: Vec<Centroid>,
-    next_centroids: Vec<Centroid>,
+    /// The centroid slots the next pass assigns to, ascending and distinct.
+    centroids: Vec<u32>,
+    /// The centroid slots the previous pass assigned to.
+    prev_centroids: Vec<u32>,
+    next_centroids: Vec<u32>,
     /// Slot → index into `centroids` (or `NONE`), as the latest pass chose.
     assigned: Vec<u32>,
     /// Slot → index into `prev_centroids` (or `NONE`), as the pass before chose.
@@ -172,38 +163,70 @@ struct Scratch<'a> {
     built: FlatClusters,
     joined: FlatClusters,
     parent: Vec<u32>,
+    /// Slot → a mark: `ME_min`'s, then the join's union root, then the output
+    /// cluster.
     labels: Vec<u32>,
     cursor: Vec<u32>,
     tracker: ConvergenceTracker,
+    /// One output cluster's scope, filled here and cloned out at its exact size.
+    scope: CandidateSet,
 }
 
 impl Scratch<'_> {
-    /// Load one tree: its candidate set, its elements grouped per node, its slots.
+    /// Load one tree's range: number its distinct nodes as slots, ascending, and
+    /// give every entry its slot.
     fn load(&mut self, entries: &[Entry]) {
-        self.tree_set.clear();
-        self.grouped.clear();
-        for entry in entries {
-            self.tree_set.push_at(entry.list as usize, entry.element);
-            self.grouped.push(entry.element);
-        }
-        self.grouped.sort_by_key(|m| m.repo.node);
+        self.keys.clear();
+        self.keys.extend(
+            entries
+                .iter()
+                .enumerate()
+                .map(|(i, entry)| (u64::from(entry.element.repo.node.0) << 32) | i as u64),
+        );
+        self.keys.sort_unstable();
         self.node_ids.clear();
-        self.node_start.clear();
-        for (i, m) in self.grouped.iter().enumerate() {
-            if self.node_ids.last() != Some(&m.repo.node) {
-                self.node_ids.push(m.repo.node);
-                self.node_start.push(i as u32);
+        self.slot_of.clear();
+        self.slot_of.resize(entries.len(), 0);
+        for &key in &self.keys {
+            let node = NodeId((key >> 32) as u32);
+            if self.node_ids.last() != Some(&node) {
+                self.node_ids.push(node);
+            }
+            self.slot_of[key as u32 as usize] = (self.node_ids.len() - 1) as u32;
+        }
+    }
+
+    /// Line 1, `ME_min`: "Bellflower initializes centroids by declaring all the
+    /// elements of ME_min as centroids" — the slots of the tree's first smallest
+    /// personal list, ascending and distinct, into `centroids`. A list with no entry
+    /// in the tree is the smallest and seeds nothing.
+    fn seed(&mut self, entries: &[Entry]) {
+        self.list_len.fill(0);
+        for entry in entries {
+            self.list_len[entry.list as usize] += 1;
+        }
+        self.centroids.clear();
+        let smallest = (0..self.list_len.len()).min_by_key(|&list| self.list_len[list]);
+        let Some(smallest) = smallest.filter(|&list| self.list_len[list] > 0) else {
+            return;
+        };
+        self.labels.clear();
+        self.labels.resize(self.node_ids.len(), NONE);
+        for (entry, &slot) in entries.iter().zip(&self.slot_of) {
+            if entry.list as usize == smallest {
+                self.labels[slot as usize] = 0;
             }
         }
-        self.node_start.push(self.grouped.len() as u32);
+        let seeds = (0..self.labels.len() as u32).filter(|&slot| self.labels[slot as usize] == 0);
+        self.centroids.extend(seeds);
     }
 
     /// Lines 3–8: assign every slot to its nearest centroid — centroids ascend, so
     /// a tie stays with the smaller one. Returns how many slots now follow a
-    /// different centroid node than after the previous pass.
+    /// different centroid than after the previous pass.
     fn assign(&mut self) -> usize {
         self.paths
-            .spread(self.centroids.iter().map(|centroid| centroid.vertex));
+            .spread(self.centroids.iter().map(|&slot| slot as usize));
         self.assigned.clear();
         let mut moved = 0;
         for slot in 0..self.node_ids.len() {
@@ -212,7 +235,7 @@ impl Scratch<'_> {
                 (NONE, NONE) => true,
                 (NONE, _) | (_, NONE) => false,
                 (before, now) => {
-                    self.prev_centroids[before as usize].node == self.centroids[now as usize].node
+                    self.prev_centroids[before as usize] == self.centroids[now as usize]
                 }
             };
             moved += usize::from(!stayed);
@@ -296,11 +319,33 @@ impl Scratch<'_> {
         (moved, joined)
     }
 
-    fn clustered_node(&self, tree: TreeId, slot: usize) -> ClusteredNode {
-        let elements = self.node_start[slot] as usize..self.node_start[slot + 1] as usize;
-        ClusteredNode {
-            node: GlobalNodeId::new(tree, self.node_ids[slot]),
-            elements: self.grouped[elements].to_vec(),
+    /// The converged tree's output: one [`Cluster`] per final cluster, its scope
+    /// filled by one walk over the range. The range is in the candidate set's list
+    /// order, so keeping the members' entries restricts the set to the cluster.
+    fn emit(&mut self, entries: &[Entry], joined: bool, out: &mut ClusterSet) {
+        let clusters = if joined { &self.joined } else { &self.built };
+        self.labels.clear();
+        self.labels.resize(self.node_ids.len(), NONE);
+        for q in 0..clusters.len() {
+            for &slot in clusters.members(q) {
+                self.labels[slot as usize] = q as u32;
+            }
+        }
+        let tree = entries[0].element.repo.tree;
+        let node = |slot: u32| GlobalNodeId::new(tree, self.node_ids[slot as usize]);
+        for q in 0..clusters.len() {
+            self.scope.clear();
+            for (entry, &slot) in entries.iter().zip(&self.slot_of) {
+                if self.labels[slot as usize] == q as u32 {
+                    self.scope.push_at(entry.list as usize, entry.element);
+                }
+            }
+            out.clusters.push(Cluster {
+                tree,
+                centroid: node(clusters.centroid[q]),
+                members: clusters.members(q).iter().map(|&slot| node(slot)).collect(),
+                scope: self.scope.clone(),
+            });
         }
     }
 }
@@ -309,7 +354,6 @@ impl Scratch<'_> {
 pub(crate) struct TreeKernel<'a> {
     repo: &'a SchemaRepository,
     config: &'a ClusteringConfig,
-    init: &'a dyn CentroidInit,
     scratch: Scratch<'a>,
 }
 
@@ -317,23 +361,22 @@ impl<'a> TreeKernel<'a> {
     pub(crate) fn new(
         repo: &'a SchemaRepository,
         config: &'a ClusteringConfig,
-        init: &'a dyn CentroidInit,
         personal_nodes: &[NodeId],
     ) -> Self {
         TreeKernel {
             repo,
             config,
-            init,
             scratch: Scratch {
-                tree_set: CandidateSet::new(personal_nodes.to_vec()),
+                list_len: vec![0; personal_nodes.len()],
+                scope: CandidateSet::new(personal_nodes.to_vec()),
                 ..Scratch::default()
             },
         }
     }
 
     /// Cluster the mapping elements of one tree (`entries`: non-empty, one tree, in
-    /// candidate-set order), appending its clusters and unassigned nodes to `out`
-    /// and folding its statistics into `stats`.
+    /// candidate-set order), appending its clusters to `out` and folding its
+    /// statistics into `stats`.
     pub(crate) fn cluster_tree(
         &mut self,
         entries: &[Entry],
@@ -348,31 +391,15 @@ impl<'a> TreeKernel<'a> {
         stats.total_nodes += n;
 
         // Line 1: initialise centroids.
-        let mut seeds = self.init.seed(&s.tree_set);
-        seeds.sort();
-        seeds.dedup();
-        stats.initial_centroids += seeds.len();
-        if seeds.is_empty() {
-            // Nothing to anchor clusters on; report everything unassigned.
+        s.seed(entries);
+        stats.initial_centroids += s.centroids.len();
+        if s.centroids.is_empty() {
+            // Nothing to anchor clusters on: every node stays unassigned.
             stats.unassigned_nodes += n;
-            out.unassigned
-                .extend((0..n).map(|slot| s.clustered_node(tree, slot)));
             return;
         }
-        // A seed in another tree can attract nothing here, but it keeps the seed
-        // set from counting as this tree's fixed point below.
-        let in_tree = seeds.iter().filter(|g| g.tree == tree).map(|g| g.node);
-        s.paths.build(
-            repo.labeling(tree),
-            s.node_ids.iter().copied().chain(in_tree.clone()),
-        );
-        s.centroids.clear();
-        s.centroids
-            .extend(in_tree.enumerate().map(|(j, node)| Centroid {
-                node,
-                vertex: s.paths.vertex(n + j),
-            }));
-        let foreign_seeds = s.centroids.len() != seeds.len();
+        s.paths
+            .build(repo.labeling(tree), s.node_ids.iter().copied());
 
         let remove_below = match config.recluster {
             ReclusterStrategy::JoinAndRemove => config.remove_min_size,
@@ -396,11 +423,7 @@ impl<'a> TreeKernel<'a> {
             s.next_centroids.clear();
             for q in 0..clusters.len() {
                 if clusters.members(q).len() >= remove_below {
-                    let slot = clusters.centroid[q] as usize;
-                    s.next_centroids.push(Centroid {
-                        node: s.node_ids[slot],
-                        vertex: s.paths.vertex(slot),
-                    });
+                    s.next_centroids.push(clusters.centroid[q]);
                 }
             }
             let cluster_count = s.next_centroids.len();
@@ -419,7 +442,7 @@ impl<'a> TreeKernel<'a> {
                 // assignment (nothing moves) and these clusters. When seeding was
                 // already the fixed point the loop ends here; otherwise the
                 // repeats are recorded, not run, until the criteria fire.
-                let seeded_fixed_point = s.tracker.iterations() == 1 && !foreign_seeds;
+                let seeded_fixed_point = s.tracker.iterations() == 1;
                 while !seeded_fixed_point && s.tracker.iterations() < config.max_iterations {
                     if s.tracker.observe(0, n, cluster_count, config) {
                         break;
@@ -437,25 +460,8 @@ impl<'a> TreeKernel<'a> {
         } else {
             (_, joined) = s.pass(config);
         }
-        let clusters = if joined { &s.joined } else { &s.built };
-        out.clusters.extend((0..clusters.len()).map(|q| {
-            let centroid = GlobalNodeId::new(tree, s.node_ids[clusters.centroid[q] as usize]);
-            let members = clusters.members(q).iter();
-            Cluster::new(
-                tree,
-                centroid,
-                members
-                    .map(|&slot| s.clustered_node(tree, slot as usize))
-                    .collect(),
-            )
-        }));
-        let assigned_before = out.unassigned.len();
-        out.unassigned.extend(
-            (0..n)
-                .filter(|&slot| s.assigned[slot] == NONE)
-                .map(|slot| s.clustered_node(tree, slot)),
-        );
-        stats.unassigned_nodes += out.unassigned.len() - assigned_before;
+        s.emit(entries, joined, out);
+        stats.unassigned_nodes += s.assigned.iter().filter(|&&a| a == NONE).count();
         stats.labelling_queries += s.paths.take_queries();
         stats.iterations = stats.iterations.max(s.tracker.iterations());
         accumulate(&mut stats.moved_per_iteration, &s.tracker.moved_history);
@@ -470,6 +476,72 @@ impl<'a> TreeKernel<'a> {
 mod tests {
     use super::*;
     use xsm_schema::tree::paper_repository_fragment;
+    use xsm_schema::TreeId;
+
+    /// The nodes `ME_min` seeds among one tree's entries, given as `(list, node)`
+    /// in list order over `lists` personal lists.
+    fn seeds(lists: usize, entries: &[(u32, u32)]) -> Vec<u32> {
+        let entries: Vec<Entry> = entries
+            .iter()
+            .map(|&(list, node)| Entry {
+                list,
+                element: MappingElement::new(
+                    NodeId(list),
+                    GlobalNodeId::new(TreeId(0), NodeId(node)),
+                    0.5,
+                ),
+            })
+            .collect();
+        let mut s = Scratch {
+            list_len: vec![0; lists],
+            ..Scratch::default()
+        };
+        s.load(&entries);
+        s.seed(&entries);
+        s.centroids
+            .iter()
+            .map(|&slot| s.node_ids[slot as usize].0)
+            .collect()
+    }
+
+    #[test]
+    fn the_smallest_list_seeds() {
+        let entries = [
+            (0, 5),
+            (0, 1),
+            (0, 7),
+            (1, 9),
+            (1, 3),
+            (2, 1),
+            (2, 2),
+            (2, 3),
+        ];
+        assert_eq!(
+            seeds(3, &entries),
+            vec![3, 9],
+            "ascending, whatever the list order"
+        );
+    }
+
+    #[test]
+    fn the_first_smallest_list_wins_a_tie() {
+        let entries = [(0, 5), (0, 1), (0, 7), (1, 9), (1, 3), (2, 4), (2, 2)];
+        assert_eq!(seeds(3, &entries), vec![3, 9]);
+    }
+
+    #[test]
+    fn a_list_with_no_entry_in_the_tree_seeds_nothing() {
+        assert_eq!(seeds(3, &[(0, 5), (0, 6), (2, 4)]), Vec::<u32>::new());
+        assert_eq!(seeds(2, &[(1, 5)]), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn a_shared_candidate_seeds_once() {
+        // Node 3 is a candidate of both lists, and list 0's only one.
+        assert_eq!(seeds(2, &[(0, 3), (1, 3), (1, 4)]), vec![3]);
+        // A list naming one node twice seeds it once.
+        assert_eq!(seeds(2, &[(0, 3), (0, 3), (1, 3), (1, 4), (1, 5)]), vec![3]);
+    }
 
     #[test]
     fn group_orders_clusters_by_label_and_members_by_slot() {
@@ -504,12 +576,7 @@ mod tests {
         };
         s.paths
             .build(repo.labeling(TreeId(0)), nodes.iter().copied());
-        s.centroids = (0..nodes.len())
-            .map(|slot| Centroid {
-                node: nodes[slot],
-                vertex: s.paths.vertex(slot),
-            })
-            .collect();
+        s.centroids = (0..nodes.len() as u32).collect();
         let config = ClusteringConfig::default()
             .with_recluster(ReclusterStrategy::Join)
             .with_join_distance(join_distance);

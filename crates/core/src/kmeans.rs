@@ -25,12 +25,13 @@
 //!
 //! [`KMeansClusterer::cluster`] copies the query's mapping elements into one
 //! contiguous arena, sorts it by tree once, and walks it range by range; the per-tree
-//! algorithm (the private `kernel` module) works on `u32` node slots over buffers it
-//! reuses from tree to tree, and builds [`Cluster`](crate::Cluster) values only for
+//! algorithm (the private `kernel` module) seeds, assigns and reclusters `u32` node
+//! slots over buffers it reuses from tree to tree, and builds
+//! [`Cluster`](crate::Cluster) values — members and the generator's scope — only for
 //! the final result. The whole stage is `O(|ME| log |ME|)` plus the sweeps, with a
-//! handful of allocations per query beyond its output — a
-//! served query touches hundreds of trees holding a few candidate nodes each, and
-//! must not pay a fixed bill for every one of them.
+//! handful of allocations per query beyond its output and none of a tree's own —
+//! a served query touches hundreds of trees holding a few candidate nodes each,
+//! and must not pay a fixed bill for every one of them.
 //!
 //! ## Tree-local control
 //!
@@ -59,7 +60,6 @@ use xsm_repo::SchemaRepository;
 
 use crate::cluster::ClusterSet;
 use crate::config::ClusteringConfig;
-use crate::init::{CentroidInit, MeMinSeeding};
 use crate::kernel::{Entry, TreeKernel};
 
 /// Statistics of one clustering run (reported by the experiments: clustering time,
@@ -81,7 +81,7 @@ pub struct KMeansStats {
     /// Total number of distinct repository nodes clustered.
     pub total_nodes: usize,
     /// Labelling queries (LCAs and path lengths) the clustering asked: one LCA
-    /// per point of a seeded tree after its first, the join step's medoid pairs,
+    /// per slot of a seeded tree after its first, the join step's medoid pairs,
     /// and the pairs of any medoid summed over a sample. A count of work, exact
     /// and repeatable, not a timing.
     #[serde(default)]
@@ -91,25 +91,15 @@ pub struct KMeansStats {
     pub elapsed: Duration,
 }
 
-/// The adapted k-means clusterer.
+/// The adapted k-means clusterer: path-length distance, `ME_min` seeding per tree.
 pub struct KMeansClusterer {
     config: ClusteringConfig,
-    init: Box<dyn CentroidInit>,
 }
 
 impl KMeansClusterer {
-    /// Clusterer with the paper's defaults: path-length distance and `ME_min` seeding.
+    /// A clusterer with the given configuration.
     pub fn new(config: ClusteringConfig) -> Self {
-        KMeansClusterer {
-            config,
-            init: Box::new(MeMinSeeding),
-        }
-    }
-
-    /// Replace the centroid-initialisation strategy.
-    pub fn with_init(mut self, init: Box<dyn CentroidInit>) -> Self {
-        self.init = init;
-        self
+        KMeansClusterer { config }
     }
 
     /// The configuration in use.
@@ -117,7 +107,9 @@ impl KMeansClusterer {
         &self.config
     }
 
-    /// Cluster the mapping elements of `candidates` over `repo`.
+    /// Cluster the mapping elements of `candidates` over `repo`. Each cluster's
+    /// scope is `candidates` restricted to its members, list for list in the set's
+    /// own order.
     ///
     /// The control loop is **tree-local** (see the module docs): every repository
     /// tree with candidates is seeded, iterated and converged on its own, and the
@@ -145,12 +137,7 @@ impl KMeansClusterer {
             }));
         }
         arena.sort_by_key(|entry| entry.element.repo.tree);
-        let mut kernel = TreeKernel::new(
-            repo,
-            &self.config,
-            self.init.as_ref(),
-            candidates.personal_nodes(),
-        );
+        let mut kernel = TreeKernel::new(repo, &self.config, candidates.personal_nodes());
         for tree in arena.chunk_by(|a, b| a.element.repo.tree == b.element.repo.tree) {
             kernel.cluster_tree(tree, &mut set, &mut stats);
         }
@@ -207,11 +194,11 @@ mod tests {
         for cluster in &set.clusters {
             assert!(cluster.size() > 0);
             assert!(
-                cluster.members.iter().all(|m| m.node.tree == cluster.tree),
+                cluster.members.iter().all(|m| m.tree == cluster.tree),
                 "cluster spans trees"
             );
             assert!(
-                cluster.node_ids().contains(&cluster.centroid),
+                cluster.members.contains(&cluster.centroid),
                 "centroid is not a member (medoid property violated)"
             );
         }
@@ -222,17 +209,22 @@ mod tests {
         let (_, repo, candidates) = scenario();
         let (set, stats) =
             KMeansClusterer::new(ClusteringConfig::default()).cluster(&repo, &candidates);
-        let mut covered: Vec<GlobalNodeId> = set
+        let mut members: Vec<GlobalNodeId> = set
             .clusters
             .iter()
-            .flat_map(|c| c.node_ids())
-            .chain(set.unassigned.iter().map(|n| n.node))
+            .flat_map(|c| c.members.iter().copied())
             .collect();
-        let total = covered.len();
-        covered.sort();
-        covered.dedup();
-        assert_eq!(covered.len(), total, "a node appears in two clusters");
-        assert_eq!(total, stats.total_nodes);
+        let assigned = members.len();
+        members.sort();
+        members.dedup();
+        assert_eq!(members.len(), assigned, "a node appears in two clusters");
+        // The unassigned nodes are the candidate nodes no cluster holds.
+        let mut unassigned: Vec<GlobalNodeId> = candidates.iter().map(|m| m.repo).collect();
+        unassigned.sort();
+        unassigned.dedup();
+        unassigned.retain(|node| members.binary_search(node).is_err());
+        assert_eq!(unassigned.len(), stats.unassigned_nodes);
+        assert_eq!(assigned + unassigned.len(), stats.total_nodes);
     }
 
     #[test]
@@ -312,20 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_init_is_honoured() {
-        let (_, repo, candidates) = scenario();
-        let clusterer = KMeansClusterer::new(ClusteringConfig::default())
-            .with_init(Box::new(crate::init::RandomSeeding::new(20, 7)));
-        let (set, stats) = clusterer.cluster(&repo, &candidates);
-        // Seeding runs per tree, so the custom strategy's count caps each tree's
-        // seeds, not the forest's.
-        let trees = candidates.trees().len();
-        assert!(trees > 0);
-        assert!(stats.initial_centroids <= 20 * trees);
-        assert!(set.len() <= stats.initial_centroids);
-    }
-
-    #[test]
     fn seeding_at_the_fixed_point_stops_after_one_iteration() {
         // Two candidate nodes more than the join distance apart seed two singleton
         // clusters whose medoids are the seeds themselves: iteration 2 would
@@ -369,17 +347,25 @@ mod tests {
         // sharded serving engine's bit-identical merge rests on.
         let (_, repo, candidates) = scenario();
         let clusterer = KMeansClusterer::new(ClusteringConfig::default());
-        let (whole, _) = clusterer.cluster(&repo, &candidates);
+        let (whole, whole_stats) = clusterer.cluster(&repo, &candidates);
         let mut parts = ClusterSet::default();
+        let mut unassigned = 0;
         for tree in candidates.trees() {
-            let (part, _) = clusterer.cluster(&repo, &candidates.restrict_to_tree(tree));
+            let (part, stats) = clusterer.cluster(&repo, &candidates.restrict_to_tree(tree));
             parts.clusters.extend(part.clusters);
-            parts.unassigned.extend(part.unassigned);
+            unassigned += stats.unassigned_nodes;
         }
         assert_eq!(whole.len(), parts.len());
         for (a, b) in whole.clusters.iter().zip(&parts.clusters) {
-            assert_eq!(a, b, "per-tree clustering diverged from the whole run");
+            let diverged = "per-tree clustering diverged from the whole run";
+            assert_eq!((a.tree, a.centroid), (b.tree, b.centroid), "{diverged}");
+            assert_eq!(a.members, b.members, "{diverged}");
+            assert_eq!(a.scope.personal_nodes(), b.scope.personal_nodes());
+            for i in 0..a.scope.node_count() {
+                let (x, y) = (a.scope.candidates_at(i), b.scope.candidates_at(i));
+                assert_eq!(x, y, "{diverged}");
+            }
         }
-        assert_eq!(whole.unassigned, parts.unassigned);
+        assert_eq!(whole_stats.unassigned_nodes, unassigned);
     }
 }

@@ -11,8 +11,8 @@
 //! * **distance measure** — the tree (path-length) distance between a mapping element
 //!   and a centroid; the kernel reads it off one virtual tree per clustered tree,
 //!   built from the node labelling, so every pass is a few linear sweeps,
-//! * **centroid initialisation** — every element of `ME_min` (the personal node with
-//!   the fewest mapping elements) seeds one centroid ([`init`]),
+//! * **centroid initialisation** — per tree, every element of `ME_min` (the personal
+//!   node with the fewest mapping elements there) seeds one centroid,
 //! * **medoid centroids** — the member that is the "center of weight" of its cluster
 //!   ([`centroid`]),
 //! * **reclustering** — join clusters whose centroids are near each other, remove tiny
@@ -20,9 +20,11 @@
 //! * **convergence** — stop when the fraction of elements switching clusters and the
 //!   change in cluster count drop below a threshold ([`convergence`]).
 //!
-//! The mapping generator then runs **per cluster** instead of per repository tree,
-//! shrinking the search space from `O(|ME_n|^{|N_s|})` to `O(c·(|ME_n|/c)^{|N_s|})`
-//! at the price of losing some (mostly low-ranked) mappings. [`pipeline::ClusteredMatcher`]
+//! Each [`cluster::Cluster`] carries its members and its *scope* — the candidate set
+//! restricted to them — and the mapping generator then runs **per cluster** on those
+//! scopes instead of per repository tree, shrinking the search space from
+//! `O(|ME_n|^{|N_s|})` to `O(c·(|ME_n|/c)^{|N_s|})` at the price of losing some
+//! (mostly low-ranked) mappings. [`pipeline::ClusteredMatcher`]
 //! wires the whole thing together and produces the cluster/generator statistics that
 //! Tab. 1 and Figs. 4–6 of the paper report; [`metrics`] computes the preserved-mapping
 //! curves.
@@ -35,7 +37,6 @@ pub mod cluster;
 pub mod config;
 pub mod convergence;
 mod distance;
-pub mod init;
 mod kernel;
 pub mod kmeans;
 pub mod metrics;

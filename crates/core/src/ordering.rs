@@ -65,7 +65,7 @@ mod tests {
         );
         let (set, _) =
             KMeansClusterer::new(ClusteringConfig::default()).cluster(&repo, &candidates);
-        let scopes = set.clusters.iter().map(|c| c.scope(&candidates)).collect();
+        let scopes = set.clusters.into_iter().map(|c| c.scope).collect();
         (problem, repo, scopes)
     }
 

@@ -184,8 +184,9 @@ impl ClusteredMatcher {
         let (scopes, kmeans, cluster_sizes) = match &self.clustering {
             Some(config) => {
                 let (set, stats) = KMeansClusterer::new(*config).cluster(repo, candidates);
-                let scopes = set.clusters.iter().map(|c| c.scope(candidates)).collect();
-                (scopes, Some(stats), set.sizes())
+                let sizes = set.sizes();
+                let scopes = set.clusters.into_iter().map(|c| c.scope).collect();
+                (scopes, Some(stats), sizes)
             }
             None => {
                 let scopes: Vec<CandidateSet> = candidates
@@ -322,7 +323,7 @@ mod tests {
             let scopes: Vec<CandidateSet> = match variant.config() {
                 Some(config) => {
                     let (set, _) = KMeansClusterer::new(config).cluster(&repo, &candidates);
-                    set.clusters.iter().map(|c| c.scope(&candidates)).collect()
+                    set.clusters.into_iter().map(|c| c.scope).collect()
                 }
                 None => candidates
                     .trees()

@@ -1,29 +1,29 @@
-//! The flat k-means kernel against the straightforward formulation in `oracle/`:
-//! identical clusters (member order, similarity bits, unassigned nodes), identical
-//! statistics (every counter, both histories), and cluster scopes byte-identical to
-//! restricting the clustered candidate set — over random forests shaped like the
-//! served workloads (hundreds of tiny trees, a few candidates each) and unlike them
-//! (one huge tree, single-node trees, trees no seed falls into).
+//! The flat k-means kernel against the straightforward formulation in `oracle/`,
+//! both seeding every tree with its `ME_min`: identical clusters (centroids, member
+//! order), every scope bit-identical to the oracle's restriction of the clustered
+//! candidate set, the same unassigned nodes, and identical statistics (every
+//! counter, both histories) — over random forests shaped like the served workloads
+//! (hundreds of tiny trees, a few candidates each) and unlike them (one huge tree,
+//! single-node trees, trees no seed falls into).
 //!
 //! The kernel reads its path lengths off one virtual tree per clustered tree; the
 //! oracle asks the repository for every pair as an `f64`. Beside the served shapes
 //! the forests hold what the sweeps must get exactly right: nodes the labelling
-//! declines, seeds that are no candidate, ids out of pre-order.
+//! declines (seeds among them) and ids out of pre-order.
 //!
 //! The complexity claims are pinned as *work bounds*, not timings: the kernel's
-//! `labelling_queries` counter and the oracle's call count show that scopes cost no
-//! distance computation at all, that the kernel never asks more than the oracle,
-//! and that it asks about once per slot plus the join step's medoid pairs.
+//! `labelling_queries` counter and the oracle's call count show that the kernel
+//! never asks more than the oracle, and that it asks about once per slot plus the
+//! join step's medoid pairs.
 
 mod oracle;
 
-use oracle::{scope_by_restriction, OracleClusterer};
+use oracle::{OracleClusterer, OracleResult};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xsm_core::cluster::ClusterSet;
 use xsm_core::config::ReclusterStrategy;
-use xsm_core::init::{CentroidInit, MeMinSeeding, RandomSeeding};
 use xsm_core::{ClusteringConfig, KMeansClusterer, KMeansStats};
 use xsm_matcher::{CandidateSet, MappingElement};
 use xsm_repo::SchemaRepository;
@@ -135,24 +135,41 @@ fn bits(elements: &[MappingElement]) -> Vec<ElementBits> {
         .collect()
 }
 
-fn assert_sets_identical(kernel: &ClusterSet, oracle: &ClusterSet) {
+/// The candidate nodes in no cluster, ascending.
+fn unassigned(set: &ClusterSet, candidates: &CandidateSet) -> Vec<GlobalNodeId> {
+    let mut members: Vec<GlobalNodeId> = set
+        .clusters
+        .iter()
+        .flat_map(|c| c.members.iter().copied())
+        .collect();
+    members.sort();
+    let mut nodes: Vec<GlobalNodeId> = candidates.iter().map(|m| m.repo).collect();
+    nodes.sort();
+    nodes.dedup();
+    nodes.retain(|node| members.binary_search(node).is_err());
+    nodes
+}
+
+/// Clusters, member order, scopes to the similarity bit, and unassigned nodes.
+fn assert_sets_identical(kernel: &ClusterSet, oracle: &OracleResult, candidates: &CandidateSet) {
     assert_eq!(
         kernel.clusters.len(),
-        oracle.clusters.len(),
+        oracle.set.clusters.len(),
         "cluster count"
     );
-    for (a, b) in kernel.clusters.iter().zip(&oracle.clusters) {
+    for (a, b) in kernel.clusters.iter().zip(&oracle.set.clusters) {
         assert_eq!((a.tree, a.centroid), (b.tree, b.centroid));
-        assert_eq!(a.node_ids(), b.node_ids(), "member order");
-        for (ma, mb) in a.members.iter().zip(&b.members) {
-            assert_eq!(bits(&ma.elements), bits(&mb.elements));
+        assert_eq!(a.members, b.members, "member order");
+        assert_eq!(a.scope.personal_nodes(), b.scope.personal_nodes());
+        for i in 0..b.scope.node_count() {
+            assert_eq!(
+                bits(a.scope.candidates_at(i)),
+                bits(b.scope.candidates_at(i)),
+                "scope"
+            );
         }
     }
-    assert_eq!(kernel.unassigned.len(), oracle.unassigned.len());
-    for (a, b) in kernel.unassigned.iter().zip(&oracle.unassigned) {
-        assert_eq!(a.node, b.node, "unassigned order");
-        assert_eq!(bits(&a.elements), bits(&b.elements));
-    }
+    assert_eq!(unassigned(kernel, candidates), oracle.unassigned);
 }
 
 fn assert_stats_identical(kernel: &KMeansStats, oracle: &KMeansStats) {
@@ -167,39 +184,13 @@ fn assert_stats_identical(kernel: &KMeansStats, oracle: &KMeansStats) {
     assert_eq!(fields(kernel), fields(oracle));
 }
 
-fn assert_scopes_identical(set: &ClusterSet, candidates: &CandidateSet) {
-    for cluster in &set.clusters {
-        let (fast, reference) = (
-            cluster.scope(candidates),
-            scope_by_restriction(cluster, candidates),
-        );
-        assert_eq!(fast.personal_nodes(), reference.personal_nodes());
-        for i in 0..reference.node_count() {
-            assert_eq!(
-                bits(fast.candidates_at(i)),
-                bits(reference.candidates_at(i))
-            );
-        }
-    }
-}
-
-/// Cluster with the kernel and with the oracle under the same seeding and hold the
-/// kernel to the oracle on everything it returns.
-fn assert_equivalent<I>(
-    repo: &SchemaRepository,
-    candidates: &CandidateSet,
-    config: ClusteringConfig,
-    init: I,
-) where
-    I: CentroidInit + Clone + 'static,
-{
-    let oracle = OracleClusterer::new(config, &init).cluster(repo, candidates);
-    let kernel = KMeansClusterer::new(config)
-        .with_init(Box::new(init.clone()))
-        .cluster(repo, candidates);
-    assert_sets_identical(&kernel.0, &oracle.0);
-    assert_stats_identical(&kernel.1, &oracle.1);
-    assert_scopes_identical(&kernel.0, candidates);
+/// Cluster with the kernel and with the oracle and hold the kernel to the oracle on
+/// everything it returns.
+fn assert_equivalent(repo: &SchemaRepository, candidates: &CandidateSet, config: ClusteringConfig) {
+    let oracle = OracleClusterer::new(config).cluster(repo, candidates);
+    let (set, stats) = KMeansClusterer::new(config).cluster(repo, candidates);
+    assert_sets_identical(&set, &oracle, candidates);
+    assert_stats_identical(&stats, &oracle.stats);
 }
 
 proptest! {
@@ -212,29 +203,7 @@ proptest! {
     ) {
         let (strategy, join_distance, floor) = shape;
         let (repo, candidates) = random_forest(seed, trees, 0, FLOORS[floor]);
-        assert_equivalent(
-            &repo,
-            &candidates,
-            config(strategy, join_distance, knobs),
-            MeMinSeeding,
-        );
-    }
-
-    #[test]
-    fn kernel_equals_oracle_under_random_seeding(
-        seed in 0u64..u64::MAX,
-        trees in 1usize..24,
-        shape in (0usize..3, 2u32..6, 0usize..2),
-        seeds_per_tree in 1usize..6,
-    ) {
-        let (strategy, join_distance, floor) = shape;
-        let (repo, candidates) = random_forest(seed, trees, 0, FLOORS[floor]);
-        assert_equivalent(
-            &repo,
-            &candidates,
-            config(strategy, join_distance, seed % 120),
-            RandomSeeding::new(seeds_per_tree, seed),
-        );
+        assert_equivalent(&repo, &candidates, config(strategy, join_distance, knobs));
     }
 
     #[test]
@@ -247,29 +216,7 @@ proptest! {
         let (strategy, join_distance, floor) = shape;
         let (repo, candidates) = random_forest(seed, trees, 0, FLOORS[floor]);
         let candidates = with_declined_nodes(seed, &repo, &candidates);
-        assert_equivalent(
-            &repo,
-            &candidates,
-            config(strategy, join_distance, knobs),
-            MeMinSeeding,
-        );
-    }
-
-    #[test]
-    fn kernel_equals_oracle_when_seeds_are_not_candidates(
-        seed in 0u64..u64::MAX,
-        trees in 1usize..32,
-        shape in (0usize..3, 2u32..6, 0usize..2),
-        knobs in 0u64..120,
-    ) {
-        let (strategy, join_distance, floor) = shape;
-        let (repo, candidates) = random_forest(seed, trees, 0, FLOORS[floor]);
-        assert_equivalent(
-            &repo,
-            &candidates,
-            config(strategy, join_distance, knobs),
-            OffCandidateSeeding { seed },
-        );
+        assert_equivalent(&repo, &candidates, config(strategy, join_distance, knobs));
     }
 
     #[test]
@@ -281,18 +228,7 @@ proptest! {
     ) {
         let (strategy, join_distance, floor) = shape;
         let (repo, candidates) = bushy_forest(seed, nodes, FLOORS[floor]);
-        assert_equivalent(
-            &repo,
-            &candidates,
-            config(strategy, join_distance, knobs),
-            MeMinSeeding,
-        );
-        assert_equivalent(
-            &repo,
-            &candidates,
-            config(strategy, join_distance, knobs),
-            RandomSeeding::new(1 + (knobs % 7) as usize, seed),
-        );
+        assert_equivalent(&repo, &candidates, config(strategy, join_distance, knobs));
     }
 }
 
@@ -357,31 +293,6 @@ fn bushy_forest(seed: u64, nodes: usize, floor: f64) -> (SchemaRepository, Candi
     (repo, candidates)
 }
 
-/// `ME_min` seeding plus, per seed, a node of the same tree derived from it that is
-/// usually no candidate at all (and sometimes one past the tree).
-#[derive(Clone)]
-struct OffCandidateSeeding {
-    seed: u64,
-}
-
-impl CentroidInit for OffCandidateSeeding {
-    fn seed(&self, candidates: &CandidateSet) -> Vec<GlobalNodeId> {
-        let mut seeds = MeMinSeeding.seed(candidates);
-        let derived: Vec<GlobalNodeId> = seeds
-            .iter()
-            .map(|g| {
-                let node = (g.node.0 ^ (self.seed % 8) as u32) / 2 + (self.seed % 3) as u32;
-                GlobalNodeId::new(g.tree, NodeId(node))
-            })
-            .collect();
-        seeds.extend(derived);
-        seeds
-    }
-    fn name(&self) -> &'static str {
-        "off-candidate"
-    }
-}
-
 #[test]
 fn kernel_equals_oracle_on_a_huge_tree_with_sampled_medoids() {
     // 2 600 nodes, most of them candidates, at most three seeds: clusters pass 512
@@ -396,39 +307,7 @@ fn kernel_equals_oracle_on_a_huge_tree_with_sampled_medoids() {
             set.sizes(),
             candidates.distinct_repo_nodes()
         );
-        assert_equivalent(&repo, &candidates, config(strategy, 3, 3), MeMinSeeding);
-    }
-}
-
-/// `ME_min` seeding plus seeds a well-behaved strategy would never return: a node of
-/// another tree and a node that is no candidate at all.
-#[derive(Clone)]
-struct StraySeeding;
-
-impl CentroidInit for StraySeeding {
-    fn seed(&self, candidates: &CandidateSet) -> Vec<GlobalNodeId> {
-        let mut seeds = MeMinSeeding.seed(candidates);
-        if let Some(first) = candidates.iter().next() {
-            seeds.push(GlobalNodeId::new(TreeId(0), NodeId(0)));
-            seeds.push(GlobalNodeId::new(first.repo.tree, NodeId(0)));
-        }
-        seeds
-    }
-    fn name(&self) -> &'static str {
-        "stray"
-    }
-}
-
-#[test]
-fn kernel_equals_oracle_when_seeds_stray_outside_the_tree() {
-    for seed in 0..24u64 {
-        let (repo, candidates) = random_forest(seed, 30, 0, FLOORS[(seed % 2) as usize]);
-        assert_equivalent(
-            &repo,
-            &candidates,
-            config((seed % 3) as usize, 2 + (seed % 4) as u32, seed * 7),
-            StraySeeding,
-        );
+        assert_equivalent(&repo, &candidates, config(strategy, 3, 3));
     }
 }
 
@@ -443,12 +322,7 @@ fn empty_and_single_element_sets() {
         0.9,
     ));
     for candidates in [empty, single] {
-        assert_equivalent(
-            &repo,
-            &candidates,
-            ClusteringConfig::default(),
-            MeMinSeeding,
-        );
+        assert_equivalent(&repo, &candidates, ClusteringConfig::default());
     }
 }
 
@@ -457,13 +331,13 @@ fn the_kernel_never_computes_more_distances_than_the_oracle() {
     let (repo, candidates) = random_forest(2006, 500, 0, 0.5);
     for strategy in STRATEGIES {
         let config = ClusteringConfig::default().with_recluster(strategy);
-        let oracle = OracleClusterer::new(config, &MeMinSeeding);
-        let (reference, _) = oracle.cluster(&repo, &candidates);
+        let oracle = OracleClusterer::new(config);
+        let reference = oracle.cluster(&repo, &candidates);
         let oracle_calls = oracle.distance_calls.get();
 
         let (set, stats) = KMeansClusterer::new(config).cluster(&repo, &candidates);
         let kernel_calls = stats.labelling_queries;
-        assert_sets_identical(&set, &reference);
+        assert_sets_identical(&set, &reference, &candidates);
         assert!(oracle_calls > 0, "the forest must form clusters");
         assert!(
             kernel_calls <= oracle_calls,
@@ -490,13 +364,5 @@ fn the_kernel_never_computes_more_distances_than_the_oracle() {
             kernel_calls <= bound,
             "{strategy:?}: kernel asked for {kernel_calls} distances, bound {bound}"
         );
-
-        // Scopes are assembled from what the clusters own: no distance at all.
-        let scoped: usize = set
-            .clusters
-            .iter()
-            .map(|c| c.scope(&candidates).total_candidates())
-            .sum();
-        assert_eq!(scoped, set.clusters.iter().map(|c| c.element_count()).sum());
     }
 }

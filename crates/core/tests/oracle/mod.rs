@@ -2,42 +2,56 @@
 //! the flat production kernel is compared against.
 //!
 //! This is the clusterer as it ran in production before the kernel: per tree one
-//! `CandidateSet`, nodes as owned `ClusteredNode`s, clusters rebuilt from clones in
-//! every iteration, `BTreeMap`s keyed by node id. It is slow and obviously follows
-//! Algorithm 1 line by line, which is the point: `kmeans_equivalence.rs` holds the
-//! kernel to its clusters *and* its statistics. Only the public API of the product
-//! crates is used. Its distance is its own: the path length as an `f64`, asked of
-//! the repository pair by pair and compared with `1e-12` tolerances, independent
-//! of the kernel's integer sweeps.
+//! `CandidateSet` seeded by `min_candidate_node`, nodes as owned node ids, clusters
+//! rebuilt from clones in every iteration, `BTreeMap`s keyed by node id, and each
+//! final scope a scan of the whole candidate set ([`scope_by_restriction`]). It is
+//! slow and obviously follows Algorithm 1 line by line, which is the point:
+//! `kmeans_equivalence.rs` holds the kernel to its clusters, scopes *and*
+//! statistics. Only the public API of the product crates is used. Its distance is
+//! its own: the path length as an `f64`, asked of the repository pair by pair and
+//! compared with `1e-12` tolerances, independent of the kernel's integer sweeps.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
-use xsm_core::cluster::{Cluster, ClusterSet, ClusteredNode};
+use xsm_core::cluster::{Cluster, ClusterSet};
 use xsm_core::config::{ClusteringConfig, ReclusterStrategy};
 use xsm_core::convergence::ConvergenceTracker;
-use xsm_core::init::CentroidInit;
 use xsm_core::KMeansStats;
-use xsm_matcher::{CandidateSet, MappingElement};
+use xsm_matcher::CandidateSet;
 use xsm_repo::SchemaRepository;
-use xsm_schema::GlobalNodeId;
+use xsm_schema::{GlobalNodeId, TreeId};
 
 const MEDOID_SAMPLE_LIMIT: usize = 256;
 
-/// The reference clusterer: same inputs and outputs as `KMeansClusterer::cluster`
-/// (`KMeansStats::elapsed` and `labelling_queries` aside).
-pub struct OracleClusterer<'a> {
+/// A cluster as the oracle iterates on it: members as owned ids, no scope yet.
+#[derive(Clone)]
+struct OracleCluster {
+    tree: TreeId,
+    centroid: GlobalNodeId,
+    members: Vec<GlobalNodeId>,
+}
+
+/// What the oracle returns: `KMeansClusterer::cluster`'s clusters and statistics
+/// (`KMeansStats::elapsed` and `labelling_queries` aside), and the nodes it left
+/// unassigned, ascending.
+pub struct OracleResult {
+    pub set: ClusterSet,
+    pub unassigned: Vec<GlobalNodeId>,
+    pub stats: KMeansStats,
+}
+
+/// The reference clusterer.
+pub struct OracleClusterer {
     pub config: ClusteringConfig,
-    pub init: &'a dyn CentroidInit,
     /// Path lengths computed so far.
     pub distance_calls: Cell<usize>,
 }
 
-impl<'a> OracleClusterer<'a> {
-    pub fn new(config: ClusteringConfig, init: &'a dyn CentroidInit) -> Self {
+impl OracleClusterer {
+    pub fn new(config: ClusteringConfig) -> Self {
         OracleClusterer {
             config,
-            init,
             distance_calls: Cell::new(0),
         }
     }
@@ -49,17 +63,20 @@ impl<'a> OracleClusterer<'a> {
         repo.distance(a, b).map(f64::from)
     }
 
-    pub fn cluster(
-        &self,
-        repo: &SchemaRepository,
-        candidates: &CandidateSet,
-    ) -> (ClusterSet, KMeansStats) {
+    pub fn cluster(&self, repo: &SchemaRepository, candidates: &CandidateSet) -> OracleResult {
         let mut set = ClusterSet::default();
+        let mut unassigned = Vec::new();
         let mut stats = KMeansStats::default();
         for (_, scope) in candidates.split_by_tree() {
-            let (tree_set, tree_stats) = self.cluster_scope(repo, &scope);
-            set.clusters.extend(tree_set.clusters);
-            set.unassigned.extend(tree_set.unassigned);
+            let (clusters, tree_unassigned, tree_stats) = self.cluster_scope(repo, &scope);
+            set.clusters
+                .extend(clusters.into_iter().map(|cluster| Cluster {
+                    scope: scope_by_restriction(&cluster.members, candidates),
+                    tree: cluster.tree,
+                    centroid: cluster.centroid,
+                    members: cluster.members,
+                }));
+            unassigned.extend(tree_unassigned);
             stats.total_nodes += tree_stats.total_nodes;
             stats.initial_centroids += tree_stats.initial_centroids;
             stats.unassigned_nodes += tree_stats.unassigned_nodes;
@@ -74,33 +91,42 @@ impl<'a> OracleClusterer<'a> {
             );
         }
         stats.final_clusters = set.clusters.len();
-        (set, stats)
+        OracleResult {
+            set,
+            unassigned,
+            stats,
+        }
     }
 
-    /// Algorithm 1 over the candidates of one repository tree.
+    /// Algorithm 1 over the candidates of one repository tree: its clusters, its
+    /// unassigned nodes and its statistics.
     fn cluster_scope(
         &self,
         repo: &SchemaRepository,
         candidates: &CandidateSet,
-    ) -> (ClusterSet, KMeansStats) {
-        let nodes = collect_clustered_nodes(candidates);
+    ) -> (Vec<OracleCluster>, Vec<GlobalNodeId>, KMeansStats) {
+        let nodes = distinct_nodes(candidates);
         let mut stats = KMeansStats {
             total_nodes: nodes.len(),
             ..Default::default()
         };
 
-        // Line 1: initialise centroids.
-        let mut centroids: Vec<GlobalNodeId> = self.init.seed(candidates);
+        // Line 1: initialise centroids with `ME_min`, the elements of the personal
+        // node with the fewest candidates.
+        let mut centroids: Vec<GlobalNodeId> = match candidates.min_candidate_node() {
+            Some((node, _)) => candidates
+                .candidates_for(node)
+                .iter()
+                .map(|m| m.repo)
+                .collect(),
+            None => Vec::new(),
+        };
         centroids.sort();
         centroids.dedup();
         stats.initial_centroids = centroids.len();
         if centroids.is_empty() {
             stats.unassigned_nodes = nodes.len();
-            let set = ClusterSet {
-                clusters: Vec::new(),
-                unassigned: nodes,
-            };
-            return (set, stats);
+            return (Vec::new(), nodes, stats);
         }
 
         let mut tracker = ConvergenceTracker::new();
@@ -152,19 +178,15 @@ impl<'a> OracleClusterer<'a> {
             ReclusterStrategy::None => built,
             _ => self.join_clusters(repo, built),
         };
-        let unassigned: Vec<ClusteredNode> = nodes
+        let unassigned: Vec<GlobalNodeId> = nodes
             .iter()
             .zip(&assignment)
             .filter(|(_, a)| a.is_none())
-            .map(|(n, _)| n.clone())
+            .map(|(&n, _)| n)
             .collect();
         stats.unassigned_nodes = unassigned.len();
         stats.final_clusters = clusters.len();
-        let set = ClusterSet {
-            clusters,
-            unassigned,
-        };
-        (set, stats)
+        (clusters, unassigned, stats)
     }
 
     /// Assign every node to the nearest centroid in its tree. Returns the assignment
@@ -172,19 +194,19 @@ impl<'a> OracleClusterer<'a> {
     fn assign(
         &self,
         repo: &SchemaRepository,
-        nodes: &[ClusteredNode],
+        nodes: &[GlobalNodeId],
         centroids: &[GlobalNodeId],
         previous: &[Option<GlobalNodeId>],
     ) -> (Vec<Option<GlobalNodeId>>, usize) {
         let mut assignment = Vec::with_capacity(nodes.len());
         let mut moved = 0usize;
-        for (i, node) in nodes.iter().enumerate() {
+        for (i, &node) in nodes.iter().enumerate() {
             let mut best: Option<(f64, GlobalNodeId)> = None;
             for &c in centroids {
-                if c.tree != node.node.tree {
+                if c.tree != node.tree {
                     continue;
                 }
-                if let Some(d) = self.distance(repo, node.node, c) {
+                if let Some(d) = self.distance(repo, node, c) {
                     let better = match best {
                         None => true,
                         Some((bd, bc)) => d < bd - 1e-12 || (d < bd + 1e-12 && c < bc),
@@ -207,27 +229,35 @@ impl<'a> OracleClusterer<'a> {
     fn build_clusters(
         &self,
         repo: &SchemaRepository,
-        nodes: &[ClusteredNode],
+        nodes: &[GlobalNodeId],
         assignment: &[Option<GlobalNodeId>],
-    ) -> Vec<Cluster> {
-        let mut groups: BTreeMap<GlobalNodeId, Vec<ClusteredNode>> = BTreeMap::new();
-        for (node, assigned) in nodes.iter().zip(assignment) {
+    ) -> Vec<OracleCluster> {
+        let mut groups: BTreeMap<GlobalNodeId, Vec<GlobalNodeId>> = BTreeMap::new();
+        for (&node, assigned) in nodes.iter().zip(assignment) {
             if let Some(c) = assigned {
-                groups.entry(*c).or_default().push(node.clone());
+                groups.entry(*c).or_default().push(node);
             }
         }
         groups
             .into_iter()
             .filter_map(|(seed, members)| {
                 let centroid = self.medoid(repo, &members)?;
-                Some(Cluster::new(seed.tree, centroid, members))
+                Some(OracleCluster {
+                    tree: seed.tree,
+                    centroid,
+                    members,
+                })
             })
             .collect()
     }
 
     /// Join clusters whose centroids lie within the join distance of each other
     /// (transitively). Each merged cluster gets a freshly computed medoid.
-    fn join_clusters(&self, repo: &SchemaRepository, clusters: Vec<Cluster>) -> Vec<Cluster> {
+    fn join_clusters(
+        &self,
+        repo: &SchemaRepository,
+        clusters: Vec<OracleCluster>,
+    ) -> Vec<OracleCluster> {
         let n = clusters.len();
         if n <= 1 {
             return clusters;
@@ -254,7 +284,7 @@ impl<'a> OracleClusterer<'a> {
                 }
             }
         }
-        let mut groups: BTreeMap<usize, Vec<ClusteredNode>> = BTreeMap::new();
+        let mut groups: BTreeMap<usize, Vec<GlobalNodeId>> = BTreeMap::new();
         let mut trees = BTreeMap::new();
         for (i, cluster) in clusters.into_iter().enumerate() {
             let root = find(&mut parent, i);
@@ -264,38 +294,42 @@ impl<'a> OracleClusterer<'a> {
         groups
             .into_iter()
             .filter_map(|(root, mut members)| {
-                members.sort_by_key(|m| m.node);
-                members.dedup_by_key(|m| m.node);
+                members.sort();
+                members.dedup();
                 let centroid = self.medoid(repo, &members)?;
-                Some(Cluster::new(trees[&root], centroid, members))
+                Some(OracleCluster {
+                    tree: trees[&root],
+                    centroid,
+                    members,
+                })
             })
             .collect()
     }
 
     /// The member minimising the sum of distances to (a deterministic sample of) the
     /// members; ties towards the smaller node id.
-    fn medoid(&self, repo: &SchemaRepository, members: &[ClusteredNode]) -> Option<GlobalNodeId> {
+    fn medoid(&self, repo: &SchemaRepository, members: &[GlobalNodeId]) -> Option<GlobalNodeId> {
         if members.len() <= 1 {
-            return members.first().map(|m| m.node);
+            return members.first().copied();
         }
         let stride = (members.len() / MEDOID_SAMPLE_LIMIT).max(1);
-        let reference: Vec<GlobalNodeId> = members.iter().step_by(stride).map(|m| m.node).collect();
+        let reference: Vec<GlobalNodeId> = members.iter().step_by(stride).copied().collect();
         let mut best: Option<(f64, GlobalNodeId)> = None;
-        for candidate in members {
+        for &candidate in members {
             let mut sum = 0.0;
             for &other in &reference {
                 sum += self
-                    .distance(repo, candidate.node, other)
+                    .distance(repo, candidate, other)
                     .unwrap_or(f64::MAX / reference.len() as f64);
             }
             let better = match best {
                 None => true,
                 Some((best_sum, best_node)) => {
-                    sum < best_sum - 1e-12 || (sum < best_sum + 1e-12 && candidate.node < best_node)
+                    sum < best_sum - 1e-12 || (sum < best_sum + 1e-12 && candidate < best_node)
                 }
             };
             if better {
-                best = Some((sum, candidate.node));
+                best = Some((sum, candidate));
             }
         }
         best.map(|(_, node)| node)
@@ -303,31 +337,27 @@ impl<'a> OracleClusterer<'a> {
 }
 
 /// The scope of a cluster by scanning the whole candidate set for its members.
-pub fn scope_by_restriction(cluster: &Cluster, candidates: &CandidateSet) -> CandidateSet {
-    let mut nodes = cluster.node_ids();
+pub fn scope_by_restriction(members: &[GlobalNodeId], candidates: &CandidateSet) -> CandidateSet {
+    let mut nodes = members.to_vec();
     nodes.sort();
     candidates.restrict(|m| nodes.binary_search(&m.repo).is_ok())
 }
 
 /// Remove clusters with fewer than `min_size` members (their members are free to
 /// join another cluster in the next iteration).
-fn remove_small_clusters(clusters: Vec<Cluster>, min_size: usize) -> Vec<Cluster> {
+fn remove_small_clusters(clusters: Vec<OracleCluster>, min_size: usize) -> Vec<OracleCluster> {
     clusters
         .into_iter()
-        .filter(|c| c.size() >= min_size)
+        .filter(|c| c.members.len() >= min_size)
         .collect()
 }
 
-/// The distinct repository nodes of a candidate set, each with its elements.
-fn collect_clustered_nodes(candidates: &CandidateSet) -> Vec<ClusteredNode> {
-    let mut by_node: BTreeMap<GlobalNodeId, Vec<MappingElement>> = BTreeMap::new();
-    for m in candidates.iter() {
-        by_node.entry(m.repo).or_default().push(*m);
-    }
-    by_node
-        .into_iter()
-        .map(|(node, elements)| ClusteredNode { node, elements })
-        .collect()
+/// The distinct repository nodes of a candidate set, ascending.
+fn distinct_nodes(candidates: &CandidateSet) -> Vec<GlobalNodeId> {
+    let mut nodes: Vec<GlobalNodeId> = candidates.iter().map(|m| m.repo).collect();
+    nodes.sort();
+    nodes.dedup();
+    nodes
 }
 
 fn accumulate(acc: &mut Vec<usize>, add: &[usize]) {

@@ -185,8 +185,8 @@ impl CandidateSet {
         parts
     }
 
-    /// Restrict this set to candidates accepted by a predicate (the clusterer uses this
-    /// with cluster membership).
+    /// Restrict this set to candidates accepted by a predicate. A cluster's scope is
+    /// this set restricted to the cluster's members.
     pub fn restrict<F>(&self, keep: F) -> CandidateSet
     where
         F: Fn(&MappingElement) -> bool,
@@ -202,28 +202,9 @@ impl CandidateSet {
         }
     }
 
-    /// The sub-scope of this set holding exactly `elements` — same personal nodes,
-    /// every list in the canonical order of [`CandidateSet::sort`] — in
-    /// `O(k log k)` for `k` elements, however large this set is. For elements drawn
-    /// from a sorted set it equals [`CandidateSet::restrict`] to them, which scans
-    /// the whole set; the clusterer builds each cluster's scope this way from the
-    /// elements the cluster already owns. Elements of personal nodes this set does
-    /// not index are dropped, as `restrict` could never have kept them.
-    pub fn subset<'a>(
-        &self,
-        elements: impl IntoIterator<Item = &'a MappingElement>,
-    ) -> CandidateSet {
-        let mut scope = CandidateSet::new(self.personal_nodes.clone());
-        for element in elements {
-            scope.push(*element);
-        }
-        scope.sort();
-        scope
-    }
-
     /// Empty every per-node list, keeping the personal nodes and the lists'
-    /// capacity: a scratch set refilled once per repository tree allocates nothing
-    /// after its first few uses.
+    /// capacity: a scratch set refilled over and over (the clusterer fills each
+    /// cluster's scope in one) allocates nothing after its first few uses.
     pub fn clear(&mut self) {
         for list in &mut self.per_node {
             list.clear();
@@ -380,21 +361,6 @@ mod tests {
             }
         }
         assert!(CandidateSet::new(vec![]).split_by_tree().is_empty());
-    }
-
-    #[test]
-    fn subset_equals_restriction_to_the_same_elements() {
-        let set = sample_set();
-        let keep = |m: &MappingElement| m.repo.tree == TreeId(0) && m.repo.node != NodeId(5);
-        // Hand the elements over in an order unlike the set's own.
-        let mut picked: Vec<MappingElement> = set.iter().copied().filter(keep).collect();
-        picked.reverse();
-        picked.push(MappingElement::new(NodeId(9), gid(0, 1), 1.0)); // unindexed node
-        let (fast, reference) = (set.subset(&picked), set.restrict(keep));
-        assert_eq!(fast.personal_nodes(), reference.personal_nodes());
-        for &n in set.personal_nodes() {
-            assert_eq!(fast.candidates_for(n), reference.candidates_for(n));
-        }
     }
 
     #[test]

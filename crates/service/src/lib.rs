@@ -79,7 +79,6 @@ pub mod shard;
 pub mod singleflight;
 pub mod snapshot;
 pub mod swap;
-pub mod workload;
 
 pub use cache::ResultCache;
 pub use engine::{EngineConfig, EngineConfigBuilder, MatchEngine, PendingResponse};

@@ -1,11 +1,15 @@
 //! Concurrency-determinism contract of the [`MatchEngine`]: the same query batch run
 //! through a 1-worker and an 8-worker engine yields identical top-k mappings and
 //! scores, cache hits never change result content, and dropping an engine
-//! still answers every query it had accepted.
+//! still answers every query it had accepted. The seeded workload all the service
+//! suites share is itself deterministic.
 
+mod support;
+
+use support::seeded_personal_schemas;
 use xsm_matcher::element::ElementMatchConfig;
 use xsm_repo::{GeneratorConfig, RepositoryGenerator, SchemaRepository};
-use xsm_service::workload::seeded_personal_schemas;
+use xsm_schema::tree::paper_repository_fragment;
 use xsm_service::{
     EngineConfig, MatchEngine, MatchQuery, MatchService, PendingResponse, QueryStrategy,
     ShardedEngine, ShardedEngineConfig,
@@ -141,4 +145,29 @@ fn dropping_an_engine_drains_every_queued_query() {
         assert!(!response.incomplete, "sharded query {i} lost a shard");
         assert_eq!(response.result_digest(), expected[i], "sharded query {i}");
     }
+}
+
+#[test]
+fn workload_is_deterministic_and_shaped() {
+    let repo = SchemaRepository::from_trees(vec![paper_repository_fragment()]);
+    let a = seeded_personal_schemas(&repo, 12);
+    let b = seeded_personal_schemas(&repo, 12);
+    assert_eq!(a.len(), 12);
+    for (ta, tb) in a.iter().zip(&b) {
+        assert_eq!(ta.len(), 3);
+        let names_a: Vec<&str> = ta.preorder().iter().map(|&n| ta.name_of(n)).collect();
+        let names_b: Vec<&str> = tb.preorder().iter().map(|&n| tb.name_of(n)).collect();
+        assert_eq!(names_a, names_b);
+    }
+    // The perturbation actually fires somewhere in the mix.
+    assert!(a.iter().any(|t| t
+        .preorder()
+        .iter()
+        .any(|&n| t.name_of(n).ends_with('x') && t.name_of(n).len() > 1)));
+}
+
+#[test]
+#[should_panic(expected = "empty repository")]
+fn empty_repository_is_rejected() {
+    seeded_personal_schemas(&SchemaRepository::new(), 3);
 }

@@ -5,15 +5,17 @@
 //! a wrong shard count, a moved tree placement or a fixed (non-swappable)
 //! fleet all leave the old generation serving untouched.
 
+mod support;
+
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use support::seeded_personal_schemas;
 
 use xsm_matcher::element::ElementMatchConfig;
 use xsm_repo::snapshot::SnapshotError;
 use xsm_repo::{GeneratorConfig, RepositoryGenerator, SchemaRepository, ShardPlacement};
-use xsm_service::workload::seeded_personal_schemas;
 use xsm_service::{
     write_shard_snapshots, EngineConfig, MatchEngine, MatchQuery, MatchService, QueryStrategy,
     ShardedEngine, ShardedEngineConfig, SnapshotServeError, SwappableEngine,

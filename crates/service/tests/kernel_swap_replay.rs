@@ -9,12 +9,14 @@
 //! mappings and planner decisions all replay exactly, so the feature-store rewrite
 //! is a pure optimisation.
 
+mod support;
+
+use support::seeded_personal_schemas;
 use xsm_core::{ClusteredMatcher, ClusteringVariant};
 use xsm_matcher::element::{match_elements, match_elements_with_index, ElementMatchConfig};
 use xsm_matcher::generator::branch_and_bound::BranchAndBoundGenerator;
 use xsm_matcher::{MatchingProblem, ObjectiveConfig};
 use xsm_repo::{GeneratorConfig, NameIndex, RepositoryGenerator, SchemaRepository};
-use xsm_service::workload::seeded_personal_schemas;
 use xsm_service::{
     EngineConfig, MatchEngine, MatchQuery, MatchService, PlannedStrategy, PlannerConfig,
     QueryPlanner, QueryStrategy,

@@ -22,11 +22,13 @@
 //! of the live index with the rebuild's: postings are per distinct name, but
 //! the volumes a plan reads must not be.
 
+mod support;
+
 use proptest::prelude::*;
+use support::seeded_personal_schemas;
 use xsm_matcher::element::ElementMatchConfig;
 use xsm_repo::{GeneratorConfig, RepositoryGenerator, SchemaRepository, ShardPlacement};
 use xsm_schema::{SchemaNode, SchemaTree, TreeBuilder, TreeId};
-use xsm_service::workload::seeded_personal_schemas;
 use xsm_service::{
     EngineConfig, MatchEngine, MatchQuery, MatchResponse, QueryPlanner, QueryStrategy,
     ShardedEngine, ShardedEngineConfig,

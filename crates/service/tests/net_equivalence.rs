@@ -11,15 +11,17 @@
 //! aggregation or the merge lost a single bit anywhere, the serialized
 //! responses would diverge.
 
+mod support;
+
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
+use support::seeded_personal_schemas;
 
 use proptest::prelude::*;
 use xsm_matcher::element::ElementMatchConfig;
 use xsm_repo::{
     GeneratorConfig, RepositoryGenerator, RepositoryPartition, SchemaRepository, ShardPlacement,
 };
-use xsm_service::workload::seeded_personal_schemas;
 use xsm_service::{
     EngineConfig, MatchEngine, MatchQuery, MatchResponse, MatchService, QueryStrategy,
     RemoteEngine, RemoteEngineConfig, ShardServer, ShardedEngine, ShardedEngineConfig,

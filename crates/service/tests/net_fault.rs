@@ -11,9 +11,12 @@
 //! client's redial path. Protocol abuse — version skew, garbage frames,
 //! oversized headers — gets structured refusals, never hangs or panics.
 
+mod support;
+
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
+use support::seeded_personal_schemas;
 
 use xsm_matcher::element::ElementMatchConfig;
 use xsm_repo::{
@@ -23,7 +26,6 @@ use xsm_schema::TreeId;
 use xsm_service::net::frame::{read_frame, write_frame, MAX_FRAME_LEN};
 use xsm_service::net::proto::{decode, encode, Hello, HelloOk, WireResponse};
 use xsm_service::net::{Fault, FaultyTransport};
-use xsm_service::workload::seeded_personal_schemas;
 use xsm_service::{
     EngineConfig, MatchEngine, MatchQuery, MatchService, QueryStrategy, RemoteEngine,
     RemoteEngineConfig, ServiceError, ShardServer, ShardedEngine, ShardedEngineConfig,

@@ -8,14 +8,16 @@
 //! repository's nodes on strings: per personal name and per distinct gram of
 //! it, the live nodes inside the length window whose name contains the gram.
 
+mod support;
+
 use std::collections::BTreeSet;
+use support::seeded_personal_schemas;
 
 use proptest::prelude::*;
 use xsm_repo::{
     GeneratorConfig, LengthWindow, LiveRepository, RepositoryGenerator, SchemaRepository,
 };
 use xsm_schema::{SchemaNode, SchemaTree, TreeBuilder, TreeId};
-use xsm_service::workload::seeded_personal_schemas;
 use xsm_service::{PlanStats, PlannedStrategy, PlannerConfig, QueryPlanner, QueryStrategy};
 use xsm_similarity::ngram::qgrams;
 

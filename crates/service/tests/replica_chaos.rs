@@ -13,9 +13,12 @@
 //! replica, and the background prober redialing a suspended-then-resumed
 //! [`xsm_service::ShardServer`].
 
+mod support;
+
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use support::seeded_personal_schemas;
 
 use proptest::prelude::*;
 use xsm_matcher::element::ElementMatchConfig;
@@ -23,7 +26,6 @@ use xsm_repo::{
     GeneratorConfig, RepositoryGenerator, RepositoryPartition, SchemaRepository, ShardPlacement,
 };
 use xsm_service::net::FaultyTransport;
-use xsm_service::workload::seeded_personal_schemas;
 use xsm_service::{
     BreakerState, EngineConfig, HealthConfig, HedgeConfig, MatchEngine, MatchQuery, MatchService,
     QueryStrategy, RemoteEngine, RemoteEngineConfig, ReplicaSet, ReplicaSetConfig, ShardServer,

@@ -2,9 +2,11 @@
 //! order, duplicate in-flight queries coalesce onto **one** scatter (counted by
 //! `coalesced_queries`), and neither worker count nor coalescing changes content.
 
+mod support;
+
+use support::seeded_personal_schemas;
 use xsm_matcher::element::ElementMatchConfig;
 use xsm_repo::{GeneratorConfig, RepositoryGenerator, SchemaRepository};
-use xsm_service::workload::seeded_personal_schemas;
 use xsm_service::{
     EngineConfig, MatchQuery, MatchService, QueryStrategy, ShardedEngine, ShardedEngineConfig,
 };

@@ -11,11 +11,13 @@
 //! all-equal scores across shards at a top-k tie boundary, `top_k` beyond the total
 //! match count, thresholds excluding every candidate, and the empty repository.
 
+mod support;
+
 use proptest::prelude::*;
+use support::seeded_personal_schemas;
 use xsm_matcher::element::ElementMatchConfig;
 use xsm_repo::{GeneratorConfig, RepositoryGenerator, SchemaRepository, ShardPlacement};
 use xsm_schema::{SchemaNode, SchemaTree, TreeBuilder};
-use xsm_service::workload::seeded_personal_schemas;
 use xsm_service::{
     EngineConfig, MatchEngine, MatchQuery, MatchResponse, QueryStrategy, ShardedEngine,
     ShardedEngineConfig,

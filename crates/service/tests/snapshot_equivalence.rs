@@ -9,14 +9,16 @@
 //! startup metrics tag, generation enforcement across a shard fleet, and the
 //! bootstrap config validation.
 
+mod support;
+
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use support::seeded_personal_schemas;
 
 use proptest::prelude::*;
 use xsm_matcher::element::ElementMatchConfig;
 use xsm_repo::snapshot::SnapshotError;
 use xsm_repo::{GeneratorConfig, RepositoryGenerator, SchemaRepository, ShardPlacement};
-use xsm_service::workload::seeded_personal_schemas;
 use xsm_service::{
     write_shard_snapshots, EngineConfig, MatchEngine, MatchQuery, MatchResponse, QueryStrategy,
     ShardedEngine, ShardedEngineConfig, SnapshotServeError, StartupSource,

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use bellflower::matcher::element::ElementMatchConfig;
 use bellflower::repo::{GeneratorConfig, RepositoryGenerator, RepositoryPartition, ShardPlacement};
-use bellflower::service::workload::seeded_personal_schemas;
+use bellflower::schema::{SchemaNode, TreeBuilder};
 use bellflower::service::{
     write_shard_snapshots, BreakerState, EngineConfig, HealthConfig, MatchEngine, MatchQuery,
     MatchService, QueryStrategy, RemoteEngine, RemoteEngineConfig, ReplicaSet, ReplicaSetConfig,
@@ -101,15 +101,32 @@ fn main() {
         .expect("assemble the replicated fleet");
 
     let single = MatchEngine::new(repository.clone(), engine_config.clone());
-    let queries: Vec<MatchQuery> = seeded_personal_schemas(&repository, 8)
-        .into_iter()
-        .map(|p| {
-            MatchQuery::new(p)
-                .with_top_k(5)
-                .with_threshold(0.5)
-                .with_strategy(QueryStrategy::Auto)
-        })
-        .collect();
+    // Eight distinct personal schemas over names the generated corpus uses, two
+    // of them misspelt for the fuzzy matcher: four for the healthy fleet, four
+    // fresh ones while a replica is down.
+    let queries: Vec<MatchQuery> = [
+        ["person", "name", "email"],
+        ["book", "title", "author"],
+        ["contact", "phone", "adress"],
+        ["library", "shelf", "isbn"],
+        ["member", "firstName", "lastName"],
+        ["catalog", "publisher", "year"],
+        ["profile", "homepage", "emial"],
+        ["bookstore", "price", "genre"],
+    ]
+    .into_iter()
+    .map(|[root, first, second]| {
+        let personal = TreeBuilder::new("personal")
+            .root(SchemaNode::element(root))
+            .child(SchemaNode::element(first))
+            .sibling(SchemaNode::element(second))
+            .build();
+        MatchQuery::new(personal)
+            .with_top_k(5)
+            .with_threshold(0.5)
+            .with_strategy(QueryStrategy::Auto)
+    })
+    .collect();
 
     // Healthy serving: byte-identical to one unsharded, unreplicated engine.
     for query in &queries[..4] {
