@@ -54,7 +54,7 @@ pub(crate) struct SlotPaths<'a> {
     parent: Vec<u32>,
     len: Vec<u32>,
     first: Vec<u32>,
-    /// Construction scratch: the labelled points as `(tour position, point, node)`;
+    /// Construction scratch: the labelled points as `(pre-order rank, point, node)`;
     /// per vertex in creation order its depth and parent; the stack of the
     /// rightmost path; the creation indexes in finishing order, and the inverse.
     order: Vec<(u32, u32, NodeId)>,
@@ -84,7 +84,7 @@ impl<'a> SlotPaths<'a> {
         self.order.clear();
         for (point, node) in points.enumerate() {
             self.vertex.push(NONE);
-            if let Some(at) = labeling.and_then(|l| l.tour_position(node)) {
+            if let Some(at) = labeling.and_then(|l| l.preorder_rank(node)) {
                 self.order.push((at, point as u32, node));
             }
         }
@@ -114,7 +114,7 @@ impl<'a> SlotPaths<'a> {
                 self.queries += 1;
                 let lca_depth = labeling
                     .lca_depth(seen, node)
-                    .expect("both nodes are on the tour");
+                    .expect("both nodes are labelled");
                 while let [.., below, top] = self.stack[..] {
                     if self.depth[below as usize] < lca_depth {
                         break;
@@ -319,7 +319,7 @@ mod tests {
     use super::*;
     use xsm_repo::SchemaRepository;
     use xsm_schema::tree::paper_repository_fragment;
-    use xsm_schema::{GlobalNodeId, SchemaNode, SchemaTree, TreeId};
+    use xsm_schema::{GlobalNodeId, SchemaNode, SchemaTree, TreeBuilder, TreeId};
 
     /// A tree whose ids are not in pre-order: every node after the first two
     /// hangs under a node well before it.
@@ -389,16 +389,15 @@ mod tests {
 
     #[test]
     fn declined_points_are_no_vertices() {
-        // Node 1 carries the never-entered sentinel; node 3 is past the labelling.
-        let labeling = TreeLabeling::from_raw_parts(
-            vec![0, 1, 1],
-            vec![0, u32::MAX, 1],
-            vec![0, 2, 0],
-            vec![0, 2, 1],
-            vec![2, 2, 1],
-        );
+        // A root with two children; nodes 3 and 5 are past the labelling.
+        let tree = TreeBuilder::new("t")
+            .root(SchemaNode::element("r"))
+            .child(SchemaNode::element("a"))
+            .sibling(SchemaNode::element("b"))
+            .build();
+        let labeling = TreeLabeling::build(&tree);
         let mut paths = SlotPaths::default();
-        let points = [NodeId(0), NodeId(1), NodeId(2), NodeId(3)];
+        let points = [NodeId(0), NodeId(5), NodeId(2), NodeId(3)];
         paths.build(Some(&labeling), points.into_iter());
         assert_eq!(paths.vertex(1), NONE);
         assert_eq!(paths.vertex(3), NONE);

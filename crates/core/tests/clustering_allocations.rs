@@ -67,11 +67,8 @@ const PERSONAL: u32 = 3;
 const MAX_NODES: usize = 12;
 
 /// Clustering `candidates`: the cluster count, and the allocations the call made.
-/// A labelling builds its LCA table on first use; that is the repository's, once
-/// per tree, so a first call warms it before the counted one.
 fn cluster_allocations(repo: &SchemaRepository, candidates: &CandidateSet) -> (usize, usize) {
     let clusterer = KMeansClusterer::new(ClusteringConfig::default());
-    clusterer.cluster(repo, candidates);
     let before = ALLOCATIONS.with(Cell::get);
     let (set, _) = clusterer.cluster(repo, candidates);
     let allocations = ALLOCATIONS.with(Cell::get) - before;
@@ -122,6 +119,22 @@ fn forest(seed: u64, seeded: usize, seedless: usize) -> (SchemaRepository, Candi
     }
     candidates.sort();
     (repo, candidates)
+}
+
+#[test]
+fn the_first_call_on_a_fresh_repository_allocates_as_often_as_the_second() {
+    // Nothing the repository holds is built on a first query: the first of two
+    // identical calls allocates exactly as often as the second.
+    for seed in 0..4 {
+        let (repo, candidates) = forest(seed, 40, 60);
+        let (first_clusters, first) = cluster_allocations(&repo, &candidates);
+        let (clusters, second) = cluster_allocations(&repo, &candidates);
+        assert_eq!(clusters, first_clusters);
+        assert_eq!(
+            first, second,
+            "seed {seed}: {first} allocations on the first call, {second} on the second"
+        );
+    }
 }
 
 #[test]

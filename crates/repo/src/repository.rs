@@ -9,7 +9,8 @@ use xsm_schema::{GlobalNodeId, SchemaNode, SchemaTree, TreeId, TreeLabeling};
 /// The paper treats `R` as "a single large tree" in formulas for brevity but implements
 /// it as a forest; we store the forest explicitly. Each tree carries its precomputed
 /// [`TreeLabeling`] so both the matcher (for `Δ_path`) and the clusterer (for the
-/// k-means distance measure) get constant-time path-length queries.
+/// k-means distance measure) get path lengths from flat labels instead of walking the
+/// tree.
 #[derive(Debug, Clone, Serialize, Deserialize, Default)]
 pub struct SchemaRepository {
     trees: Vec<SchemaTree>,
@@ -26,15 +27,6 @@ impl SchemaRepository {
     /// Build a repository from a forest of trees.
     pub fn from_trees(trees: Vec<SchemaTree>) -> Self {
         let labelings = trees.iter().map(TreeLabeling::build).collect();
-        SchemaRepository { trees, labelings }
-    }
-
-    /// Build a repository from trees whose labellings are already available
-    /// (snapshot loading ships the label arrays instead of re-walking every
-    /// tree). One labelling per tree, in tree order; the caller vouches that
-    /// each describes its tree.
-    pub(crate) fn from_labeled_trees(trees: Vec<SchemaTree>, labelings: Vec<TreeLabeling>) -> Self {
-        debug_assert_eq!(trees.len(), labelings.len());
         SchemaRepository { trees, labelings }
     }
 

@@ -16,8 +16,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"XSMSNAP1";
 /// name-table layout: spellings, features, postings, positions and lengths
 /// are stored once per distinct name (`names` replaces `node_names`), every
 /// node carries a `u32` name id (`node_name_ids`), and the exact-name
-/// sections are gone — the reader derives them.
-pub const FORMAT_VERSION: u32 = 3;
+/// sections are gone — the reader derives them. v4 drops the `labelings`
+/// section: the reader labels each tree from its parent table.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Bytes before the header payload: magic + version (u32) + header length (u32).
 pub(crate) const PREAMBLE_LEN: usize = 8 + 4 + 4;
@@ -40,7 +41,6 @@ pub(crate) mod section {
     pub const NODE_NAME_IDS: &str = "node_name_ids";
     pub const NODE_META: &str = "node_meta";
     pub const NODE_PROPS: &str = "node_props";
-    pub const LABELINGS: &str = "labelings";
     pub const GRAM_TABLE: &str = "gram_table";
     pub const GRAM_SIGS: &str = "gram_sigs";
     /// One byte per signature entry — multiplicities above 255 cannot occur

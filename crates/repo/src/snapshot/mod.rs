@@ -15,9 +15,10 @@
 //! name**: `names` (the spellings, in name-id order), `gram_sigs` /
 //! `gram_counts` / `peq` (feature columns), `index_arena` / `index_pos`
 //! (postings and positional intervals over name ids) and `index_lens`. A node
-//! costs its fixed-width metadata, its labelling and one `u32` in
-//! `node_name_ids`. What follows from those columns — each name's node list,
-//! the case-insensitive exact-name groups, which postings the tombstones leave
+//! costs its fixed-width metadata (parent slot, kind, cardinality, datatype)
+//! and one `u32` in `node_name_ids`. What follows from those columns — each
+//! tree's [`xsm_schema::TreeLabeling`], each name's node list, the
+//! case-insensitive exact-name groups, which postings the tombstones leave
 //! dead and the node-weighted segment sizes the planner reads — is **derived
 //! at load**, not stored, so no section can contradict another about it.
 //!

@@ -11,13 +11,13 @@
 //! little-endian array decoded with bulk `u32` passes; the only per-entry work
 //! is replaying tree edges and, per distinct name, one hash insert into the
 //! spelling map and the exact-name groups. What follows from the serialized
-//! columns — each name's node list, the exact-name groups, the dead and
-//! node-weighted segment sizes — is rederived, never read, so it cannot
-//! disagree with them.
+//! columns — each tree's labelling, each name's node list, the exact-name
+//! groups, the dead and node-weighted segment sizes — is rederived, never
+//! read, so it cannot disagree with them.
 
 use std::path::Path;
 
-use xsm_schema::{Cardinality, GlobalNodeId, NodeId, SchemaNode, SchemaTree, TreeId, TreeLabeling};
+use xsm_schema::{Cardinality, GlobalNodeId, NodeId, SchemaNode, SchemaTree, TreeId};
 use xsm_similarity::features::GramInterner;
 
 use crate::features::{FeatureColumns, FeatureStore};
@@ -38,7 +38,7 @@ pub struct Snapshot {
     pub generation: u64,
     /// Local tree index → global tree id (identity for whole-repo snapshots).
     pub tree_map: Vec<TreeId>,
-    /// The reconstructed repository, labelings included.
+    /// The reconstructed repository, each tree labelled from its parent table.
     pub repository: SchemaRepository,
     /// The reconstructed name index (posting arena, feature store, interner).
     pub index: NameIndex,
@@ -347,44 +347,7 @@ fn reconstruct(header: &SnapshotHeader, body: &[u8]) -> Result<Snapshot, Snapsho
     }
     cur.finish()?;
 
-    // --- labelings: flat label arrays, sliced by tree size -----------------
-    let lab_flat = flat_u32s(header, body, section::LABELINGS)?;
-    let lab_expected: usize = tree_sizes
-        .iter()
-        .map(|&n| if n == 0 { 0 } else { 6 * n as usize - 1 })
-        .sum();
-    if lab_flat.len() != lab_expected {
-        return Err(SnapshotError::malformed(format!(
-            "labelings has {} words, tree sizes require {lab_expected}",
-            lab_flat.len()
-        )));
-    }
-    let mut labelings = Vec::with_capacity(tree_count);
-    let mut pos = 0usize;
-    for &n in &tree_sizes {
-        let n = n as usize;
-        let euler_len = if n == 0 { 0 } else { 2 * n - 1 };
-        let mut take = |len: usize| {
-            let slice = lab_flat[pos..pos + len].to_vec();
-            pos += len;
-            slice
-        };
-        let depth = take(n);
-        let first = take(n);
-        let euler = take(euler_len);
-        // The Euler tour indexes into the depth array (including inside the
-        // sparse-table rebuild below), so out-of-range entries would panic —
-        // reject them as a malformed writer instead.
-        if let Some(&bad) = euler.iter().find(|&&v| v as usize >= n) {
-            return Err(SnapshotError::malformed(format!(
-                "labelings: euler tour refers to slot {bad} of a {n}-node tree"
-            )));
-        }
-        let pre = take(n);
-        let post = take(n);
-        labelings.push(TreeLabeling::from_raw_parts(depth, first, euler, pre, post));
-    }
-    let repository = SchemaRepository::from_labeled_trees(trees, labelings);
+    let repository = SchemaRepository::from_trees(trees);
 
     // --- the gram interner and per-name features ---------------------------
     if header.q == 0 {

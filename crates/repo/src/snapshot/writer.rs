@@ -155,24 +155,6 @@ impl SnapshotWriter {
         buf.extend_from_slice(&body);
         sections.push((section::NODE_PROPS, buf));
 
-        // labelings: each tree's flat label arrays (depth, first occurrence,
-        // Euler tour, pre, post), back to back in tree order. Every array
-        // length is determined by the tree's node count, so the section needs
-        // no directory of its own — the reader slices it apart. Shipping the
-        // arrays spares the loader a DFS over every tree; the sparse RMQ
-        // table is rebuilt (cheaper than its bytes).
-        let mut buf = Vec::new();
-        for (tid, _) in repo.trees() {
-            let labeling = repo.labeling(tid).expect("one labeling per tree");
-            let (depth, first, euler, pre, post) = labeling.raw_parts();
-            for arr in [depth, first, euler, pre, post] {
-                for &v in arr {
-                    put_u32(&mut buf, v);
-                }
-            }
-        }
-        sections.push((section::LABELINGS, buf));
-
         // gram_table: the interner's grams in dense id order.
         let gram_table = interner.gram_table();
         let mut buf = Vec::new();

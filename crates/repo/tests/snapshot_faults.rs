@@ -10,9 +10,11 @@
 //! lies in the name-table sections of format v3: a node naming a name that
 //! does not exist, a posting doing the same, a spelling listed twice, columns
 //! that disagree about how many names there are, and a table claiming more
-//! entries than the file has bytes. A name's node list is not among them:
-//! the format does not store one (the reader derives it from the per-node
-//! name ids), so it cannot lie.
+//! entries than the file has bytes — and a parent table chaining a node past
+//! the tree depth limit. A name's node list is not among them: the format
+//! does not store one (the reader derives it from the per-node name ids), so
+//! it cannot lie; nor is a labelling, which the reader derives from the
+//! parent table.
 
 use xsm_repo::snapshot::{
     SnapshotError, SnapshotHeader, SnapshotReader, SnapshotWriter, FORMAT_VERSION,
@@ -366,6 +368,41 @@ fn a_table_claiming_more_entries_than_bytes_is_malformed_without_allocating() {
         let forged = forge(&bytes, section, |payload| set_u32(payload, 0, u32::MAX));
         assert_malformed(&forged, section);
     }
+}
+
+#[test]
+fn a_parent_table_chaining_past_the_depth_limit_is_malformed() {
+    // One tree of a root and `MAX_TREE_DEPTH + 1` children: re-parenting every
+    // node under the slot before it makes the last one a node too deep.
+    use xsm_repo::SchemaRepository;
+    use xsm_schema::parser::MAX_TREE_DEPTH;
+    use xsm_schema::{SchemaNode, SchemaTree, TreeId};
+
+    let mut tree = SchemaTree::new("wide");
+    let root = tree.add_root(SchemaNode::element("root")).unwrap();
+    for i in 1..=MAX_TREE_DEPTH + 1 {
+        tree.add_child(root, SchemaNode::element(format!("n{i}")))
+            .unwrap();
+    }
+    let nodes = tree.len();
+    let repo = SchemaRepository::from_trees(vec![tree]);
+    let bytes = SnapshotWriter::new(1)
+        .to_bytes(
+            &repo,
+            &NameIndex::build(&repo),
+            &[Some(GlobalNodeId::new(TreeId(0), root))],
+        )
+        .expect("corpus serializes");
+    // `node_meta` holds two words per node, the parent slot first.
+    let chain = |depth: usize| {
+        forge(&bytes, "node_meta", |payload| {
+            for slot in 1..=depth {
+                set_u32(payload, 2 * slot, slot as u32 - 1);
+            }
+        })
+    };
+    assert!(SnapshotReader::read_bytes(&chain(MAX_TREE_DEPTH as usize)).is_ok());
+    assert_malformed(&chain(nodes - 1), "a node past the depth limit");
 }
 
 /// The snapshot checksum — four-lane word-folding FNV variant, duplicated here

@@ -19,9 +19,18 @@ use xsm_repo::snapshot::{
 use xsm_repo::{GeneratorConfig, NameIndex, RepositoryGenerator, SchemaRepository};
 use xsm_schema::{GlobalNodeId, NodeId};
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/snapshot_v3.bin");
-/// The golden file of the previous format, kept to pin that it is refused.
-const GOLDEN_V2_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/snapshot_v2.bin");
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/snapshot_v4.bin");
+/// The golden files of previous formats, kept to pin that they are refused.
+const PREVIOUS_GOLDEN_PATHS: [(u32, &str); 2] = [
+    (
+        2,
+        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/snapshot_v2.bin"),
+    ),
+    (
+        3,
+        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/snapshot_v3.bin"),
+    ),
+];
 const GOLDEN_GENERATION: u64 = 7;
 
 /// The deterministic corpus the golden file is built from. The centroids are
@@ -232,22 +241,26 @@ fn peek_reports_the_header_without_reconstruction() {
     assert_eq!(header.generation, GOLDEN_GENERATION);
     assert_eq!(header.tree_count as usize, repo.tree_count());
     assert_eq!(header.node_count as usize, repo.total_nodes());
-    assert_eq!(header.sections.len(), 16);
-    assert_eq!(FORMAT_VERSION, 3);
+    assert_eq!(header.sections.len(), 15);
+    assert!(header.sections.iter().all(|s| s.name != "labelings"));
+    assert_eq!(FORMAT_VERSION, 4);
 }
 
 #[test]
 fn the_previous_format_is_refused_with_the_version_found() {
     // The format has never migrated: a v2 file (per-node features and
-    // postings) is rejected by its version, before any section is looked at.
-    let v2 = std::fs::read(GOLDEN_V2_PATH).expect("v2 golden snapshot present");
-    for result in [
-        SnapshotReader::read_bytes(&v2).map(|_| ()),
-        SnapshotReader::peek_bytes(&v2).map(|_| ()),
-    ] {
-        match result.unwrap_err() {
-            SnapshotError::UnsupportedVersion { found } => assert_eq!(found, 2),
-            other => panic!("{other:?}"),
+    // postings) and a v3 file (with a `labelings` section) are rejected by
+    // their version, before any section is looked at.
+    for (version, path) in PREVIOUS_GOLDEN_PATHS {
+        let bytes = std::fs::read(path).expect("previous golden snapshot present");
+        for result in [
+            SnapshotReader::read_bytes(&bytes).map(|_| ()),
+            SnapshotReader::peek_bytes(&bytes).map(|_| ()),
+        ] {
+            match result.unwrap_err() {
+                SnapshotError::UnsupportedVersion { found } => assert_eq!(found, version),
+                other => panic!("v{version}: {other:?}"),
+            }
         }
     }
 }

@@ -27,6 +27,11 @@ pub enum SchemaError {
         /// Name of the offending element or type.
         name: String,
     },
+    /// A node would sit deeper than the tree depth limit.
+    TooDeep {
+        /// The limit, [`crate::parser::MAX_TREE_DEPTH`].
+        limit: u32,
+    },
 }
 
 impl SchemaError {
@@ -55,6 +60,9 @@ impl fmt::Display for SchemaError {
                     f,
                     "recursive definition of '{name}' exceeds expansion limit"
                 )
+            }
+            SchemaError::TooDeep { limit } => {
+                write!(f, "node would be deeper than the tree depth limit {limit}")
             }
         }
     }

@@ -8,9 +8,9 @@
 //!   XML schema (Def. 1 of the paper restricted to trees),
 //! * [`SchemaNode`] — an element or attribute declaration with a name, an optional
 //!   [`datatype::XsdType`], and a cardinality,
-//! * [`labeling::TreeLabeling`] — the Kaplan–Milo style node-labelling substrate that
-//!   lets the matcher and the clusterer compute tree (path-length) distances between
-//!   any two nodes in constant time after a linear-time preprocessing pass,
+//! * [`labeling::TreeLabeling`] — the Kaplan–Milo style node labels (parent, depth,
+//!   pre-order interval) from which the matcher and the clusterer compute tree
+//!   (path-length) distances, built in linear time,
 //! * [`parser`] — hand-written parsers for a pragmatic subset of DTD and XML Schema
 //!   (XSD), plus the minimal XML tokenizer they share,
 //! * [`datatype`] — the XSD built-in datatypes a node may declare.

@@ -25,6 +25,10 @@ use crate::tree::SchemaTree;
 /// Maximum expansion depth for (accidentally) recursive definitions.
 pub const MAX_EXPANSION_DEPTH: usize = 24;
 
+/// Maximum depth of any node of a [`SchemaTree`] (root = 0). Checked wherever a
+/// depth is set, so it bounds every parent climb, such as the labelling's LCA.
+pub const MAX_TREE_DEPTH: u32 = 1024;
+
 /// The schema dialect of a document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dialect {

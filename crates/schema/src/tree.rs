@@ -2,6 +2,7 @@
 
 use crate::error::{Result, SchemaError};
 use crate::node::{NodeId, SchemaNode};
+use crate::parser::MAX_TREE_DEPTH;
 use crate::path::NodePath;
 use serde::{Deserialize, Serialize};
 
@@ -92,7 +93,8 @@ impl SchemaTree {
     /// order — the exact shape a sequence of [`SchemaTree::add_root`] /
     /// [`SchemaTree::add_child`] calls produces, validated the same way
     /// ([`SchemaError::UnknownNode`] for a parent at or after its child,
-    /// [`SchemaError::MultipleRoots`] for a second root) but without the
+    /// [`SchemaError::MultipleRoots`] for a second root,
+    /// [`SchemaError::TooDeep`] past [`MAX_TREE_DEPTH`]) but without the
     /// per-node slot growth — bulk callers (snapshot load) allocate each
     /// child list exactly once.
     pub fn from_parent_table(
@@ -133,6 +135,11 @@ impl SchemaTree {
         for i in 0..slots.len() {
             if let Some(p) = slots[i].parent {
                 let depth = slots[p.index()].depth + 1;
+                if depth > MAX_TREE_DEPTH {
+                    return Err(SchemaError::TooDeep {
+                        limit: MAX_TREE_DEPTH,
+                    });
+                }
                 slots[i].depth = depth;
                 slots[p.index()].children.push(NodeId::from_index(i));
             }
@@ -144,13 +151,20 @@ impl SchemaTree {
         })
     }
 
-    /// Add a child of `parent`. Children are ordered by insertion.
+    /// Add a child of `parent`. Children are ordered by insertion. Fails with
+    /// [`SchemaError::TooDeep`] if the child would sit deeper than
+    /// [`MAX_TREE_DEPTH`].
     pub fn add_child(&mut self, parent: NodeId, node: SchemaNode) -> Result<NodeId> {
         let parent_depth = self
             .slots
             .get(parent.index())
             .ok_or(SchemaError::UnknownNode(parent.0))?
             .depth;
+        if parent_depth >= MAX_TREE_DEPTH {
+            return Err(SchemaError::TooDeep {
+                limit: MAX_TREE_DEPTH,
+            });
+        }
         let id = NodeId::from_index(self.slots.len());
         self.slots.push(NodeSlot {
             data: node,
@@ -264,8 +278,8 @@ impl SchemaTree {
 
     /// Lowest common ancestor of two nodes, computed by walking up the deeper node.
     ///
-    /// This is the reference O(depth) implementation; the constant-time variant lives
-    /// in [`crate::labeling::TreeLabeling`].
+    /// This is the reference implementation; [`crate::labeling::TreeLabeling`] answers
+    /// the same from flat labels, climbing only the shallower node.
     pub fn lca(&self, a: NodeId, b: NodeId) -> Option<NodeId> {
         if self.slots.get(a.index()).is_none() || self.slots.get(b.index()).is_none() {
             return None;
@@ -444,7 +458,10 @@ impl TreeBuilder {
     /// Add a child of the most recently inserted node and descend into it.
     pub fn child(mut self, node: SchemaNode) -> Self {
         let parent = self.last.expect("TreeBuilder::child before root");
-        let id = self.tree.add_child(parent, node).expect("valid parent");
+        let id = self
+            .tree
+            .add_child(parent, node)
+            .expect("a parent within the depth limit");
         self.cursor.push(parent);
         self.last = Some(id);
         self
@@ -538,6 +555,38 @@ mod tests {
         assert_eq!(
             t.add_child(NodeId(99), SchemaNode::element("b")),
             Err(SchemaError::UnknownNode(99))
+        );
+    }
+
+    #[test]
+    fn add_child_refuses_a_node_past_the_depth_limit() {
+        let mut t = SchemaTree::new("chain");
+        let mut last = t.add_root(SchemaNode::element("n0")).unwrap();
+        for i in 1..=MAX_TREE_DEPTH {
+            last = t
+                .add_child(last, SchemaNode::element(format!("n{i}")))
+                .unwrap();
+        }
+        assert_eq!(t.depth(last), 1024);
+        assert_eq!(
+            t.add_child(last, SchemaNode::element("deeper")),
+            Err(SchemaError::TooDeep { limit: 1024 })
+        );
+        assert_eq!(t.len(), 1025, "the refused node is not added");
+    }
+
+    #[test]
+    fn from_parent_table_refuses_a_node_past_the_depth_limit() {
+        let chain = |nodes: u32| {
+            let parents: Vec<Option<NodeId>> =
+                (0..nodes).map(|i| i.checked_sub(1).map(NodeId)).collect();
+            let names = (0..nodes).map(|i| SchemaNode::element(format!("n{i}")));
+            SchemaTree::from_parent_table("chain", names.collect(), &parents)
+        };
+        assert_eq!(chain(1025).unwrap().max_depth(), 1024);
+        assert_eq!(
+            chain(1026).unwrap_err(),
+            SchemaError::TooDeep { limit: 1024 }
         );
     }
 
