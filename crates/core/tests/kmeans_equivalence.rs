@@ -11,6 +11,10 @@
 //! the forests hold what the sweeps must get exactly right: nodes the labelling
 //! declines (seeds among them) and ids out of pre-order.
 //!
+//! Every scope the clusterer and `CandidateSet::split_by_tree` hand the generator
+//! descends by similarity, list by list: the generator's bound and its counted
+//! tails rely on it.
+//!
 //! The complexity claims are pinned as *work bounds*, not timings: the kernel's
 //! `labelling_queries` counter and the oracle's call count show that the kernel
 //! never asks more than the oracle, and that it asks about once per slot plus the
@@ -229,6 +233,49 @@ proptest! {
         let (strategy, join_distance, floor) = shape;
         let (repo, candidates) = bushy_forest(seed, nodes, FLOORS[floor]);
         assert_equivalent(&repo, &candidates, config(strategy, join_distance, knobs));
+    }
+}
+
+/// Does every list of `scope` descend by similarity? The branch-and-bound
+/// generator reads a list's best similarity off its first element and counts the
+/// sorted tail of its last list without visiting it, so it needs this of every
+/// scope it is handed.
+fn descends(scope: &CandidateSet) -> bool {
+    (0..scope.node_count()).all(|i| {
+        scope
+            .candidates_at(i)
+            .windows(2)
+            .all(|pair| pair[0].similarity >= pair[1].similarity)
+    })
+}
+
+proptest! {
+    #[test]
+    fn every_scope_handed_to_the_generator_descends_by_similarity(
+        seed in 0u64..u64::MAX,
+        trees in 1usize..48,
+        shape in (0usize..3, 2u32..6, 0usize..2),
+        knobs in 0u64..120,
+        declined in 0usize..2,
+    ) {
+        // The clustered pipeline hands the generator each cluster's scope; the
+        // per-tree baseline, and `generate` on a scope of several trees, the parts
+        // of `split_by_tree`.
+        let (strategy, join_distance, floor) = shape;
+        let (repo, candidates) = random_forest(seed, trees, 0, FLOORS[floor]);
+        let candidates = if declined == 1 {
+            with_declined_nodes(seed, &repo, &candidates)
+        } else {
+            candidates
+        };
+        let (set, _) =
+            KMeansClusterer::new(config(strategy, join_distance, knobs)).cluster(&repo, &candidates);
+        for cluster in &set.clusters {
+            prop_assert!(descends(&cluster.scope), "cluster of tree {:?}", cluster.tree);
+        }
+        for (tree, part) in candidates.split_by_tree() {
+            prop_assert!(descends(&part), "part of tree {:?}", tree);
+        }
     }
 }
 

@@ -24,6 +24,8 @@
 //! * **`best` and `assigned`** — the highest similarity each candidate list offers,
 //!   and which lists are taken. The bound's `Δ_sim` part is the extended sum plus
 //!   `best[i]` for every list `i` still open, added in `personal_nodes` order;
+//! * **`used`** — one flag per repository node of the scope (a *slot*, below), set
+//!   while the node is an image of the partial mapping: injectivity is one load;
 //! * **the images as a [`SteinerRing`]** — ordered by pre-order rank, with the sum
 //!   of the distances between cyclic neighbours. Adding an image replaces one term
 //!   of that sum by two, so `|E_t|` *with the candidate* is three distances away
@@ -31,10 +33,40 @@
 //!
 //! Most partial mappings end there: the bound cuts them, or they are complete and
 //! get their score from the same two numbers. Only to search *below* one does the
-//! state change — candidate pushed, list marked, image inserted — and change back
-//! on return. So a partial mapping costs no allocation, three distance lookups
-//! and `|N_s|` float additions, and a complete one allocates only if it is
-//! retained *and* the [`TopMappings`] it goes to wants its score.
+//! state change — candidate pushed, list marked, image flagged and inserted — and
+//! change back on return. So an inner partial mapping costs no allocation, three
+//! distance lookups and `|N_s|` float additions, and a complete one allocates only
+//! if it is retained *and* the [`TopMappings`] it goes to wants its score.
+//!
+//! # The last list
+//!
+//! Nine in ten partial mappings on `wide_match` are *leaves*: extensions by a
+//! candidate of the last list, complete mappings. The last list gets a loop of its
+//! own, with the same counters and the same bits:
+//!
+//! * **The bound is the score.** With every list assigned, no `best[i]` is added,
+//!   and [`Objective::upper_bound_from_parts`] is [`Objective::delta_from_parts`]
+//!   of the same two numbers. A leaf computes it once: pruned if
+//!   `score + 1e-12 < δ`, retained if `score ≥ δ`.
+//! * **Gaps, not a search of the ring.** The ring is fixed while the last list is
+//!   tried, so its `|N_s|` gaps are laid out once per prefix: each gap's `pred`,
+//!   `succ` and the cycle sum without `d(pred, succ)`. A candidate's gap is the
+//!   number of held ring keys below its own, counted without a branch, and its
+//!   `|E_t|` is `(base + d(pred, v) + d(v, succ)) / 2` — two distance lookups.
+//! * **The sorted tail is counted, not visited.** Lists descend by similarity,
+//!   the score falls as the similarity sum falls and as `|E_t|` grows, and adding
+//!   an image to a set of labelled nodes never shrinks its Steiner tree. So once
+//!   a candidate would be pruned at the prefix's own `|E_t|`, so would every
+//!   candidate after it, at whatever `|E_t|` it brings. The first such candidate
+//!   is found by binary search; the unused candidates from there on (the list's
+//!   length minus that position, minus the held images that are candidates of
+//!   the last list at or past it) are added to `partial_mappings` and
+//!   `pruned_branches` in one step, capped at what `max_partial_mappings` leaves —
+//!   exactly where a candidate-by-candidate loop would stop. This holds only if
+//!   the labelling knows every image of the scope: an unknown image reads
+//!   distance 0 to everything and can *shrink* `|E_t|`. So a search counts tails
+//!   only when bounding is on, every slot has a pre-order rank, and `α ∈ [0, 1]`,
+//!   `K > 0` keep the score monotone; otherwise it visits every candidate.
 //!
 //! # Slots and the distance memo
 //!
@@ -57,7 +89,9 @@
 //! gives; the memo only saves asking twice. A scope of more than
 //! `MEMO_MAX_IMAGES` (1 024) distinct images — a 4 MiB memo — asks the labelling
 //! every time instead. Setting up a search costs a fixed number of allocations
-//! whatever the scope: the slots, the keys, the memo and the state above. Every retained
+//! whatever the scope — the slots, the keys, the memo, the per-slot flags and
+//! counts, and the state and gap table above, each sized once — and the search
+//! itself none (`tests/search_allocations.rs` pins the count). Every retained
 //! mapping is counted; one that cannot make the caller's top `k` is never built.
 //! `generate_single_tree` and `generate` hand the search an unbounded collector,
 //! the served path one of `k`: the search itself is the same.
@@ -194,9 +228,18 @@ impl BranchAndBoundGenerator {
             return counters;
         };
 
+        let nodes = scope.node_count();
+        debug_assert!(
+            (0..nodes).all(|i| scope
+                .candidates_at(i)
+                .windows(2)
+                .all(|pair| pair[0].similarity >= pair[1].similarity)),
+            "every candidate list descends by similarity"
+        );
+
         // Most-constrained-first variable order, each list with where its
         // candidates' ring keys begin in `keys`.
-        let mut order: Vec<(usize, usize)> = (0..scope.node_count()).map(|i| (i, 0)).collect();
+        let mut order: Vec<(usize, usize)> = (0..nodes).map(|i| (i, 0)).collect();
         order.sort_by_key(|&(i, _)| scope.candidates_at(i).len());
         let mut begin = 0;
         for (i, start) in &mut order {
@@ -204,26 +247,42 @@ impl BranchAndBoundGenerator {
             begin += scope.candidates_at(*i).len();
         }
         let distances = SlotDistances::new(labeling, scope);
-        let keys = order
-            .iter()
-            .flat_map(|&(i, _)| scope.candidates_at(i))
-            .map(|candidate| distances.key(candidate.repo.node))
-            .collect();
+        let mut keys = Vec::with_capacity(scope.total_candidates());
+        keys.extend(
+            order
+                .iter()
+                .flat_map(|&(i, _)| scope.candidates_at(i))
+                .map(|candidate| distances.key(candidate.repo.node)),
+        );
+        let slots = distances.slots.len();
+        let mut in_last = vec![0; slots];
+        let (_, last_begin) = order[nodes - 1];
+        for &(_, slot) in &keys[last_begin..] {
+            in_last[slot as usize] += 1;
+        }
+        let objective = Objective::for_problem(problem);
 
         let mut search = Search {
             config: self.config,
             threshold: problem.threshold,
             scope,
-            objective: Objective::for_problem(problem),
+            count_tail: self.config.use_bounding
+                && objective.is_monotone()
+                && distances.every_slot_is_labelled(),
+            objective,
             order,
             keys,
             distances,
-            best: (0..scope.node_count())
+            best: (0..nodes)
                 .map(|i| scope.candidates_at(i).first().map_or(0.0, |m| m.similarity))
                 .collect(),
-            assigned: vec![false; scope.node_count()],
-            assignment: Vec::with_capacity(scope.node_count()),
-            images: SteinerRing::with_capacity(scope.node_count()),
+            assigned: vec![false; nodes],
+            assignment: Vec::with_capacity(nodes),
+            used: vec![false; slots],
+            in_last,
+            images: SteinerRing::with_capacity(nodes),
+            held: Vec::with_capacity(nodes),
+            gaps: Vec::with_capacity(nodes + 1),
             sink,
             counters,
         };
@@ -280,6 +339,12 @@ impl<'a> SlotDistances<'a> {
         (self.slots[slot].0, slot as u32)
     }
 
+    /// Does the labelling know every image? Then every distance is a tree
+    /// distance, and adding an image never shrinks `|E_t|`.
+    fn every_slot_is_labelled(&self) -> bool {
+        self.slots.iter().all(|&(rank, _)| rank != u32::MAX)
+    }
+
     /// `distance(a, b)` as `steiner_edge_count` reads it — 0 where the labelling
     /// has none — asked of the labelling once per pair while the memo is on.
     #[inline]
@@ -306,6 +371,22 @@ impl<'a> SlotDistances<'a> {
     }
 }
 
+/// A gap of the ring at the last list: the slots it lies between and the cycle
+/// sum without the term between them. A slot entering it makes the cycle
+/// `base + d(pred, slot) + d(slot, succ)`.
+#[derive(Clone, Copy)]
+struct Gap {
+    pred: u32,
+    succ: u32,
+    base: u32,
+}
+
+/// A ring key as one integer, ordered as the `(rank, slot)` pair is.
+#[inline]
+fn packed((rank, slot): (u32, u32)) -> u64 {
+    (u64::from(rank) << 32) | u64::from(slot)
+}
+
 /// The search state of one single-tree scope (see the module docs): what is fixed
 /// for the whole search, and the partial mapping the recursion currently stands on.
 struct Search<'a> {
@@ -322,13 +403,26 @@ struct Search<'a> {
     distances: SlotDistances<'a>,
     /// `best[i]`: the highest similarity list `i` offers (lists are sorted).
     best: Vec<f64>,
-    /// `assigned[i]`: list `i` has an element in `assignment`, or is the list whose
-    /// candidates the search is trying.
+    /// `assigned[i]`: list `i` has an element in `assignment`, or is the inner list
+    /// whose candidates the search is trying.
     assigned: Vec<bool>,
     /// The partial mapping, in assignment order.
     assignment: Vec<MappingElement>,
+    /// `used[slot]`: the slot is an image of `assignment`.
+    used: Vec<bool>,
+    /// `in_last[slot]`: how often the slot is a candidate of the last list.
+    in_last: Vec<u32>,
+    /// Whether the last list's sorted tail may be counted rather than visited:
+    /// bounding is on, the score falls with the similarity and with `|E_t|`, and
+    /// `|E_t|` never shrinks as an image is added.
+    count_tail: bool,
     /// The slots of `assignment`'s images, for `|E_t|`.
     images: SteinerRing,
+    /// `images`' keys, [`packed`], while the last list is searched.
+    held: Vec<u64>,
+    /// `gaps[g]`: the gap a slot enters when `g` held keys sort below its own;
+    /// the first and the last are the one gap that wraps around.
+    gaps: Vec<Gap>,
     /// Where complete mappings with `Δ ≥ δ` go, if it wants them.
     sink: &'a mut TopMappings,
     counters: GeneratorCounters,
@@ -344,20 +438,24 @@ impl Search<'_> {
     fn descend(&mut self, depth: usize, similarity_sum: f64) {
         let scope = self.scope;
         let (node_index, begin) = self.order[depth];
-        let last = depth + 1 == self.order.len();
+        let candidates = scope.candidates_at(node_index);
+        if depth + 1 == self.order.len() {
+            self.search_last_list(candidates, begin, similarity_sum);
+            return;
+        }
         self.assigned[node_index] = true;
-        for (j, candidate) in scope.candidates_at(node_index).iter().enumerate() {
+        for (j, candidate) in candidates.iter().enumerate() {
             if self.capped() {
                 break;
             }
-            if self.assignment.iter().any(|m| m.repo == candidate.repo) {
+            let (rank, slot) = self.keys[begin + j];
+            if self.used[slot as usize] {
                 continue;
             }
             // The partial mapping `assignment + candidate`, looked at from where the
             // search stands: nothing is changed for a branch that is cut.
             self.counters.partial_mappings += 1;
             let similarity_sum = similarity_sum + candidate.similarity;
-            let (rank, slot) = self.keys[begin + j];
             let edge_count = self
                 .images
                 .edge_count_with(rank, slot, |a, b| self.distances.get(a, b));
@@ -368,16 +466,14 @@ impl Search<'_> {
             if self.capped() {
                 break;
             }
-            if last {
-                self.complete(candidate, similarity_sum, edge_count);
-                continue;
-            }
             self.assignment.push(*candidate);
+            self.used[slot as usize] = true;
             self.images
                 .insert(rank, slot, |a, b| self.distances.get(a, b));
             self.descend(depth + 1, similarity_sum);
             self.images
                 .remove(rank, slot, |a, b| self.distances.get(a, b));
+            self.used[slot as usize] = false;
             self.assignment.pop();
         }
         self.assigned[node_index] = false;
@@ -400,10 +496,114 @@ impl Search<'_> {
         bound + 1e-12 < self.threshold
     }
 
-    /// Score the complete mapping `assignment + last`, count it as retained if
-    /// `Δ ≥ δ`, and build it only if the sink wants it.
-    fn complete(&mut self, last: &MappingElement, similarity_sum: f64, edge_count: u32) {
-        let score = self.objective.delta_from_parts(similarity_sum, edge_count);
+    /// Try every candidate of the last list, whose ring keys begin at `begin`,
+    /// on the partial mapping of all other lists, whose similarities sum to
+    /// `similarity_sum` — exactly as [`Search::descend`] would, counters
+    /// included. Each extension is complete, so its bound is its score, computed
+    /// once. The candidates that would be pruned even at the partial mapping's own
+    /// `|E_t|` are counted, not visited (see the module docs).
+    fn search_last_list(
+        &mut self,
+        candidates: &[MappingElement],
+        begin: usize,
+        similarity_sum: f64,
+    ) {
+        self.fill_gaps();
+        let end = if self.count_tail {
+            let edge_count = self.images.edge_count();
+            candidates.partition_point(|candidate| {
+                let score = self
+                    .objective
+                    .delta_from_parts(similarity_sum + candidate.similarity, edge_count);
+                !self.prunes(score)
+            })
+        } else {
+            candidates.len()
+        };
+        let mut used_before_end = 0;
+        for (j, candidate) in candidates[..end].iter().enumerate() {
+            if self.capped() {
+                return;
+            }
+            let (rank, slot) = self.keys[begin + j];
+            if self.used[slot as usize] {
+                used_before_end += 1;
+                continue;
+            }
+            self.counters.partial_mappings += 1;
+            let similarity_sum = similarity_sum + candidate.similarity;
+            let edge_count = self.last_edge_count(rank, slot);
+            let score = self.objective.delta_from_parts(similarity_sum, edge_count);
+            if self.config.use_bounding && self.prunes(score) {
+                self.counters.pruned_branches += 1;
+                continue;
+            }
+            if self.capped() {
+                return;
+            }
+            self.complete(candidate, score);
+        }
+        if end < candidates.len() {
+            let used_in_last: u32 = self
+                .images
+                .held()
+                .iter()
+                .map(|&(_, slot)| self.in_last[slot as usize])
+                .sum();
+            let tail = (candidates.len() - end) as u64;
+            let eligible = tail - u64::from(used_in_last - used_before_end);
+            let room = self.config.max_partial_mappings - self.counters.partial_mappings;
+            let counted = eligible.min(room);
+            self.counters.partial_mappings += counted;
+            self.counters.pruned_branches += counted;
+        }
+    }
+
+    /// Does the bound of a complete mapping scoring `score` cut it?
+    #[inline]
+    fn prunes(&self, score: f64) -> bool {
+        self.objective.complete_bound(score) + 1e-12 < self.threshold
+    }
+
+    /// Lay out `images`' gaps for [`Search::last_edge_count`]: `|N_s|` of them
+    /// for the `|N_s| − 1` images held, plus the wrap-around gap twice over.
+    fn fill_gaps(&mut self) {
+        self.held.clear();
+        self.gaps.clear();
+        let ring = self.images.held();
+        let n = ring.len();
+        if n == 0 {
+            return;
+        }
+        self.held.extend(ring.iter().copied().map(packed));
+        let cycle = self.images.cycle();
+        for g in 0..=n {
+            let pred = ring[if g == 0 { n - 1 } else { g - 1 }].1;
+            let succ = ring[if g == n { 0 } else { g }].1;
+            let base = cycle.wrapping_sub(self.distances.get(pred, succ));
+            self.gaps.push(Gap { pred, succ, base });
+        }
+    }
+
+    /// `|E_t|` with `slot`, of pre-order rank `rank`, added to `images` — what
+    /// [`SteinerRing::edge_count_with`] answers, from the gap table.
+    #[inline]
+    fn last_edge_count(&mut self, rank: u32, slot: u32) -> u32 {
+        if self.held.is_empty() {
+            return 0;
+        }
+        let key = packed((rank, slot));
+        let below: usize = self.held.iter().map(|&held| usize::from(held < key)).sum();
+        let Gap { pred, succ, base } = self.gaps[below];
+        let cycle = base
+            .wrapping_add(self.distances.get(pred, slot))
+            .wrapping_add(self.distances.get(slot, succ));
+        cycle / 2
+    }
+
+    /// Count the complete mapping `assignment + last`, scoring `score`, as
+    /// retained if `Δ ≥ δ`, and build it only if the sink wants it.
+    fn complete(&mut self, last: &MappingElement, score: f64) {
         self.counters.complete_mappings += 1;
         if score >= self.threshold {
             self.counters.retained_mappings += 1;

@@ -237,16 +237,29 @@ impl SteinerRing {
         true
     }
 
-    /// The ring slots just before position `at` and at it, cyclically: the two a
-    /// slot entering at `at` comes between, or one that left `at` came from between.
-    /// `None` for an empty ring.
+    /// The keys `(pre-order rank, slot)` held, ascending.
+    pub(crate) fn held(&self) -> &[(u32, u32)] {
+        &self.ring
+    }
+
+    /// The sum of the distances between cyclically consecutive slots held: twice
+    /// [`SteinerRing::edge_count`] where every distance is a tree distance.
+    pub(crate) fn cycle(&self) -> u32 {
+        self.cycle
+    }
+
+    /// The ring slots just before position `at` and at it, cyclically, for `at` in
+    /// `0..=len`: the two a slot entering at `at` comes between, or one that left
+    /// `at` came from between. `None` for an empty ring.
     #[inline]
     fn neighbours(&self, at: usize) -> Option<(u32, u32)> {
         let n = self.ring.len();
         if n == 0 {
             return None;
         }
-        Some((self.ring[(at + n - 1) % n].1, self.ring[at % n].1))
+        let pred = if at == 0 { n - 1 } else { at - 1 };
+        let succ = if at == n { 0 } else { at };
+        Some((self.ring[pred].1, self.ring[succ].1))
     }
 }
 

@@ -198,6 +198,24 @@ impl Objective {
         }
         self.delta_from_parts(bound_similarity_sum, edge_count)
     }
+
+    /// [`Objective::upper_bound_from_parts`] of a complete mapping whose
+    /// [`Objective::delta_from_parts`] is `score`: with no list left open the bound
+    /// *is* the score, save for an empty personal schema, which bounds at 0.
+    pub(crate) fn complete_bound(&self, score: f64) -> f64 {
+        if self.personal_node_count == 0 {
+            return 0.0;
+        }
+        score
+    }
+
+    /// Does [`Objective::delta_from_parts`] never rise when the similarity sum
+    /// falls or the edge count grows? So it is for every `α` in `[0, 1]` and
+    /// `K > 0` — what the builders keep them to — because every step of the
+    /// formula, float rounding included, is monotone then.
+    pub(crate) fn is_monotone(&self) -> bool {
+        (0.0..=1.0).contains(&self.config.alpha) && self.config.path_norm > 0.0
+    }
 }
 
 /// `|E_t|` of a mapping: the edges of the minimal subtree spanning its images.

@@ -1,9 +1,12 @@
 //! The incremental Branch & Bound search against the clone-and-recompute formulation
 //! in `oracle/`: identical mappings (pairs, order, `score.to_bits()`) and identical
 //! counters (every field but `elapsed`) — over random forests, personal schemas of one
-//! to six nodes and candidate sets in which one repository node serves several
+//! to twelve nodes and candidate sets in which one repository node serves several
 //! personal nodes and similarities tie, across the thresholds, objective weights,
-//! caps and the bounding switch that decide where the search turns back.
+//! caps and the bounding switch that decide where the search turns back. The
+//! search counts the sorted tail of a last list instead of visiting it, so every
+//! cap from 0 to the uncapped count is tried on a few scopes: a cap inside a
+//! counted tail stops it exactly where the oracle stops.
 //!
 //! Scopes that offer one repository node to several lists, images the labelling
 //! does not know, and a scope past the search's pairwise-distance memo cap are
@@ -114,7 +117,7 @@ fn random_case(
     }
     candidates.sort();
     // About a thousand complete assignments per tree whatever the schema size.
-    let cap_per_node = [1024, 32, 10, 6, 4, 3][personal_nodes - 1];
+    let cap_per_node = [1024, 32, 10, 6, 4, 3, 3, 2, 2, 2, 2, 2][personal_nodes - 1];
     let mut capped = CandidateSet::new(personal_ids);
     for (_, mut part) in candidates.split_by_tree() {
         part.truncate_per_node(cap_per_node);
@@ -271,7 +274,7 @@ proptest! {
     #[test]
     fn kernel_equals_oracle_across_thresholds_and_weights(
         seed in 0u64..u64::MAX,
-        personal_nodes in 1usize..7,
+        personal_nodes in 1usize..13,
         trees in 1usize..5,
         fine in 0usize..3,
     ) {
@@ -296,7 +299,7 @@ proptest! {
     #[test]
     fn kernel_equals_oracle_with_thresholds_on_the_knife_edge(
         seed in 0u64..u64::MAX,
-        personal_nodes in 2usize..7,
+        personal_nodes in 2usize..13,
         fine in 0usize..2,
     ) {
         // A branch is cut when `bound + 1e-12 < δ`. With δ one slack above a score
@@ -324,7 +327,7 @@ proptest! {
     #[test]
     fn kernel_equals_oracle_on_lists_of_equal_similarities(
         seed in 0u64..u64::MAX,
-        personal_nodes in 1usize..7,
+        personal_nodes in 1usize..13,
         value in 0usize..5,
     ) {
         let value = [0.0, 0.55, 0.6, 0.75, 1.0][value];
@@ -345,7 +348,7 @@ proptest! {
     #[test]
     fn top_k_generation_equals_the_sorted_oracle_cut_to_k(
         seed in 0u64..u64::MAX,
-        personal_nodes in 1usize..7,
+        personal_nodes in 1usize..13,
         trees in 1usize..5,
         similarities in 0usize..4,
         keep in 0usize..KEEPS.len(),
@@ -413,7 +416,7 @@ proptest! {
     #[test]
     fn kernel_equals_oracle_on_shared_and_unlabelled_images(
         seed in 0u64..u64::MAX,
-        personal_nodes in 1usize..7,
+        personal_nodes in 1usize..13,
         trees in 1usize..4,
         strangers in 1u32..4,
     ) {
@@ -533,6 +536,39 @@ fn every_cap_stops_both_searches_at_the_same_node() {
                         },
                     );
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn every_cap_up_to_the_uncapped_count_stops_both_searches_at_the_same_node() {
+    // The search counts the sorted tail of a last list — the candidates the bound
+    // would cut even at today's `|E_t|` — in one step. A cap landing inside such a
+    // tail must stop it where visiting them one by one stops: so every cap from 0
+    // to the uncapped count, on schemas of two to five nodes and two thresholds.
+    for seed in 200..206u64 {
+        let personal_nodes = 2 + (seed % 4) as usize;
+        let (personal, repo, scope) = random_case(seed, personal_nodes, 1, Similarities::Grid);
+        for threshold in [0.6, 0.75] {
+            let problem =
+                MatchingProblem::new(personal.clone(), ObjectiveConfig::default(), threshold);
+            let uncapped = BranchAndBoundGenerator::new()
+                .generate(&problem, &repo, &scope)
+                .counters
+                .partial_mappings;
+            for cap in 0..=uncapped {
+                assert_equivalent(
+                    &personal,
+                    &repo,
+                    &scope,
+                    ObjectiveConfig::default(),
+                    threshold,
+                    BranchAndBoundConfig {
+                        max_partial_mappings: cap,
+                        use_bounding: true,
+                    },
+                );
             }
         }
     }
