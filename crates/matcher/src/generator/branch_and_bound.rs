@@ -27,16 +27,19 @@
 //! * **`used`** — one flag per repository node of the scope (a *slot*, below), set
 //!   while the node is an image of the partial mapping: injectivity is one load;
 //! * **the images as a [`SteinerRing`]** — ordered by pre-order rank, with the sum
-//!   of the distances between cyclic neighbours. Adding an image replaces one term
-//!   of that sum by two, so `|E_t|` *with the candidate* is three distances away
-//!   ([`SteinerRing::edge_count_with`]), exactly, and asking changes nothing.
+//!   of the distances between cyclic neighbours and the ring's gaps laid out: for
+//!   each place a new image can enter, the two images it lies between and the sum
+//!   without the term between them. A candidate's gap is a branch-free count of the
+//!   held ring keys below its own, so `|E_t|` *with the candidate* is two distances
+//!   away ([`SteinerRing::edge_count_with`]), exactly, and asking changes nothing.
 //!
 //! Most partial mappings end there: the bound cuts them, or they are complete and
 //! get their score from the same two numbers. Only to search *below* one does the
-//! state change — candidate pushed, list marked, image flagged and inserted — and
-//! change back on return. So an inner partial mapping costs no allocation, three
-//! distance lookups and `|N_s|` float additions, and a complete one allocates only
-//! if it is retained *and* the [`TopMappings`] it goes to wants its score.
+//! state change — candidate pushed, list marked, image flagged and inserted, the
+//! ring's gaps laid out again — and change back on return. So an inner partial
+//! mapping costs no allocation, two distance lookups and `|N_s|` float additions,
+//! and a complete one allocates only if it is retained *and* the [`TopMappings`] it
+//! goes to wants its score.
 //!
 //! # The last list
 //!
@@ -48,25 +51,19 @@
 //!   and [`Objective::upper_bound_from_parts`] is [`Objective::delta_from_parts`]
 //!   of the same two numbers. A leaf computes it once: pruned if
 //!   `score + 1e-12 < δ`, retained if `score ≥ δ`.
-//! * **Gaps, not a search of the ring.** The ring is fixed while the last list is
-//!   tried, so its `|N_s|` gaps are laid out once per prefix: each gap's `pred`,
-//!   `succ` and the cycle sum without `d(pred, succ)`. A candidate's gap is the
-//!   number of held ring keys below its own, counted without a branch, and its
-//!   `|E_t|` is `(base + d(pred, v) + d(v, succ)) / 2` — two distance lookups.
 //! * **The sorted tail is counted, not visited.** Lists descend by similarity,
 //!   the score falls as the similarity sum falls and as `|E_t|` grows, and adding
 //!   an image to a set of labelled nodes never shrinks its Steiner tree. So once
 //!   a candidate would be pruned at the prefix's own `|E_t|`, so would every
 //!   candidate after it, at whatever `|E_t|` it brings. The first such candidate
-//!   is found by binary search; the unused candidates from there on (the list's
-//!   length minus that position, minus the held images that are candidates of
-//!   the last list at or past it) are added to `partial_mappings` and
-//!   `pruned_branches` in one step, capped at what `max_partial_mappings` leaves —
-//!   exactly where a candidate-by-candidate loop would stop. This holds only if
-//!   the labelling knows every image of the scope: an unknown image reads
-//!   distance 0 to everything and can *shrink* `|E_t|`. So a search counts tails
-//!   only when bounding is on, every slot has a pre-order rank, and `α ∈ [0, 1]`,
-//!   `K > 0` keep the score monotone; otherwise it visits every candidate.
+//!   is found by binary search; the candidates from there on whose `used` flag is
+//!   clear are added to `partial_mappings` and `pruned_branches` in one step,
+//!   capped at what `max_partial_mappings` leaves — exactly where a
+//!   candidate-by-candidate loop would stop. This holds only if the labelling
+//!   knows every image of the scope: an unknown image reads distance 0 to
+//!   everything and can *shrink* `|E_t|`. So a search counts tails only when
+//!   bounding is on, every slot has a pre-order rank, and `α ∈ [0, 1]`, `K > 0`
+//!   keep the score monotone; otherwise it visits every candidate.
 //!
 //! # Slots and the distance memo
 //!
@@ -89,10 +86,10 @@
 //! gives; the memo only saves asking twice. A scope of more than
 //! `MEMO_MAX_IMAGES` (1 024) distinct images — a 4 MiB memo — asks the labelling
 //! every time instead. Setting up a search costs a fixed number of allocations
-//! whatever the scope — the slots, the keys, the memo, the per-slot flags and
-//! counts, and the state and gap table above, each sized once — and the search
-//! itself none (`tests/search_allocations.rs` pins the count). Every retained
-//! mapping is counted; one that cannot make the caller's top `k` is never built.
+//! whatever the scope — the slots, the keys, the memo, the per-slot flags and the
+//! state above, each sized once — and the search itself none
+//! (`tests/search_allocations.rs` pins the count). Every retained mapping is
+//! counted; one that cannot make the caller's top `k` is never built.
 //! `generate_single_tree` and `generate` hand the search an unbounded collector,
 //! the served path one of `k`: the search itself is the same.
 //!
@@ -255,11 +252,6 @@ impl BranchAndBoundGenerator {
                 .map(|candidate| distances.key(candidate.repo.node)),
         );
         let slots = distances.slots.len();
-        let mut in_last = vec![0; slots];
-        let (_, last_begin) = order[nodes - 1];
-        for &(_, slot) in &keys[last_begin..] {
-            in_last[slot as usize] += 1;
-        }
         let objective = Objective::for_problem(problem);
 
         let mut search = Search {
@@ -279,10 +271,7 @@ impl BranchAndBoundGenerator {
             assigned: vec![false; nodes],
             assignment: Vec::with_capacity(nodes),
             used: vec![false; slots],
-            in_last,
             images: SteinerRing::with_capacity(nodes),
-            held: Vec::with_capacity(nodes),
-            gaps: Vec::with_capacity(nodes + 1),
             sink,
             counters,
         };
@@ -371,22 +360,6 @@ impl<'a> SlotDistances<'a> {
     }
 }
 
-/// A gap of the ring at the last list: the slots it lies between and the cycle
-/// sum without the term between them. A slot entering it makes the cycle
-/// `base + d(pred, slot) + d(slot, succ)`.
-#[derive(Clone, Copy)]
-struct Gap {
-    pred: u32,
-    succ: u32,
-    base: u32,
-}
-
-/// A ring key as one integer, ordered as the `(rank, slot)` pair is.
-#[inline]
-fn packed((rank, slot): (u32, u32)) -> u64 {
-    (u64::from(rank) << 32) | u64::from(slot)
-}
-
 /// The search state of one single-tree scope (see the module docs): what is fixed
 /// for the whole search, and the partial mapping the recursion currently stands on.
 struct Search<'a> {
@@ -410,19 +383,12 @@ struct Search<'a> {
     assignment: Vec<MappingElement>,
     /// `used[slot]`: the slot is an image of `assignment`.
     used: Vec<bool>,
-    /// `in_last[slot]`: how often the slot is a candidate of the last list.
-    in_last: Vec<u32>,
     /// Whether the last list's sorted tail may be counted rather than visited:
     /// bounding is on, the score falls with the similarity and with `|E_t|`, and
     /// `|E_t|` never shrinks as an image is added.
     count_tail: bool,
     /// The slots of `assignment`'s images, for `|E_t|`.
     images: SteinerRing,
-    /// `images`' keys, [`packed`], while the last list is searched.
-    held: Vec<u64>,
-    /// `gaps[g]`: the gap a slot enters when `g` held keys sort below its own;
-    /// the first and the last are the one gap that wraps around.
-    gaps: Vec<Gap>,
     /// Where complete mappings with `Δ ≥ δ` go, if it wants them.
     sink: &'a mut TopMappings,
     counters: GeneratorCounters,
@@ -508,7 +474,6 @@ impl Search<'_> {
         begin: usize,
         similarity_sum: f64,
     ) {
-        self.fill_gaps();
         let end = if self.count_tail {
             let edge_count = self.images.edge_count();
             candidates.partition_point(|candidate| {
@@ -520,19 +485,19 @@ impl Search<'_> {
         } else {
             candidates.len()
         };
-        let mut used_before_end = 0;
         for (j, candidate) in candidates[..end].iter().enumerate() {
             if self.capped() {
                 return;
             }
             let (rank, slot) = self.keys[begin + j];
             if self.used[slot as usize] {
-                used_before_end += 1;
                 continue;
             }
             self.counters.partial_mappings += 1;
             let similarity_sum = similarity_sum + candidate.similarity;
-            let edge_count = self.last_edge_count(rank, slot);
+            let edge_count = self
+                .images
+                .edge_count_with(rank, slot, |a, b| self.distances.get(a, b));
             let score = self.objective.delta_from_parts(similarity_sum, edge_count);
             if self.config.use_bounding && self.prunes(score) {
                 self.counters.pruned_branches += 1;
@@ -543,62 +508,21 @@ impl Search<'_> {
             }
             self.complete(candidate, score);
         }
-        if end < candidates.len() {
-            let used_in_last: u32 = self
-                .images
-                .held()
-                .iter()
-                .map(|&(_, slot)| self.in_last[slot as usize])
-                .sum();
-            let tail = (candidates.len() - end) as u64;
-            let eligible = tail - u64::from(used_in_last - used_before_end);
-            let room = self.config.max_partial_mappings - self.counters.partial_mappings;
-            let counted = eligible.min(room);
-            self.counters.partial_mappings += counted;
-            self.counters.pruned_branches += counted;
-        }
+        let tail = &self.keys[begin + end..begin + candidates.len()];
+        let eligible = tail
+            .iter()
+            .filter(|&&(_, slot)| !self.used[slot as usize])
+            .count() as u64;
+        let room = self.config.max_partial_mappings - self.counters.partial_mappings;
+        let counted = eligible.min(room);
+        self.counters.partial_mappings += counted;
+        self.counters.pruned_branches += counted;
     }
 
     /// Does the bound of a complete mapping scoring `score` cut it?
     #[inline]
     fn prunes(&self, score: f64) -> bool {
         self.objective.complete_bound(score) + 1e-12 < self.threshold
-    }
-
-    /// Lay out `images`' gaps for [`Search::last_edge_count`]: `|N_s|` of them
-    /// for the `|N_s| − 1` images held, plus the wrap-around gap twice over.
-    fn fill_gaps(&mut self) {
-        self.held.clear();
-        self.gaps.clear();
-        let ring = self.images.held();
-        let n = ring.len();
-        if n == 0 {
-            return;
-        }
-        self.held.extend(ring.iter().copied().map(packed));
-        let cycle = self.images.cycle();
-        for g in 0..=n {
-            let pred = ring[if g == 0 { n - 1 } else { g - 1 }].1;
-            let succ = ring[if g == n { 0 } else { g }].1;
-            let base = cycle.wrapping_sub(self.distances.get(pred, succ));
-            self.gaps.push(Gap { pred, succ, base });
-        }
-    }
-
-    /// `|E_t|` with `slot`, of pre-order rank `rank`, added to `images` — what
-    /// [`SteinerRing::edge_count_with`] answers, from the gap table.
-    #[inline]
-    fn last_edge_count(&mut self, rank: u32, slot: u32) -> u32 {
-        if self.held.is_empty() {
-            return 0;
-        }
-        let key = packed((rank, slot));
-        let below: usize = self.held.iter().map(|&held| usize::from(held < key)).sum();
-        let Gap { pred, succ, base } = self.gaps[below];
-        let cycle = base
-            .wrapping_add(self.distances.get(pred, slot))
-            .wrapping_add(self.distances.get(slot, succ));
-        cycle / 2
     }
 
     /// Count the complete mapping `assignment + last`, scoring `score`, as

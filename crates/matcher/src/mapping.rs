@@ -130,16 +130,19 @@ pub fn steiner_edge_count(labeling: &TreeLabeling, nodes: &[xsm_schema::NodeId])
     total / 2
 }
 
-/// The images of a growing and shrinking partial mapping, kept so that `|E_t|` is
-/// known after every change without looking at the whole set again.
+/// The images of a growing and shrinking partial mapping, kept so that `|E_t|`, and
+/// `|E_t|` with any one more image, is known without looking at the whole set again.
 ///
 /// [`steiner_edge_count`] orders the nodes by pre-order rank, sums the distances
 /// of cyclically consecutive nodes and halves. The ring keeps that order and that
-/// sum: inserting `v` between its neighbours `pred` and `succ` replaces the term
-/// `d(pred, succ)` by `d(pred, v) + d(v, succ)`, and removing it puts the term back —
-/// three distances either way, however many images there are — and
-/// [`SteinerRing::edge_count_with`] answers "what if `v` were added" for the same
-/// three without touching the ring.
+/// sum, and lays out its **gaps**: for `n` nodes held, the `n + 1` places a new
+/// node can enter (the first and the last are the one gap that wraps around), each
+/// with the nodes `pred` and `succ` it lies between and the sum without the term
+/// `d(pred, succ)`. A node `v` entering a gap makes the sum
+/// `base + d(pred, v) + d(v, succ)`, so [`SteinerRing::edge_count_with`] answers
+/// "what if `v` were added" with a count of the held keys below `v`'s — no branch —
+/// and two distances, without touching the ring. Inserting or removing a node lays
+/// the gaps out again: `n` distances, where `n` is at most the personal schema's size.
 ///
 /// The ring holds **slots**, not nodes: small integers a caller gives the images
 /// it will ask about, numbered in ascending [`NodeId`] order, so that the ring's
@@ -153,17 +156,29 @@ pub fn steiner_edge_count(labeling: &TreeLabeling, nodes: &[xsm_schema::NodeId])
 /// is an integer.
 #[derive(Debug, Clone)]
 pub struct SteinerRing {
-    /// `(pre-order rank, slot)`, ascending.
-    ring: Vec<(u32, u32)>,
+    /// `(pre-order rank, slot)` as one integer, `rank << 32 | slot`, ascending.
+    keys: Vec<u64>,
+    /// `gaps[g]`: the gap a slot enters when `g` held keys sort below its own.
+    gaps: Vec<Gap>,
     /// Sum of the distances between cyclically consecutive ring nodes (`2·|E_t|`).
     cycle: u32,
+}
+
+/// A gap of a [`SteinerRing`]: the slots it lies between, and the ring's cycle sum
+/// without the distance between them.
+#[derive(Debug, Clone, Copy)]
+struct Gap {
+    pred: u32,
+    succ: u32,
+    base: u32,
 }
 
 impl SteinerRing {
     /// An empty ring with room for `capacity` nodes.
     pub fn with_capacity(capacity: usize) -> Self {
         SteinerRing {
-            ring: Vec::with_capacity(capacity),
+            keys: Vec::with_capacity(capacity),
+            gaps: Vec::with_capacity(capacity + 1),
             cycle: 0,
         }
     }
@@ -175,92 +190,94 @@ impl SteinerRing {
 
     /// `|E_t|` were `slot`, of pre-order rank `rank`, added — the ring itself is
     /// left as it is, so a caller can look at an extension before (or without)
-    /// committing to it.
+    /// committing to it. A slot already held enters the gap that ends at itself,
+    /// and `d(slot, slot)` is 0, so the answer is then `|E_t|` as it is.
     #[inline]
     pub fn edge_count_with(
         &self,
         rank: u32,
         slot: u32,
-        distance: impl FnMut(u32, u32) -> u32,
+        mut distance: impl FnMut(u32, u32) -> u32,
     ) -> u32 {
-        match self.place(rank, slot, distance) {
-            Some((_, cycle)) => cycle / 2,
-            None => self.edge_count(),
+        match self.gaps.get(self.below(ring_key(rank, slot))) {
+            Some(&Gap { pred, succ, base }) => {
+                (base + distance(pred, slot) + distance(slot, succ)) / 2
+            }
+            None => 0,
         }
     }
 
     /// Add `slot`, of pre-order rank `rank`; `false` (and no change) when it is
     /// already held.
     pub fn insert(&mut self, rank: u32, slot: u32, distance: impl FnMut(u32, u32) -> u32) -> bool {
-        let Some((at, cycle)) = self.place(rank, slot, distance) else {
+        let key = ring_key(rank, slot);
+        let at = self.below(key);
+        if self.keys.get(at) == Some(&key) {
             return false;
-        };
-        self.ring.insert(at, (rank, slot));
-        self.cycle = cycle;
-        true
-    }
-
-    /// Where `(rank, slot)` would enter the ring and the cycle sum it would leave;
-    /// `None` when it is already held.
-    #[inline]
-    fn place(
-        &self,
-        rank: u32,
-        slot: u32,
-        mut distance: impl FnMut(u32, u32) -> u32,
-    ) -> Option<(usize, u32)> {
-        let at = self.ring.binary_search(&(rank, slot)).err()?;
-        let mut cycle = self.cycle;
-        if let Some((pred, succ)) = self.neighbours(at) {
-            cycle += distance(pred, slot) + distance(slot, succ);
-            cycle -= distance(pred, succ);
         }
-        Some((at, cycle))
+        self.keys.insert(at, key);
+        self.lay_out_gaps(distance);
+        true
     }
 
     /// Take `slot`, of pre-order rank `rank`, out; `false` (and no change) when it
     /// is not held.
-    pub fn remove(
-        &mut self,
-        rank: u32,
-        slot: u32,
-        mut distance: impl FnMut(u32, u32) -> u32,
-    ) -> bool {
-        let Ok(at) = self.ring.binary_search(&(rank, slot)) else {
+    pub fn remove(&mut self, rank: u32, slot: u32, distance: impl FnMut(u32, u32) -> u32) -> bool {
+        let key = ring_key(rank, slot);
+        let at = self.below(key);
+        if self.keys.get(at) != Some(&key) {
             return false;
-        };
-        self.ring.remove(at);
-        if let Some((pred, succ)) = self.neighbours(at) {
-            self.cycle += distance(pred, succ);
-            self.cycle -= distance(pred, slot) + distance(slot, succ);
         }
+        self.keys.remove(at);
+        self.lay_out_gaps(distance);
         true
     }
 
-    /// The keys `(pre-order rank, slot)` held, ascending.
-    pub(crate) fn held(&self) -> &[(u32, u32)] {
-        &self.ring
-    }
-
-    /// The sum of the distances between cyclically consecutive slots held: twice
-    /// [`SteinerRing::edge_count`] where every distance is a tree distance.
-    pub(crate) fn cycle(&self) -> u32 {
-        self.cycle
-    }
-
-    /// The ring slots just before position `at` and at it, cyclically, for `at` in
-    /// `0..=len`: the two a slot entering at `at` comes between, or one that left
-    /// `at` came from between. `None` for an empty ring.
+    /// How many held keys sort below `key`: the gap it enters, or its place if it
+    /// is held. Counted without a branch — the ring holds a handful of keys.
     #[inline]
-    fn neighbours(&self, at: usize) -> Option<(u32, u32)> {
-        let n = self.ring.len();
-        if n == 0 {
-            return None;
-        }
-        let pred = if at == 0 { n - 1 } else { at - 1 };
-        let succ = if at == n { 0 } else { at };
-        Some((self.ring[pred].1, self.ring[succ].1))
+    fn below(&self, key: u64) -> usize {
+        self.keys.iter().map(|&held| usize::from(held < key)).sum()
     }
+
+    /// Sum the cycle of the keys held and lay out its gaps.
+    fn lay_out_gaps(&mut self, mut distance: impl FnMut(u32, u32) -> u32) {
+        self.gaps.clear();
+        let Some(&last) = self.keys.last() else {
+            self.cycle = 0;
+            return;
+        };
+        let mut cycle = 0;
+        let mut pred = slot_of(last);
+        for &key in &self.keys {
+            let succ = slot_of(key);
+            let term = distance(pred, succ);
+            cycle += term;
+            self.gaps.push(Gap {
+                pred,
+                succ,
+                base: term,
+            });
+            pred = succ;
+        }
+        self.gaps.push(self.gaps[0]);
+        for gap in &mut self.gaps {
+            gap.base = cycle - gap.base;
+        }
+        self.cycle = cycle;
+    }
+}
+
+/// A ring key: `(rank, slot)` as one integer that orders as the pair does.
+#[inline]
+fn ring_key(rank: u32, slot: u32) -> u64 {
+    (u64::from(rank) << 32) | u64::from(slot)
+}
+
+/// The slot of a ring key.
+#[inline]
+fn slot_of(key: u64) -> u32 {
+    key as u32
 }
 
 #[cfg(test)]

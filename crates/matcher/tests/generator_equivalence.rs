@@ -518,12 +518,25 @@ fn a_scope_past_the_memo_cap_asks_the_labelling_and_agrees() {
 
 #[test]
 fn every_cap_stops_both_searches_at_the_same_node() {
-    for seed in 0..12u64 {
-        let personal_nodes = 1 + (seed % 6) as usize;
-        let (personal, repo, scope) = random_case(seed, personal_nodes, 3, Similarities::Grid);
-        for cap in CAPS {
-            for use_bounding in [true, false] {
-                for threshold in [0.0, 0.75] {
+    // Forests of three trees under the fixed caps; then single trees under every cap
+    // from 0 to the uncapped count as well. The search counts the sorted tail of a
+    // last list — the candidates the bound would cut even at today's `|E_t|` — in
+    // one step, and a cap landing inside such a tail must stop it where visiting
+    // them one by one stops.
+    let forests = (0..12u64).map(|seed| (seed, 1 + (seed % 6) as usize, 3, [0.0, 0.75], false));
+    let swept = (200..206u64).map(|seed| (seed, 2 + (seed % 4) as usize, 1, [0.6, 0.75], true));
+    for (seed, personal_nodes, trees, thresholds, sweep) in forests.chain(swept) {
+        let (personal, repo, scope) = random_case(seed, personal_nodes, trees, Similarities::Grid);
+        for threshold in thresholds {
+            let problem =
+                MatchingProblem::new(personal.clone(), ObjectiveConfig::default(), threshold);
+            let uncapped = BranchAndBoundGenerator::new()
+                .generate(&problem, &repo, &scope)
+                .counters
+                .partial_mappings;
+            let every_cap = (0..=uncapped).filter(|_| sweep);
+            for cap in CAPS.into_iter().chain(every_cap) {
+                for use_bounding in [true, false] {
                     assert_equivalent(
                         &personal,
                         &repo,
@@ -536,39 +549,6 @@ fn every_cap_stops_both_searches_at_the_same_node() {
                         },
                     );
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn every_cap_up_to_the_uncapped_count_stops_both_searches_at_the_same_node() {
-    // The search counts the sorted tail of a last list — the candidates the bound
-    // would cut even at today's `|E_t|` — in one step. A cap landing inside such a
-    // tail must stop it where visiting them one by one stops: so every cap from 0
-    // to the uncapped count, on schemas of two to five nodes and two thresholds.
-    for seed in 200..206u64 {
-        let personal_nodes = 2 + (seed % 4) as usize;
-        let (personal, repo, scope) = random_case(seed, personal_nodes, 1, Similarities::Grid);
-        for threshold in [0.6, 0.75] {
-            let problem =
-                MatchingProblem::new(personal.clone(), ObjectiveConfig::default(), threshold);
-            let uncapped = BranchAndBoundGenerator::new()
-                .generate(&problem, &repo, &scope)
-                .counters
-                .partial_mappings;
-            for cap in 0..=uncapped {
-                assert_equivalent(
-                    &personal,
-                    &repo,
-                    &scope,
-                    ObjectiveConfig::default(),
-                    threshold,
-                    BranchAndBoundConfig {
-                        max_partial_mappings: cap,
-                        use_bounding: true,
-                    },
-                );
             }
         }
     }

@@ -1,9 +1,8 @@
 //! What one branch-and-bound search allocates, counted by a global allocator that
 //! this test binary alone installs. A search sets up a fixed set of buffers — the
 //! list order, the ring keys, the slots and their distance memo, the per-slot
-//! `used` flags and last-list counts, the partial mapping, the image ring and the
-//! last list's gap table — each sized once from the scope, and then searches
-//! without allocating: not per partial mapping, not per leaf, not per level. A
+//! `used` flags, the partial mapping and the image ring with its gaps — each sized
+//! once from the scope, and then searches without allocating: not per partial mapping, not per leaf, not per level. A
 //! collector that wants no mapping (`TopMappings::new(0)`) has nothing built for
 //! it, so the count is the same whatever the scope's size and depth.
 //!
